@@ -86,8 +86,8 @@ def clear_caches():
     """Drop all memoized Apery sets, Betti scans, presentations, and oracle
     factorization tables.  Used for honest benchmark timings."""
     _core.apery.cache_clear()
-    _presentations._betti_cached.cache_clear()
-    _presentations._minpres_cached.cache_clear()
+    _presentations._betti_memo.clear()
+    _presentations._minpres_memo.clear()
     _oracle._buckets.cache_clear()
 
 

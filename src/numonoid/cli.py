@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from . import clear_caches
 from .core import NumericalMonoid, apery, contains, frobenius
 from .errors import (
     BudgetExceeded,
@@ -38,10 +39,12 @@ from .invariants import (
 from .oracle import congruence_closure_check
 from .presentations import (
     all_minimal_presentations,
+    betti_elements,
     make_relation,
     minimal_presentation,
 )
 from .shifted import (
+    ShiftedFamily,
     accelerated_minimal_presentation,
     family_from_generators,
     monoid_at,
@@ -64,15 +67,15 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise InvalidInput(f"expected comma-separated integers, got {text!r}")
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _coords(z) -> str:
     return ",".join(str(c) for c in z)
-
-
-def _relation_dicts(relations):
-    return [
-        {"betti": r.betti, "left": list(r.left), "right": list(r.right)}
-        for r in relations
-    ]
 
 
 def _print_presentation(pres, fmt: str, out):
@@ -112,28 +115,21 @@ def _cmd_factorizations(args, out) -> int:
 
 def _cmd_betti(args, out) -> int:
     M = NumericalMonoid(_int_list(args.gens))
-    from .presentations import betti_elements
-
     for beta in betti_elements(M):
         out.write(f"{beta}\n")
     return 0
 
 
 def _minpres_for_strategy(gens: tuple[int, ...], strategy: str):
+    # the accelerated path itself falls back to the direct one below the
+    # lifting regime, so auto only has to route single generators
     M = NumericalMonoid(gens)
-    if strategy == "direct":
-        return minimal_presentation(M)
     family, n = family_from_generators(gens)
-    if strategy == "shift":
-        if family is None:
-            raise InvalidInput("a single generator has no shifted family")
-        return accelerated_minimal_presentation(family, n)
-    # auto: accelerate when the lifting theorem applies, else direct
-    if family is not None and n > family.threshold and family.d > 0:
-        member = monoid_at(family, n)
-        if member.primitive and member.minimal:
-            return accelerated_minimal_presentation(family, n)
-    return minimal_presentation(M)
+    if family is None and strategy == "shift":
+        raise InvalidInput("a single generator has no shifted family")
+    if strategy == "direct" or family is None:
+        return minimal_presentation(M)
+    return accelerated_minimal_presentation(family, n)
 
 
 def _cmd_minpres(args, out) -> int:
@@ -146,7 +142,7 @@ def _cmd_minpres(args, out) -> int:
                 "generators": list(M.generators),
                 "count": count,
                 "presentations": [
-                    _relation_dicts(p.relations) for p in items
+                    p.to_json_dict()["relations"] for p in items
                 ],
             }
             json.dump(payload, out, indent=2)
@@ -240,7 +236,7 @@ def _survey_rows(family, n: int, which: str) -> list[tuple[int, str, int]]:
         pres = accelerated_minimal_presentation(family, n)
         if which == "minpres-size":
             return [(n, which, len(pres.relations))]
-        betti = sorted(set(pres.betti_values()))
+        betti = pres.betti_values()
         if which == "betti":
             return [(n, which, beta) for beta in betti]
         if which == "catenary":
@@ -253,8 +249,6 @@ def _survey_rows(family, n: int, which: str) -> list[tuple[int, str, int]]:
 
 
 def _cmd_survey(args, out) -> int:
-    from .shifted import ShiftedFamily
-
     family = ShiftedFamily(_int_list(args.r))
     if args.n_from < 1:
         raise InvalidInput("--n-from must be positive")
@@ -283,9 +277,6 @@ def _cmd_survey(args, out) -> int:
 
 
 def _cmd_bench(args, out) -> int:
-    from . import clear_caches
-    from .shifted import ShiftedFamily
-
     family = ShiftedFamily(_int_list(args.r))
     if args.repeats < 1:
         raise InvalidInput("--repeats must be positive")
@@ -342,6 +333,8 @@ def _cmd_verify(args, out) -> int:
         raise InvalidInput(f"cannot read {args.presentation}: {exc}")
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{args.presentation} is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise InvalidInput(f"{args.presentation} does not hold a JSON object")
     if tuple(payload.get("generators", ())) != gens:
         raise InvalidInput("presentation file generators do not match --gens")
     try:
@@ -381,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--gens", required=True)
     p.add_argument("--element", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_non_negative, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_factorizations)
 
     p = sub.add_parser("betti", help="Betti elements")
@@ -410,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--element", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=_non_negative, default=None)
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("survey", help="family survey CSV")
@@ -436,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closure-check a presentation file")
     p.add_argument("--gens", required=True)
     p.add_argument("--presentation", required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_non_negative, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -24,6 +24,12 @@ DEFAULT_CAP = 10**7
 _TICK = 4096
 
 
+def _check_deadline(deadline: float | None) -> None:
+    """Raise BudgetExceeded once time.monotonic() has passed deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded("wall-clock deadline exceeded")
+
+
 @dataclass(frozen=True)
 class LengthProfile:
     """Sorted distinct factorization lengths of one element, with gaps."""
@@ -84,8 +90,7 @@ def _enumerate(
         nonlocal ticks
         ticks += 1
         if deadline is not None and ticks % _TICK == 0:
-            if time.monotonic() > deadline:
-                raise BudgetExceeded("enumeration deadline exceeded")
+            _check_deadline(deadline)
         if v % g01:
             return
         y0 = ((v // g01) * inv) % q0 if q0 > 1 else 0
@@ -119,14 +124,10 @@ def _enumerate(
 
 
 def length_profile(
-    M: NumericalMonoid,
-    a: int,
-    *,
-    cap: int = DEFAULT_CAP,
-    deadline: float | None = None,
+    M: NumericalMonoid, a: int, *, deadline: float | None = None
 ) -> LengthProfile:
     """L(a) and its successive gaps; error when a is not an element."""
-    zs = factorizations(M, a, cap=cap, deadline=deadline)
+    zs = factorizations(M, a, deadline=deadline)
     if not zs:
         raise NotAnElement(f"{a} is not in {M!r}")
     lengths = sorted({sum(z) for z in zs})

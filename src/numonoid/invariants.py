@@ -13,20 +13,14 @@ cross-checked against the Betti data before being returned.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .core import NumericalMonoid, contains
-from .errors import BudgetExceeded, InvalidInput, NotAnElement, VerificationFailed
-from .factorizations import DEFAULT_CAP, distance, factorizations, length_profile
+from .errors import InvalidInput, NotAnElement, VerificationFailed
+from .factorizations import _check_deadline, distance, factorizations, length_profile
 from .presentations import betti_elements
 from .shifted import accelerated_minimal_presentation
 from .unionfind import UnionFind
-
-
-def _check_deadline(deadline: float | None):
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded("wall-clock budget exhausted")
 
 
 def default_window(M: NumericalMonoid) -> int:
@@ -38,6 +32,20 @@ def default_window(M: NumericalMonoid) -> int:
     gens = M.generators
     small = gens[-2] if len(gens) >= 2 else gens[-1]
     return small * gens[-1] + 2 * gens[-1]
+
+
+def _sweep(M: NumericalMonoid, window: int | None, deadline: float | None):
+    """The window (default_window when None) and a generator over the
+    elements of M in [0, window], checking the deadline before each."""
+    w = default_window(M) if window is None else window
+
+    def members():
+        for a in range(w + 1):
+            _check_deadline(deadline)
+            if contains(M, a):
+                yield a
+
+    return w, members()
 
 
 @dataclass(frozen=True)
@@ -94,15 +102,11 @@ def _bottleneck(vectors: list[tuple[int, ...]]) -> int:
 
 
 def catenary_of_element(
-    M: NumericalMonoid,
-    a: int,
-    *,
-    cap: int = DEFAULT_CAP,
-    deadline: float | None = None,
+    M: NumericalMonoid, a: int, *, deadline: float | None = None
 ) -> int:
     """Smallest N such that any two factorizations of a are joined by a
     chain of factorizations with consecutive distances at most N."""
-    zs = factorizations(M, a, cap=cap, deadline=deadline)
+    zs = factorizations(M, a, deadline=deadline)
     if not zs:
         raise NotAnElement(f"{a} is not an element of {M.generators}")
     return _bottleneck(zs)
@@ -130,11 +134,7 @@ def catenary_of_monoid(
 
 
 def monotone_equal_catenary(
-    M: NumericalMonoid,
-    a: int,
-    *,
-    cap: int = DEFAULT_CAP,
-    deadline: float | None = None,
+    M: NumericalMonoid, a: int, *, deadline: float | None = None
 ) -> tuple[int, int]:
     """(monotone, equal) catenary degrees of the element a.
 
@@ -146,7 +146,7 @@ def monotone_equal_catenary(
     layered graph (bidirectional within a length class, directed toward
     strictly smaller lengths).
     """
-    zs = factorizations(M, a, cap=cap, deadline=deadline)
+    zs = factorizations(M, a, deadline=deadline)
     if not zs:
         raise NotAnElement(f"{a} is not an element of {M.generators}")
     m = len(zs)
@@ -229,16 +229,13 @@ def monoid_catenary_report(
         pres = accelerated_minimal_presentation(
             member.family, member.n, deadline=deadline
         )
-        betti = sorted(set(pres.betti_values()))
+        betti = pres.betti_values()
         ordinary = catenary_of_monoid(M, betti=betti, deadline=deadline)
         return CatenaryReport(ordinary, ordinary, ordinary, True, None)
     ordinary = catenary_of_monoid(M, deadline=deadline)
-    w = default_window(M) if window is None else window
+    w, members = _sweep(M, window, deadline)
     monotone = equal = 0
-    for a in range(1, w + 1):
-        _check_deadline(deadline)
-        if not contains(M, a):
-            continue
+    for a in members:
         mc, ec = monotone_equal_catenary(M, a, deadline=deadline)
         monotone = max(monotone, mc)
         equal = max(equal, ec)
@@ -246,13 +243,9 @@ def monoid_catenary_report(
 
 
 def delta_set_of_element(
-    M: NumericalMonoid,
-    a: int,
-    *,
-    cap: int = DEFAULT_CAP,
-    deadline: float | None = None,
+    M: NumericalMonoid, a: int, *, deadline: float | None = None
 ) -> frozenset:
-    return frozenset(length_profile(M, a, cap=cap, deadline=deadline).deltas)
+    return frozenset(length_profile(M, a, deadline=deadline).deltas)
 
 
 def delta_set(
@@ -276,28 +269,22 @@ def delta_set(
             member.family, member.n, deadline=deadline
         )
         union = set()
-        for beta in sorted(set(pres.betti_values())):
+        for beta in pres.betti_values():
             union |= delta_set_of_element(M, beta, deadline=deadline)
         if union != {d}:
             raise VerificationFailed(
                 f"Betti delta sets give {sorted(union)}, expected {{{d}}}"
             )
         return DeltaSet(frozenset({d}), True, None)
-    w = default_window(M) if window is None else window
+    w, members = _sweep(M, window, deadline)
     union = set()
-    for a in range(1, w + 1):
-        _check_deadline(deadline)
-        if contains(M, a):
-            union |= delta_set_of_element(M, a, deadline=deadline)
+    for a in members:
+        union |= delta_set_of_element(M, a, deadline=deadline)
     return DeltaSet(frozenset(union), False, w)
 
 
 def tame_degree(
-    M: NumericalMonoid,
-    a: int,
-    *,
-    cap: int = DEFAULT_CAP,
-    deadline: float | None = None,
+    M: NumericalMonoid, a: int, *, deadline: float | None = None
 ) -> int:
     """Tame degree of the element a.
 
@@ -305,7 +292,7 @@ def tame_degree(
     distance from z to the nearest factorization using atom i.  Zero when
     every factorization already touches every reachable atom.
     """
-    zs = factorizations(M, a, cap=cap, deadline=deadline)
+    zs = factorizations(M, a, deadline=deadline)
     if not zs:
         raise NotAnElement(f"{a} is not an element of {M.generators}")
     gens = M.generators
@@ -334,13 +321,10 @@ def tame_degree_windowed(
     known for shifted families); the report records the window and the
     first element attaining the max.
     """
-    w = default_window(M) if window is None else window
+    w, members = _sweep(M, window, deadline)
     value = -1
     attained = None
-    for a in range(0, w + 1):
-        _check_deadline(deadline)
-        if not contains(M, a):
-            continue
+    for a in members:
         ta = tame_degree(M, a, deadline=deadline)
         if ta > value:
             value, attained = ta, a

@@ -12,21 +12,18 @@ candidate set rather than an unbounded scan.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 from .core import NumericalMonoid, apery
 from .errors import (
-    BudgetExceeded,
     InvalidInput,
     NotAnElement,
     NotARelation,
     NotMinimal,
     NotPrimitive,
 )
-from .factorizations import DEFAULT_CAP, _enumerate
+from .factorizations import DEFAULT_CAP, _check_deadline, _enumerate
 from .unionfind import UnionFind
 
 
@@ -133,16 +130,12 @@ def _atom_union(t: int, zs: list[tuple[int, ...]]) -> UnionFind:
 
 
 def factorization_graph(
-    M: NumericalMonoid,
-    a: int,
-    *,
-    cap: int = DEFAULT_CAP,
-    deadline: float | None = None,
+    M: NumericalMonoid, a: int, *, deadline: float | None = None
 ) -> FactorizationGraph:
     """Component partition of the factorization graph of a."""
     if a < 0:
         raise InvalidInput("target element must be non-negative")
-    zs = _enumerate(M.generators, a, cap, deadline)
+    zs = _enumerate(M.generators, a, DEFAULT_CAP, deadline)
     if not zs:
         raise NotAnElement(f"{a} is not in {M!r}")
     uf = _atom_union(M.t, zs)
@@ -181,24 +174,26 @@ def _betti_impl(M: NumericalMonoid, deadline: float | None) -> tuple[int, ...]:
     t = M.t
     out = []
     for c in candidates:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("Betti scan deadline exceeded")
+        _check_deadline(deadline)
         zs = _enumerate(gens, c, DEFAULT_CAP, deadline)
         if len(zs) >= 2 and _atom_union(t, zs).n_components > 1:
             out.append(c)
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _betti_cached(M: NumericalMonoid) -> tuple[int, ...]:
-    return _betti_impl(M, None)
+# Memos keyed by the monoid alone: an exact result is exact whatever budget
+# it was computed under, so calls with and without a deadline share them.
+# Only completed computations are stored.  clear_caches() empties both.
+_betti_memo: dict[NumericalMonoid, tuple[int, ...]] = {}
+_minpres_memo: dict[NumericalMonoid, Presentation] = {}
 
 
 def betti_elements(M: NumericalMonoid, *, deadline: float | None = None) -> list[int]:
     """Sorted Betti elements of M (elements with disconnected graph)."""
-    if deadline is None:
-        return list(_betti_cached(M))
-    return list(_betti_impl(M, deadline))
+    betti = _betti_memo.get(M)
+    if betti is None:
+        betti = _betti_memo[M] = _betti_impl(M, deadline)
+    return list(betti)
 
 
 def _canonical_star(
@@ -217,24 +212,20 @@ def _canonical_star(
 
 def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> Presentation:
     rels: list[Relation] = []
-    for beta in _betti_impl(M, deadline) if deadline is not None else _betti_cached(M):
+    for beta in betti_elements(M, deadline=deadline):
         graph = factorization_graph(M, beta, deadline=deadline)
         rels.extend(_canonical_star(M, graph))
     return make_presentation(M, rels)
-
-
-@lru_cache(maxsize=None)
-def _minpres_cached(M: NumericalMonoid) -> Presentation:
-    return _minpres_impl(M, None)
 
 
 def minimal_presentation(
     M: NumericalMonoid, *, deadline: float | None = None
 ) -> Presentation:
     """The canonical minimal presentation of M."""
-    if deadline is None:
-        return _minpres_cached(M)
-    return _minpres_impl(M, deadline)
+    pres = _minpres_memo.get(M)
+    if pres is None:
+        pres = _minpres_memo[M] = _minpres_impl(M, deadline)
+    return pres
 
 
 def _labeled_trees(c: int):

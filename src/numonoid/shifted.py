@@ -19,7 +19,6 @@ from math import gcd
 
 from .core import NumericalMonoid, frobenius, normalize_generators
 from .errors import (
-    DimensionMismatch,
     InvalidInput,
     NotARelation,
     NotInImage,
@@ -107,38 +106,42 @@ def monoid_at(F: ShiftedFamily, n: int) -> FamilyMember:
     return FamilyMember(F, n, monoid, minimal, primitive)
 
 
-def _sides(rel):
-    """Accept a Relation or a bare (left, right) pair; tag which it was."""
-    if isinstance(rel, Relation):
-        return rel.left, rel.right, True
-    left, right = rel
-    return tuple(left), tuple(right), False
+def _shift(F: ShiftedFamily, left, right, steps: int):
+    """Move the relation left ~ right of some M_n to M_{n + steps * r_k}.
 
-
-def _checked_value(gens: tuple[int, ...], coords: tuple[int, ...]) -> int:
-    if len(coords) != len(gens):
-        raise DimensionMismatch(
-            f"expected {len(gens)} coordinates, got {len(coords)}"
-        )
-    if any(c < 0 for c in coords):
-        raise InvalidInput("coordinates must be non-negative")
-    return sum(c * g for c, g in zip(coords, gens))
-
-
-def _shift_pair(left, right, amount: int, k_index: int):
-    """Add amount to coordinate 0 of the longer side and k of the shorter."""
+    With L the length gap, steps * L is added to coordinate 0 of the longer
+    side and to coordinate k of the shorter side, so equal-length relations
+    stay put.  A negative steps pulls back, and raises NotInImage when a
+    coordinate would go negative.  Returns the new (left, right).
+    """
     gap = sum(left) - sum(right)
-    if gap == 0 or amount == 0:
-        return left, right
-    if gap > 0:
-        longer, shorter = list(left), list(right)
-    else:
-        longer, shorter = list(right), list(left)
-    longer[0] += amount
-    shorter[k_index] += amount
-    if gap > 0:
-        return tuple(longer), tuple(shorter)
-    return tuple(shorter), tuple(longer)
+    longer, shorter = (left, right) if gap > 0 else (right, left)
+    amount = steps * abs(gap)
+    longer = (longer[0] + amount, *longer[1:])
+    shorter = (*shorter[: F.k], shorter[F.k] + amount)
+    if longer[0] < 0 or shorter[F.k] < 0:
+        raise NotInImage(
+            f"{left} ~ {right} lacks the coordinate margin to pull back"
+        )
+    return (longer, shorter) if gap > 0 else (shorter, longer)
+
+
+def _shift_relation(F: ShiftedFamily, n: int, rel, steps: int):
+    # a Relation maps to a Relation, a bare (left, right) pair to a pair; the
+    # diagonal (z, z) only makes sense as a pair and maps to itself
+    wrapped = isinstance(rel, Relation)
+    left, right = rel.pair() if wrapped else map(tuple, rel)
+    source = NumericalMonoid(F.generators_at(n))
+    if source.evaluate(left) != source.evaluate(right):
+        raise NotARelation(
+            f"{left} ~ {right} is not a relation of M_{n} in this family"
+        )
+    new_left, new_right = _shift(F, left, right, steps)
+    if new_left == new_right:
+        return (new_left, new_right)
+    target = NumericalMonoid(F.generators_at(n + steps * F.step))
+    out = make_relation(target, new_left, new_right)
+    return out if wrapped else out.pair()
 
 
 def lift_relation(F: ShiftedFamily, n: int, rel):
@@ -151,19 +154,7 @@ def lift_relation(F: ShiftedFamily, n: int, rel):
     pair (the diagonal (z, z) only makes sense as a pair) and returns the
     same kind.
     """
-    left, right, wrapped = _sides(rel)
-    gens_n = F.generators_at(n)
-    if _checked_value(gens_n, left) != _checked_value(gens_n, right):
-        raise NotARelation(
-            f"{left} ~ {right} is not a relation of M_{n} in this family"
-        )
-    ell = abs(sum(left) - sum(right))
-    new_left, new_right = _shift_pair(left, right, ell, F.k)
-    target = NumericalMonoid(F.generators_at(n + F.step))
-    if new_left == new_right:
-        return (new_left, new_right)  # diagonal pair, only reachable unwrapped
-    out = make_relation(target, new_left, new_right)
-    return out if wrapped else out.pair()
+    return _shift_relation(F, n, rel, 1)
 
 
 def lower_relation(F: ShiftedFamily, n: int, rel):
@@ -173,27 +164,23 @@ def lower_relation(F: ShiftedFamily, n: int, rel):
     side and coordinate k of the shorter side to be at least L; otherwise the
     relation is not in the image of the lift.
     """
-    left, right, wrapped = _sides(rel)
-    gens_up = F.generators_at(n + F.step)
-    if _checked_value(gens_up, left) != _checked_value(gens_up, right):
-        raise NotARelation(
-            f"{left} ~ {right} is not a relation of M_{n + F.step}"
+    return _shift_relation(F, n + F.step, rel, -1)
+
+
+def _require_member_presentation(
+    F: ShiftedFamily, n: int, pres: Presentation, what: str
+) -> None:
+    # lifting and projection both need n above the threshold and a
+    # presentation over M_n itself
+    if n <= F.threshold:
+        raise ShiftBelowThreshold(
+            f"{what} requires n > {F.threshold}, got n = {n}"
         )
-    ell = abs(sum(left) - sum(right))
-    if ell == 0:
-        new_left, new_right = left, right
-    else:
-        longer, shorter = (left, right) if sum(left) > sum(right) else (right, left)
-        if longer[0] < ell or shorter[F.k] < ell:
-            raise NotInImage(
-                f"{left} ~ {right} lacks the coordinate margin to pull back"
-            )
-        new_left, new_right = _shift_pair(left, right, -ell, F.k)
-    if new_left == new_right:
-        return (new_left, new_right)
-    base = NumericalMonoid(F.generators_at(n))
-    out = make_relation(base, new_left, new_right)
-    return out if wrapped else out.pair()
+    gens_n = F.generators_at(n)
+    if pres.monoid.generators != gens_n:
+        raise InvalidInput(
+            f"presentation is over {pres.monoid.generators}, expected {gens_n}"
+        )
 
 
 def lift_presentation(
@@ -205,23 +192,14 @@ def lift_presentation(
     applications collapse to a single vector adjustment of steps * gap per
     relation.  Betti tags are recomputed at the target shift.
     """
-    if n <= F.threshold:
-        raise ShiftBelowThreshold(
-            f"lifting requires n > {F.threshold}, got n = {n}"
-        )
+    _require_member_presentation(F, n, pres, "lifting")
     if steps < 0:
         raise InvalidInput("steps must be non-negative")
-    gens_n = F.generators_at(n)
-    if pres.monoid.generators != gens_n:
-        raise InvalidInput(
-            f"presentation is over {pres.monoid.generators}, expected {gens_n}"
-        )
     target = NumericalMonoid(F.generators_at(n + steps * F.step))
-    rels = []
-    for rel in pres.relations:
-        ell = abs(sum(rel.left) - sum(rel.right))
-        new_left, new_right = _shift_pair(rel.left, rel.right, steps * ell, F.k)
-        rels.append(make_relation(target, new_left, new_right))
+    rels = [
+        make_relation(target, *_shift(F, rel.left, rel.right, steps))
+        for rel in pres.relations
+    ]
     return make_presentation(target, rels)
 
 
@@ -311,15 +289,7 @@ def equal_length_projection(
     result is closure-verified over a window of S; a failure indicates a
     bug, not bad input, and raises VerificationFailed.
     """
-    if n <= F.threshold:
-        raise ShiftBelowThreshold(
-            f"projection requires n > {F.threshold}, got n = {n}"
-        )
-    gens_n = F.generators_at(n)
-    if pres.monoid.generators != gens_n:
-        raise InvalidInput(
-            f"presentation is over {pres.monoid.generators}, expected {gens_n}"
-        )
+    _require_member_presentation(F, n, pres, "projection")
     S = NumericalMonoid(F.r)
     rels = set()
     for rel in pres.relations:

@@ -253,11 +253,24 @@ def test_verify_input_validation(cli, tmp_path):
     malformed.write_text(json.dumps({"generators": [6, 9, 20], "relations": [{"left": [3, 0, 0]}]}))
     code, _ = cli("verify", "--gens", "6,9,20", "--presentation", str(malformed))
     assert code == 1
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    code, _ = cli("verify", "--gens", "6,9,20", "--presentation", str(not_an_object))
+    assert code == 1
 
 
-def test_bad_usage_is_exit_1(cli):
+def test_bad_usage_is_exit_1(cli, tmp_path):
     assert cli("betti", "--gens", "6,x")[0] == 1
     assert cli("betti", "--gens", "6,9,20", "--bogus")[0] == 1
     assert cli("frobnicate")[0] == 1
     assert cli("survey", "--r", "6,9,20", "--n-from", "0", "--n-to", "4",
                "--which", "betti", "--out", "-")[0] == 1
+    # negative bounds are refused, not run
+    path = tmp_path / "pres.json"
+    path.write_text(cli("minpres", "--gens", "6,9,20")[1])
+    assert cli("verify", "--gens", "6,9,20", "--presentation", str(path),
+               "--bound", "-5") == (1, "")
+    assert cli("invariant", "--gens", "6,9,20", "--which", "tame",
+               "--window", "-3") == (1, "")
+    assert cli("factorizations", "--gens", "6,9,20", "--element", "60",
+               "--cap", "-1") == (1, "")

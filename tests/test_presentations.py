@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from numonoid import presentations
 from numonoid import (
     InvalidInput,
     NotAnElement,
@@ -9,6 +12,7 @@ from numonoid import (
     NumericalMonoid,
     all_minimal_presentations,
     betti_elements,
+    clear_caches,
     congruence_closure_check,
     factorization_graph,
     make_presentation,
@@ -213,3 +217,27 @@ def test_betti_values_read_off_presentations_match():
     for gens in [(2, 3), (6, 9, 20), (5, 8, 11, 14)]:
         M = NumericalMonoid(gens)
         assert sorted(set(minimal_presentation(M).betti_values())) == betti_elements(M)
+
+
+def test_deadline_calls_share_the_memo(monkeypatch):
+    # a call with a deadline fills the memo that a plain call reads, and
+    # clear_caches() empties it; the uncached computations log their runs
+    runs = []
+    for name in ("_betti_impl", "_minpres_impl"):
+        real = getattr(presentations, name)
+
+        def logged(M, deadline, real=real, name=name):
+            runs.append(name)
+            return real(M, deadline)
+
+        monkeypatch.setattr(presentations, name, logged)
+    M = NumericalMonoid((7, 11, 13))
+    clear_caches()
+    deadline = time.monotonic() + 60.0
+    assert betti_elements(M, deadline=deadline) == betti_elements(M)
+    pres = minimal_presentation(M, deadline=deadline)
+    assert minimal_presentation(M) is pres
+    assert runs == ["_betti_impl", "_minpres_impl"]
+    clear_caches()
+    assert minimal_presentation(M) == pres
+    assert runs == ["_betti_impl", "_minpres_impl", "_minpres_impl", "_betti_impl"]

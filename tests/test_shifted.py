@@ -117,6 +117,17 @@ def test_lower_relation_round_trips():
     for l, r in BLOCK_450:
         rel = make_relation(M450, l, r)
         assert lower_relation(F, 450, lift_relation(F, 450, rel)) == rel
+    # a second family, with bare pairs given shorter side first; pairs come
+    # back in canonical order, longer side first
+    F2 = ShiftedFamily((4, 7, 11, 13))
+    pres = minimal_presentation(monoid_at(F2, 171).monoid)
+    assert any(sum(r.left) > sum(r.right) for r in pres.relations)
+    for rel in pres.relations:
+        assert lower_relation(F2, 171, lift_relation(F2, 171, rel)) == rel
+        flipped = (rel.right, rel.left)
+        lifted = lift_relation(F2, 171, flipped)
+        assert lifted == lift_relation(F2, 171, rel).pair()
+        assert lower_relation(F2, 171, lifted) == rel.pair()
 
 
 def test_lower_relation_rejects_vectors_outside_the_image():

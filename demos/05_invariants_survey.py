@@ -22,13 +22,14 @@ rep = monoid_catenary_report(M, window=200)
 print("ordinary/monotone/equal:", rep.ordinary, rep.monotone, rep.equal,
       "(exact)" if rep.exact else f"(window {rep.window})")
 
-# family member above the threshold: everything collapses, exactly
+# family member above the threshold (450 > 20^2, read off the generators):
+# everything collapses, exactly
 member = monoid_at(ShiftedFamily((6, 9, 20)), 450)
-rep = monoid_catenary_report(member.monoid, member=member)
+rep = monoid_catenary_report(member.monoid)
 print("at n=450:", rep.ordinary, rep.monotone, rep.equal,
       "(exact)" if rep.exact else "")
 
-ds = delta_set(member.monoid, member=member)
+ds = delta_set(member.monoid)
 print("delta set at n=450:", sorted(ds.values), "exact:", ds.exact)
 
 # an element where the monotone catenary exceeds the ordinary one

@@ -10,6 +10,7 @@ from .core import (
     NumericalMonoid,
     apery,
     contains,
+    default_window,
     frobenius,
     normalize_generators,
 )
@@ -40,7 +41,6 @@ from .invariants import (
     TameReport,
     catenary_of_element,
     catenary_of_monoid,
-    default_window,
     delta_set,
     delta_set_of_element,
     monoid_catenary_report,

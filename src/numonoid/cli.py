@@ -87,11 +87,18 @@ def _print_presentation(pres, fmt: str, out):
             out.write(f"{r.betti}: {_coords(r.left)} ~ {_coords(r.right)}\n")
 
 
-def _detected_member(gens: tuple[int, ...]):
-    family, n = family_from_generators(gens)
-    if family is None:
-        return None
-    return monoid_at(family, n)
+def _closure_check(M: NumericalMonoid, relations, bound, out) -> int:
+    """Closure-check relations up to bound (frobenius(M) + 2 m_t when None)
+    and return the bound.  At the first gap, write it to out and raise
+    VerificationFailed."""
+    if bound is None:
+        bound = frobenius(M) + 2 * M.generators[-1]
+    report = congruence_closure_check(M, relations, bound)
+    if not report.ok:
+        a, (z, zp) = report.failures[0]
+        out.write(f"fail at {a}: {_coords(z)} !~ {_coords(zp)} (window {bound})\n")
+        raise VerificationFailed(f"closure gap at element {a}")
+    return bound
 
 
 def _cmd_apery(args, out) -> int:
@@ -151,18 +158,11 @@ def _cmd_minpres(args, out) -> int:
             out.write(f"count {count}\n")
             for p in items:
                 out.write("\n")
-                for r in p.relations:
-                    out.write(f"{r.betti}: {_coords(r.left)} ~ {_coords(r.right)}\n")
+                _print_presentation(p, "text", out)
         return 0
     pres = _minpres_for_strategy(gens, args.strategy)
     if args.paranoid:
-        M = pres.monoid
-        bound = frobenius(M) + 2 * M.generators[-1]
-        report = congruence_closure_check(M, pres.relations, bound)
-        if not report.ok:
-            raise VerificationFailed(
-                f"closure check failed at {report.failures[0][0]}"
-            )
+        _closure_check(pres.monoid, pres.relations, None, out)
     _print_presentation(pres, args.format, out)
     return 0
 
@@ -192,9 +192,8 @@ def _cmd_invariant(args, out) -> int:
         return 0
 
     # monoid level; explicit --window forces the windowed path
-    member = _detected_member(gens) if args.window is None else None
     if which == "delta":
-        ds = delta_set(M, window=args.window, member=member)
+        ds = delta_set(M, window=args.window)
         payload = {
             "which": which,
             "values": sorted(ds.values),
@@ -202,13 +201,9 @@ def _cmd_invariant(args, out) -> int:
             "window": ds.window,
         }
     elif which == "catenary":
-        if member is not None and member.n > member.family.threshold:
-            value = monoid_catenary_report(M, member=member).ordinary
-        else:
-            value = catenary_of_monoid(M)
-        payload = {"which": which, "value": value, "exact": True}
+        payload = {"which": which, "value": catenary_of_monoid(M), "exact": True}
     elif which in ("mon-catenary", "eq-catenary"):
-        report = monoid_catenary_report(M, window=args.window, member=member)
+        report = monoid_catenary_report(M, window=args.window)
         value = report.monotone if which == "mon-catenary" else report.equal
         payload = {
             "which": which,
@@ -233,17 +228,15 @@ def _survey_rows(family, n: int, which: str) -> list[tuple[int, str, int]]:
     if not member.primitive or not member.minimal:
         return [(n, "skip", 0)]
     try:
+        if which == "catenary":
+            return [(n, which, catenary_of_monoid(member.monoid))]
+        if which == "delta":
+            ds = delta_set(member.monoid)
+            return [(n, which, v) for v in sorted(ds.values)]
         pres = accelerated_minimal_presentation(family, n)
         if which == "minpres-size":
             return [(n, which, len(pres.relations))]
-        betti = pres.betti_values()
-        if which == "betti":
-            return [(n, which, beta) for beta in betti]
-        if which == "catenary":
-            value = catenary_of_monoid(member.monoid, betti=betti)
-            return [(n, which, value)]
-        ds = delta_set(member.monoid, member=member)
-        return [(n, which, v) for v in sorted(ds.values)]
+        return [(n, which, beta) for beta in pres.betti_values()]
     except MonoidError:
         return [(n, "error", 0)]
 
@@ -344,14 +337,7 @@ def _cmd_verify(args, out) -> int:
         ]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed relations block: {exc}")
-    bound = args.bound
-    if bound is None:
-        bound = frobenius(M) + 2 * M.generators[-1]
-    report = congruence_closure_check(M, relations, bound)
-    if not report.ok:
-        a, (z, zp) = report.failures[0]
-        out.write(f"fail at {a}: {_coords(z)} !~ {_coords(zp)} (window {bound})\n")
-        raise VerificationFailed(f"closure gap at element {a}")
+    bound = _closure_check(M, relations, args.bound, out)
     out.write(f"ok window={bound} relations={len(relations)}\n")
     return 0
 

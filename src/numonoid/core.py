@@ -177,3 +177,14 @@ def frobenius(M: NumericalMonoid) -> int:
     """Largest integer not in M; -1 when M is all of the naturals."""
     table = apery(M)
     return max(table.entries) - table.modulus
+
+
+def default_window(M: NumericalMonoid) -> int:
+    """Window for sup-style sweeps: m_{t-1} m_t + 2 m_t.
+
+    Large enough to see every Betti element and the full Apery landscape of
+    the two largest generators; windowed results remain lower bounds.
+    """
+    gens = M.generators
+    small = gens[-2] if len(gens) >= 2 else gens[-1]
+    return small * gens[-1] + 2 * gens[-1]

@@ -63,6 +63,8 @@ def factorizations(
     """
     if a < 0:
         raise InvalidInput("target element must be non-negative")
+    if cap < 0:
+        raise InvalidInput(f"cap must be non-negative, got {cap}")
     return _enumerate(M.generators, a, cap, deadline)
 
 

@@ -4,39 +4,43 @@ Monoid-level ordinary catenary is exact (it is attained at a Betti element,
 so a per-Betti bottleneck computation suffices).  Monoid-level monotone and
 equal catenary degrees and the tame degree have no known finite certificate
 in general, so outside the shifted-family regime they are reported as sups
-over a stated window and flagged as lower bounds.  Inside the regime
-(member of a shifted family with n above the r_k^2 threshold) the monotone
-and equal catenary degrees collapse onto the ordinary one and the delta set
-is the singleton {gcd of the offsets}; those paths are exact and are
-cross-checked against the Betti data before being returned.
+over a stated window and flagged as lower bounds.  The regime is read off
+the generators: M = <m_1, ..., m_t> is the member n = m_1 of the family with
+offsets r_i = m_{i+1} - m_1, and is inside it when m_1 > r_k^2.  There the
+Betti elements come from the accelerated presentation, the monotone and
+equal catenary degrees collapse onto the ordinary one and the delta set is
+the singleton {gcd of the offsets}; those paths are exact and are
+cross-checked against the Betti data before being returned.  An explicit
+window always forces the windowed sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import NumericalMonoid, contains
+from .core import NumericalMonoid, contains, default_window
 from .errors import InvalidInput, NotAnElement, VerificationFailed
 from .factorizations import _check_deadline, distance, factorizations, length_profile
 from .presentations import betti_elements
-from .shifted import accelerated_minimal_presentation
+from .shifted import accelerated_minimal_presentation, family_from_generators
 from .unionfind import UnionFind
 
 
-def default_window(M: NumericalMonoid) -> int:
-    """Window for sup-style sweeps: m_{t-1} m_t + 2 m_t.
-
-    Large enough to see every Betti element and the full Apery landscape of
-    the two largest generators; windowed results remain lower bounds.
-    """
-    gens = M.generators
-    small = gens[-2] if len(gens) >= 2 else gens[-1]
-    return small * gens[-1] + 2 * gens[-1]
+def _family_betti(M: NumericalMonoid, deadline: float | None):
+    """Betti elements of M read off the accelerated presentation when M is
+    above its shifted family's threshold (m_1 > r_k^2), else None."""
+    family, n = family_from_generators(M.generators)
+    if family is None or n <= family.threshold:
+        return None
+    pres = accelerated_minimal_presentation(family, n, deadline=deadline)
+    return pres.betti_values()
 
 
 def _sweep(M: NumericalMonoid, window: int | None, deadline: float | None):
     """The window (default_window when None) and a generator over the
     elements of M in [0, window], checking the deadline before each."""
+    if window is not None and window < 0:
+        raise InvalidInput(f"window must be non-negative, got {window}")
     w = default_window(M) if window is None else window
 
     def members():
@@ -120,10 +124,13 @@ def catenary_of_monoid(
 ) -> int:
     """Catenary degree of the monoid: the max over its Betti elements.
 
-    The value is attained at a Betti element, so this is exact.  A
-    precomputed Betti list (e.g. read off an accelerated presentation) can
-    be passed to skip the scan.
+    The value is attained at a Betti element, so this is exact.  Above the
+    family threshold the Betti elements come from the accelerated
+    presentation, otherwise from the direct scan; a precomputed Betti list
+    can be passed to skip both.
     """
+    if betti is None:
+        betti = _family_betti(M, deadline)
     if betti is None:
         betti = betti_elements(M, deadline=deadline)
     best = 0
@@ -201,39 +208,25 @@ def monotone_equal_catenary(
     return candidates[lo], equal
 
 
-def _family_regime(M: NumericalMonoid, member) -> bool:
-    if member is None:
-        return False
-    if member.monoid.generators != M.generators:
-        raise InvalidInput(
-            f"family member is {member.monoid.generators}, expected {M.generators}"
-        )
-    return member.n > member.family.threshold
-
-
 def monoid_catenary_report(
     M: NumericalMonoid,
     *,
     window: int | None = None,
-    member=None,
     deadline: float | None = None,
 ) -> CatenaryReport:
     """Monoid-level catenary report.
 
-    Ordinary is always exact.  With a family member above the threshold the
-    monotone and equal degrees equal the ordinary one and the report is
-    exact; otherwise they are sups over elements up to window (default
-    default_window) and flagged as lower bounds.
+    Ordinary is always exact.  With no window and M above its family's
+    threshold the monotone and equal degrees equal the ordinary one and the
+    report is exact; otherwise they are sups over elements up to window
+    (default default_window) and flagged as lower bounds.
     """
-    if _family_regime(M, member):
-        pres = accelerated_minimal_presentation(
-            member.family, member.n, deadline=deadline
-        )
-        betti = pres.betti_values()
+    betti = _family_betti(M, deadline) if window is None else None
+    if betti is not None:
         ordinary = catenary_of_monoid(M, betti=betti, deadline=deadline)
         return CatenaryReport(ordinary, ordinary, ordinary, True, None)
-    ordinary = catenary_of_monoid(M, deadline=deadline)
     w, members = _sweep(M, window, deadline)
+    ordinary = catenary_of_monoid(M, deadline=deadline)
     monotone = equal = 0
     for a in members:
         mc, ec = monotone_equal_catenary(M, a, deadline=deadline)
@@ -252,24 +245,21 @@ def delta_set(
     M: NumericalMonoid,
     *,
     window: int | None = None,
-    member=None,
     deadline: float | None = None,
 ) -> DeltaSet:
     """Delta set of the monoid.
 
-    Family path (member above threshold): the delta set is exactly {d} with
-    d the gcd of the offsets; the Betti-element delta sets are checked to
-    confirm it (their union realizes the max of the delta set) and a
-    mismatch raises VerificationFailed.  Otherwise: union of element delta
-    sets up to window, flagged window-limited.
+    Family path (no window, M above its family's threshold): the delta set
+    is exactly {d} with d the gcd of the offsets; the Betti-element delta
+    sets are checked to confirm it (their union realizes the max of the
+    delta set) and a mismatch raises VerificationFailed.  Otherwise: union
+    of element delta sets up to window, flagged window-limited.
     """
-    if _family_regime(M, member):
-        d = member.family.d
-        pres = accelerated_minimal_presentation(
-            member.family, member.n, deadline=deadline
-        )
+    betti = _family_betti(M, deadline) if window is None else None
+    if betti is not None:
+        d = family_from_generators(M.generators)[0].d
         union = set()
-        for beta in pres.betti_values():
+        for beta in betti:
             union |= delta_set_of_element(M, beta, deadline=deadline)
         if union != {d}:
             raise VerificationFailed(

@@ -104,6 +104,8 @@ def congruence_closure_check(
     side where it fits coordinatewise, add the other) and test connectivity.
     Accepts Relation objects or bare (left, right) pairs.
     """
+    if window < 0:
+        raise InvalidInput(f"window must be non-negative, got {window}")
     gens = M.generators
     pairs = _as_pairs(relations)
     for left, right in pairs:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import NumericalMonoid, frobenius, normalize_generators
+from .core import NumericalMonoid, default_window, normalize_generators
 from .errors import (
     InvalidInput,
     NotARelation,
@@ -207,7 +207,6 @@ def accelerated_minimal_presentation(
     F: ShiftedFamily,
     n: int,
     *,
-    paranoid: bool = False,
     deadline: float | None = None,
 ) -> Presentation:
     """Minimal presentation of M_n via a small base shift plus lifting.
@@ -219,8 +218,7 @@ def accelerated_minimal_presentation(
     each lifted Betti element's factorization graph at the target is built,
     the lifted relations are checked to span its components (the structural
     verification), and the canonical spanning star is emitted, so the output
-    matches the direct canonical choice exactly.  With paranoid=True the
-    output is additionally closure-checked over the window frobenius + 2m_t.
+    matches the direct canonical choice exactly.
     """
     member = monoid_at(F, n)
     if not member.primitive:
@@ -230,52 +228,41 @@ def accelerated_minimal_presentation(
     if not member.minimal:
         raise NotMinimal(f"generator tuple {member.monoid.generators} is not minimal")
     if n <= F.threshold + F.step:
-        result = minimal_presentation(member.monoid, deadline=deadline)
-    else:
-        n0 = F.threshold + 1 + (n - F.threshold - 1) % F.step
-        steps = (n - n0) // F.step
-        base = minimal_presentation(
-            monoid_at(F, n0).monoid, deadline=deadline
-        )
-        lifted = lift_presentation(F, n0, base, steps)
-        target = member.monoid
-        rels = []
-        for beta, beta_rels in sorted(lifted.by_betti().items()):
-            graph = factorization_graph(target, beta, deadline=deadline)
-            if len(graph.components) < 2:
-                raise VerificationFailed(
-                    f"lifted value {beta} has a connected graph; lift is unsound"
-                )
-            comp_of = {}
-            for ci, comp in enumerate(graph.components):
-                for vi in comp:
-                    comp_of[graph.vertices[vi]] = ci
-            uf = UnionFind(len(graph.components))
-            for rel in beta_rels:
-                ci = comp_of.get(rel.left)
-                cj = comp_of.get(rel.right)
-                if ci is None or cj is None:
-                    raise VerificationFailed(
-                        f"lifted side of {rel} does not factor {beta}"
-                    )
-                if not uf.union(ci, cj):
-                    raise VerificationFailed(
-                        f"lifted relations at {beta} do not join distinct components"
-                    )
-            if uf.n_components != 1:
-                raise VerificationFailed(
-                    f"lifted relations at {beta} do not span the components"
-                )
-            rels.extend(_canonical_star(target, graph))
-        result = make_presentation(target, rels)
-    if paranoid:
-        window = frobenius(result.monoid) + 2 * result.monoid.generators[-1]
-        report = congruence_closure_check(result.monoid, result.relations, window)
-        if not report.ok:
+        return minimal_presentation(member.monoid, deadline=deadline)
+    n0 = F.threshold + 1 + (n - F.threshold - 1) % F.step
+    steps = (n - n0) // F.step
+    base = minimal_presentation(monoid_at(F, n0).monoid, deadline=deadline)
+    lifted = lift_presentation(F, n0, base, steps)
+    target = member.monoid
+    rels = []
+    for beta, beta_rels in sorted(lifted.by_betti().items()):
+        graph = factorization_graph(target, beta, deadline=deadline)
+        if len(graph.components) < 2:
             raise VerificationFailed(
-                f"closure check failed at {report.failures[0][0]}"
+                f"lifted value {beta} has a connected graph; lift is unsound"
             )
-    return result
+        comp_of = {}
+        for ci, comp in enumerate(graph.components):
+            for vi in comp:
+                comp_of[graph.vertices[vi]] = ci
+        uf = UnionFind(len(graph.components))
+        for rel in beta_rels:
+            ci = comp_of.get(rel.left)
+            cj = comp_of.get(rel.right)
+            if ci is None or cj is None:
+                raise VerificationFailed(
+                    f"lifted side of {rel} does not factor {beta}"
+                )
+            if not uf.union(ci, cj):
+                raise VerificationFailed(
+                    f"lifted relations at {beta} do not join distinct components"
+                )
+        if uf.n_components != 1:
+            raise VerificationFailed(
+                f"lifted relations at {beta} do not span the components"
+            )
+        rels.extend(_canonical_star(target, graph))
+    return make_presentation(target, rels)
 
 
 def equal_length_projection(
@@ -296,9 +283,7 @@ def equal_length_projection(
         if sum(rel.left) == sum(rel.right):
             rels.add(make_relation(S, rel.left[1:], rel.right[1:]))
     out = sorted(rels, key=lambda r: (r.betti, r.left, r.right))
-    small = F.r[-2] if F.k >= 2 else F.r[-1]
-    window = small * F.r[-1] + 2 * F.r[-1]
-    report = congruence_closure_check(S, out, window)
+    report = congruence_closure_check(S, out, default_window(S))
     if not report.ok:
         raise VerificationFailed(
             f"projected relations fail closure at {report.failures[0][0]}"

@@ -151,7 +151,7 @@ def test_c06_survey_reports_presentation_sizes(cli):
 def test_c07_delta_set_is_the_singleton_gcd():
     for n in (401, 417, 450):
         member = monoid_at(F, n)
-        ds = delta_set(member.monoid, member=member)
+        ds = delta_set(member.monoid)
         assert ds.values == frozenset({1}) and ds.exact
         # brute force window: no length gap other than 1 shows up
         windowed = delta_set(member.monoid, window=5000)
@@ -171,8 +171,7 @@ def test_c08_catenary_grows_by_one_per_shift_step():
 
 
 def test_c09_monotone_and_equal_catenary_collapse_above_threshold():
-    member = monoid_at(F, 450)
-    rep = monoid_catenary_report(member.monoid, member=member)
+    rep = monoid_catenary_report(monoid_at(F, 450).monoid)
     assert rep.exact and rep.ordinary == rep.monotone == rep.equal
     # below the threshold the collapse can fail: this element needs a detour
     # through longer factorizations

@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from numonoid import NumericalMonoid, betti_elements
+from numonoid import (
+    NumericalMonoid,
+    ShiftedFamily,
+    betti_elements,
+    catenary_of_element,
+    delta_set_of_element,
+    monoid_at,
+)
 
 
 def test_apery(cli):
@@ -111,6 +118,18 @@ def test_invariant_monoid_payloads(cli):
         0,
         {"which": "catenary", "value": 23, "exact": True},
     )
+    code, out = cli("invariant", "--gens", "450,456,459,470", "--which", "delta")
+    assert (code, json.loads(out)) == (
+        0,
+        {"which": "delta", "values": [1], "exact": True, "window": None},
+    )
+    code, out = cli(
+        "invariant", "--gens", "450,456,459,470", "--which", "eq-catenary"
+    )
+    assert (code, json.loads(out)) == (
+        0,
+        {"which": "eq-catenary", "value": 26, "exact": True, "window": None},
+    )
     code, out = cli(
         "invariant", "--gens", "6,9,20", "--which", "mon-catenary", "--window", "200"
     )
@@ -153,6 +172,31 @@ def test_survey_stdout_rows(cli):
         "--which", "delta", "--out", "-",
     )
     assert out == "n,metric,value\n401,delta,1\n"
+
+
+def test_survey_rows_match_each_member(cli):
+    # n = 24..60 straddles the threshold 25 and reaches lifted shifts (n > 30)
+    F = ShiftedFamily((3, 5))
+    shifts = range(24, 61)
+    rows = {}
+    for which in ("catenary", "delta"):
+        code, out = cli(
+            "survey", "--r", "3,5", "--n-from", "24", "--n-to", "60",
+            "--which", which, "--out", "-",
+        )
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            n, metric, value = line.split(",")
+            assert metric == which
+            rows.setdefault((which, int(n)), set()).add(int(value))
+    for n in shifts:
+        M = monoid_at(F, n).monoid
+        betti = betti_elements(M)
+        catenary = max(catenary_of_element(M, beta) for beta in betti)
+        deltas = set().union(*(delta_set_of_element(M, beta) for beta in betti))
+        assert rows[("catenary", n)] == {catenary}, n
+        assert rows[("delta", n)] == deltas, n
+    assert len(rows) == 2 * len(shifts)
 
 
 def test_survey_minpres_size(cli):

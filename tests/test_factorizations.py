@@ -63,6 +63,8 @@ def test_cap_budget():
     assert len(factorizations(M6920, 60, cap=5)) == 5
     with pytest.raises(BudgetExceeded):
         factorizations(M6920, 60, cap=4)
+    with pytest.raises(InvalidInput):
+        factorizations(M6920, 60, cap=-1)
 
 
 def test_length_profile_fixtures():

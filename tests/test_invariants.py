@@ -74,21 +74,22 @@ def test_monoid_catenary_report_windowed():
     assert rep == CatenaryReport(
         ordinary=7, monotone=14, equal=14, exact=False, window=200
     )
+    with pytest.raises(InvalidInput):
+        monoid_catenary_report(M, window=-2)
 
 
 def test_monoid_catenary_report_family_exact():
-    member = monoid_at(F, 450)
-    rep = monoid_catenary_report(member.monoid, member=member)
+    # the family regime is read off the generators: m_1 = 450 > 20^2
+    M450 = monoid_at(F, 450).monoid
+    rep = monoid_catenary_report(M450)
     # bottleneck sits at the largest Betti element 11706, whose two
     # factorizations (25,1,0,0) and (0,0,4,21) are distance 26 apart
     assert rep == CatenaryReport(
         ordinary=26, monotone=26, equal=26, exact=True, window=None
     )
-
-
-def test_monoid_catenary_report_rejects_mismatched_member():
-    with pytest.raises(InvalidInput):
-        monoid_catenary_report(M, member=monoid_at(F, 450))
+    # an explicit window still forces the windowed sweep
+    rep = monoid_catenary_report(M450, window=900)
+    assert not rep.exact and rep.window == 900 and rep.ordinary == 26
 
 
 def test_delta_set_of_element():
@@ -104,18 +105,22 @@ def test_delta_set_windowed():
     ds = delta_set(NumericalMonoid((3, 14)))
     assert ds.values == frozenset({11})
     assert ds.window == default_window(NumericalMonoid((3, 14)))
+    with pytest.raises(InvalidInput):
+        delta_set(M, window=-2)
 
 
 def test_delta_set_family_exact():
-    member = monoid_at(F, 450)
-    assert delta_set(member.monoid, member=member) == DeltaSet(
+    assert delta_set(monoid_at(F, 450).monoid) == DeltaSet(
         frozenset({1}), True, None
     )
     G = ShiftedFamily((6, 9))
-    member = monoid_at(G, 82)
-    assert delta_set(member.monoid, member=member) == DeltaSet(
+    assert delta_set(monoid_at(G, 82).monoid) == DeltaSet(
         frozenset({3}), True, None
     )
+    # at the threshold itself (n = 25 = 5^2) the sweep still runs
+    H = ShiftedFamily((3, 5))
+    assert not delta_set(monoid_at(H, 25).monoid).exact
+    assert delta_set(monoid_at(H, 26).monoid).exact
 
 
 def test_tame_degree():
@@ -128,6 +133,8 @@ def test_tame_degree():
 
 def test_tame_degree_windowed():
     assert tame_degree_windowed(M, window=200) == TameReport(10, 60, 200)
+    with pytest.raises(InvalidInput):
+        tame_degree_windowed(M, window=-3)
 
 
 def test_tame_degree_windowed_matches_brute_force():

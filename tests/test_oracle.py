@@ -60,6 +60,9 @@ def test_closure_with_no_relations():
     assert congruence_closure_check(M, [], 5).ok
     report = congruence_closure_check(M, [], 6)
     assert not report.ok and report.failures[0][0] == 6
+    # a negative window is refused rather than vacuously passed
+    with pytest.raises(InvalidInput):
+        congruence_closure_check(M, [], -5)
 
 
 def test_closure_rejects_malformed_relations():

@@ -16,6 +16,7 @@ from numonoid import (
     congruence_closure_check,
     equal_length_projection,
     family_from_generators,
+    frobenius,
     lift_presentation,
     lift_relation,
     lower_relation,
@@ -193,8 +194,12 @@ def test_accelerated_standing_assumptions():
 
 
 def test_accelerated_paranoid_mode():
-    pres = accelerated_minimal_presentation(F, 450, paranoid=True)
+    # the closure check `minpres --paranoid` runs, over frobenius + 2 m_t
+    pres = accelerated_minimal_presentation(F, 450)
     assert len(pres.relations) == 6
+    M = pres.monoid
+    window = frobenius(M) + 2 * M.generators[-1]
+    assert congruence_closure_check(M, pres.relations, window).ok
 
 
 def test_betti_set_is_periodic_in_the_shift():

@@ -83,10 +83,9 @@ __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Drop all memoized Apery sets, Betti scans, presentations, and oracle
-    factorization tables.  Used for honest benchmark timings."""
+    """Drop all memoized Apery sets, presentations, and oracle factorization
+    tables.  Used for honest benchmark timings."""
     _core.apery.cache_clear()
-    _presentations._betti_memo.clear()
     _presentations._minpres_memo.clear()
     _oracle._buckets.cache_clear()
 

@@ -237,8 +237,10 @@ def _survey_rows(family, n: int, which: str) -> list[tuple[int, str, int]]:
         if which == "minpres-size":
             return [(n, which, len(pres.relations))]
         return [(n, which, beta) for beta in pres.betti_values()]
-    except MonoidError:
-        return [(n, "error", 0)]
+    except VerificationFailed:
+        raise
+    except MonoidError as exc:
+        return [(n, f"error:{type(exc).__name__}", 0)]
 
 
 def _cmd_survey(args, out) -> int:

@@ -72,6 +72,8 @@ class NumericalMonoid:
             raise DimensionMismatch(
                 f"expected {len(gens)} coordinates, got {len(coords)}"
             )
+        if any(not isinstance(c, int) for c in coords):
+            raise InvalidInput("coordinates must be integers")
         if any(c < 0 for c in coords):
             raise InvalidInput("coordinates must be non-negative")
         return sum(c * g for c, g in zip(coords, gens))

@@ -12,6 +12,7 @@ candidate set rather than an unbounded scan.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -65,10 +66,6 @@ class Presentation:
 
     monoid: NumericalMonoid
     relations: tuple[Relation, ...]
-
-    def relation_pairs(self) -> frozenset:
-        """Unordered comparison form: the set of canonical (left, right)."""
-        return frozenset(r.pair() for r in self.relations)
 
     def betti_values(self) -> list[int]:
         return sorted({r.betti for r in self.relations})
@@ -181,21 +178,6 @@ def _betti_impl(M: NumericalMonoid, deadline: float | None) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Memos keyed by the monoid alone: an exact result is exact whatever budget
-# it was computed under, so calls with and without a deadline share them.
-# Only completed computations are stored.  clear_caches() empties both.
-_betti_memo: dict[NumericalMonoid, tuple[int, ...]] = {}
-_minpres_memo: dict[NumericalMonoid, Presentation] = {}
-
-
-def betti_elements(M: NumericalMonoid, *, deadline: float | None = None) -> list[int]:
-    """Sorted Betti elements of M (elements with disconnected graph)."""
-    betti = _betti_memo.get(M)
-    if betti is None:
-        betti = _betti_memo[M] = _betti_impl(M, deadline)
-    return list(betti)
-
-
 def _canonical_star(
     M: NumericalMonoid, graph: FactorizationGraph
 ) -> list[Relation]:
@@ -212,10 +194,16 @@ def _canonical_star(
 
 def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> Presentation:
     rels: list[Relation] = []
-    for beta in betti_elements(M, deadline=deadline):
+    for beta in _betti_impl(M, deadline):
         graph = factorization_graph(M, beta, deadline=deadline)
         rels.extend(_canonical_star(M, graph))
     return make_presentation(M, rels)
+
+
+# One memo keyed by the monoid alone: an exact result is exact whatever
+# budget it was computed under, so calls with and without a deadline share
+# it.  Only completed computations are stored.  clear_caches() empties it.
+_minpres_memo: dict[NumericalMonoid, Presentation] = {}
 
 
 def minimal_presentation(
@@ -226,6 +214,13 @@ def minimal_presentation(
     if pres is None:
         pres = _minpres_memo[M] = _minpres_impl(M, deadline)
     return pres
+
+
+def betti_elements(M: NumericalMonoid, *, deadline: float | None = None) -> list[int]:
+    """Sorted Betti elements of M (elements with disconnected graph), read
+    off the memoized minimal presentation: each Betti element tags at least
+    one of its relations."""
+    return minimal_presentation(M, deadline=deadline).betti_values()
 
 
 def _labeled_trees(c: int):
@@ -252,46 +247,13 @@ def _labeled_trees(c: int):
         yield sorted(edges)
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of a small integer matrix."""
-    m = [row[:] for row in m]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _spanning_tree_count(sizes: list[int]) -> int:
-    """Spanning trees of the complete multigraph with |C_i||C_j| parallel edges."""
+    """Spanning trees of the complete multigraph with |C_i||C_j| parallel
+    edges, by the weighted Cayley formula prod |C_i| * (sum |C_i|)^(c-2)."""
     c = len(sizes)
     if c == 1:
         return 1
-    if c == 2:
-        return sizes[0] * sizes[1]
-    lap = [[0] * c for _ in range(c)]
-    total = sum(sizes)
-    for i in range(c):
-        lap[i][i] = sizes[i] * (total - sizes[i])
-        for j in range(c):
-            if j != i:
-                lap[i][j] = -sizes[i] * sizes[j]
-    return _bareiss_det([row[1:] for row in lap[1:]])
+    return math.prod(sizes) * sum(sizes) ** (c - 2)
 
 
 def _beta_choices(

@@ -278,17 +278,16 @@ def equal_length_projection(
     """
     _require_member_presentation(F, n, pres, "projection")
     S = NumericalMonoid(F.r)
-    rels = set()
-    for rel in pres.relations:
-        if sum(rel.left) == sum(rel.right):
-            rels.add(make_relation(S, rel.left[1:], rel.right[1:]))
-    out = sorted(rels, key=lambda r: (r.betti, r.left, r.right))
+    equal = [r for r in pres.relations if sum(r.left) == sum(r.right)]
+    out = make_presentation(
+        S, [make_relation(S, r.left[1:], r.right[1:]) for r in equal]
+    ).relations
     report = congruence_closure_check(S, out, default_window(S))
     if not report.ok:
         raise VerificationFailed(
             f"projected relations fail closure at {report.failures[0][0]}"
         )
-    return tuple(out)
+    return out
 
 
 def family_from_generators(gens: tuple[int, ...]):

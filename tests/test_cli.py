@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from numonoid import cli as cli_module
 from numonoid import (
+    BudgetExceeded,
     NumericalMonoid,
     ShiftedFamily,
+    VerificationFailed,
     betti_elements,
     catenary_of_element,
     delta_set_of_element,
@@ -199,6 +202,30 @@ def test_survey_rows_match_each_member(cli):
     assert len(rows) == 2 * len(shifts)
 
 
+def test_survey_failures_are_named_or_raised(cli, monkeypatch):
+    real = cli_module.accelerated_minimal_presentation
+
+    def failing(exc):
+        def accelerated(family, n):
+            if n == 402:
+                raise exc("injected")
+            return real(family, n)
+        return accelerated
+
+    argv = ("survey", "--r", "6,9,20", "--n-from", "401", "--n-to", "403",
+            "--which", "betti", "--out", "-")
+    monkeypatch.setattr(cli_module, "accelerated_minimal_presentation",
+                        failing(BudgetExceeded))
+    code, out = cli(*argv)
+    assert code == 0
+    assert "402,error:BudgetExceeded,0" in out.splitlines()
+    assert {line.split(",")[0] for line in out.splitlines()[1:]} == {"401", "402", "403"}
+    # a failed verification is a bug, not a row
+    monkeypatch.setattr(cli_module, "accelerated_minimal_presentation",
+                        failing(VerificationFailed))
+    assert cli(*argv) == (3, "")
+
+
 def test_survey_minpres_size(cli):
     code, out = cli(
         "survey", "--r", "6,9,20", "--n-from", "417", "--n-to", "420",
@@ -300,6 +327,10 @@ def test_verify_input_validation(cli, tmp_path):
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
     code, _ = cli("verify", "--gens", "6,9,20", "--presentation", str(not_an_object))
+    assert code == 1
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"generators": [6, 9, 20], "relations": [{"left": [1.5, 0, 0], "right": [0, 1, 0]}]}))
+    code, _ = cli("verify", "--gens", "6,9,20", "--presentation", str(fractional))
     assert code == 1
 
 

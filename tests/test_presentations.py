@@ -40,6 +40,10 @@ def test_make_relation_validates():
         make_relation(M6920, (1, 0, 0), (0, 1, 0))
     with pytest.raises(NotARelation):
         make_relation(M6920, (1, 2, 0), (1, 2, 0))
+    # a fractional coordinate is not a factorization, even when the value
+    # it gives is a member
+    with pytest.raises(InvalidInput):
+        make_relation(M6920, (1.5, 0, 0), (0, 1, 0))
 
 
 def test_factorization_graph_components():
@@ -237,7 +241,7 @@ def test_deadline_calls_share_the_memo(monkeypatch):
     assert betti_elements(M, deadline=deadline) == betti_elements(M)
     pres = minimal_presentation(M, deadline=deadline)
     assert minimal_presentation(M) is pres
-    assert runs == ["_betti_impl", "_minpres_impl"]
+    assert runs == ["_minpres_impl", "_betti_impl"]
     clear_caches()
     assert minimal_presentation(M) == pres
-    assert runs == ["_betti_impl", "_minpres_impl", "_minpres_impl", "_betti_impl"]
+    assert runs == ["_minpres_impl", "_betti_impl", "_minpres_impl", "_betti_impl"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numonoid import (
     NumericalMonoid,
     ShiftedFamily,
+    all_minimal_presentations,
     betti_elements,
     congruence_closure_check,
     contains,
@@ -99,6 +100,22 @@ def test_minimal_presentation_closure(gens):
     pres = minimal_presentation(M)
     window = max(pres.betti_values()) + 2 * gens[-1]
     assert congruence_closure_check(M, pres.relations, window).ok
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    M=st.lists(st.integers(3, 30), min_size=2, max_size=4, unique=True)
+    .map(normalize_generators)
+    .filter(lambda M: M.t >= 2 and M.is_primitive)
+)
+def test_presentation_count_matches_enumeration(M):
+    # the closed-form count is checked against the presentations themselves,
+    # which are enumerated tree by tree and pick by pick
+    count, items = all_minimal_presentations(M, cap=64)
+    if count <= 64:
+        assert len({p.relations for p in items}) == len(items) == count
+        for p in items:
+            assert p.betti_values() == betti_elements(M)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ print("deltas:", profile.deltas)       # gaps between consecutive lengths
 # graphs are exactly what minimal presentations must repair
 for a in (18, 60, 126):
     g = factorization_graph(M, a)
-    comps = [[g.vertices[i] for i in comp] for comp in g.components]
-    print(f"graph at {a}: {len(g.vertices)} vertices, {len(comps)} component(s)")
-    for comp in comps:
+    print(f"graph at {a}: {len(g.vertices)} vertices, {len(g.components)} component(s)")
+    for comp in g.components:
         print("   ", comp)

@@ -275,6 +275,8 @@ def _cmd_bench(args, out) -> int:
     family = ShiftedFamily(_int_list(args.r))
     if args.repeats < 1:
         raise InvalidInput("--repeats must be positive")
+    if not args.timeout_secs >= 0:  # also refuses nan, which never expires
+        raise InvalidInput("--timeout-secs must be non-negative")
     member = monoid_at(family, args.n)
 
     accel_times = []

@@ -72,7 +72,7 @@ class NumericalMonoid:
             raise DimensionMismatch(
                 f"expected {len(gens)} coordinates, got {len(coords)}"
             )
-        if any(not isinstance(c, int) for c in coords):
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in coords):
             raise InvalidInput("coordinates must be integers")
         if any(c < 0 for c in coords):
             raise InvalidInput("coordinates must be non-negative")

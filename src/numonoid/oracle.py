@@ -111,7 +111,7 @@ def congruence_closure_check(
     for left, right in pairs:
         if len(left) != len(gens) or len(right) != len(gens):
             raise NotARelation(f"relation {left} ~ {right} has wrong arity")
-        if any(not isinstance(c, int) for c in left + right):
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in left + right):
             raise NotARelation(f"relation {left} ~ {right} has non-integer entries")
         if any(c < 0 for c in left) or any(c < 0 for c in right):
             raise NotARelation(f"relation {left} ~ {right} has negative entries")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -96,19 +97,18 @@ def make_presentation(M: NumericalMonoid, relations) -> Presentation:
 class FactorizationGraph:
     """Z(a) plus the component partition of the shared-atom graph.
 
-    Edges are implicit; only the partition is stored.  Components are sorted
-    by their lexicographically smallest member and hold vertex indices.
+    Edges are implicit; only the partition is stored.  vertices keeps the
+    enumeration order.  Each component is a lexicographically sorted tuple
+    of factorizations, and the components are ordered by their first
+    (smallest) member.
     """
 
     element: int
     vertices: tuple[tuple[int, ...], ...]
-    components: tuple[tuple[int, ...], ...]
-
-    def members(self, ci: int) -> list[tuple[int, ...]]:
-        return sorted(self.vertices[i] for i in self.components[ci])
+    components: tuple[tuple[tuple[int, ...], ...], ...]
 
     def component_sets(self) -> list[frozenset]:
-        return [frozenset(self.vertices[i] for i in comp) for comp in self.components]
+        return [frozenset(comp) for comp in self.components]
 
 
 def _atom_union(t: int, zs: list[tuple[int, ...]]) -> UnionFind:
@@ -126,6 +126,13 @@ def _atom_union(t: int, zs: list[tuple[int, ...]]) -> UnionFind:
     return uf
 
 
+def _graph(a: int, zs: list[tuple[int, ...]], uf: UnionFind) -> FactorizationGraph:
+    # components are disjoint, so sorting the sorted components orders them
+    # by their first member
+    comps = sorted(tuple(sorted(zs[i] for i in group)) for group in uf.groups())
+    return FactorizationGraph(a, tuple(zs), tuple(comps))
+
+
 def factorization_graph(
     M: NumericalMonoid, a: int, *, deadline: float | None = None
 ) -> FactorizationGraph:
@@ -135,10 +142,7 @@ def factorization_graph(
     zs = _enumerate(M.generators, a, DEFAULT_CAP, deadline)
     if not zs:
         raise NotAnElement(f"{a} is not in {M!r}")
-    uf = _atom_union(M.t, zs)
-    comps = [tuple(sorted(g)) for g in uf.groups()]
-    comps.sort(key=lambda comp: min(zs[i] for i in comp))
-    return FactorizationGraph(a, tuple(zs), tuple(comps))
+    return _graph(a, zs, _atom_union(M.t, zs))
 
 
 def _require_minimal(M: NumericalMonoid) -> None:
@@ -150,7 +154,10 @@ def _require_minimal(M: NumericalMonoid) -> None:
             )
 
 
-def _betti_impl(M: NumericalMonoid, deadline: float | None) -> tuple[int, ...]:
+def _betti_impl(
+    M: NumericalMonoid, deadline: float | None
+) -> tuple[FactorizationGraph, ...]:
+    # the factorization graphs of the Betti elements, in increasing order
     if not M.is_primitive:
         raise NotPrimitive(f"gcd of generators is {M.gcd}")
     _require_minimal(M)
@@ -173,31 +180,30 @@ def _betti_impl(M: NumericalMonoid, deadline: float | None) -> tuple[int, ...]:
     for c in candidates:
         _check_deadline(deadline)
         zs = _enumerate(gens, c, DEFAULT_CAP, deadline)
-        if len(zs) >= 2 and _atom_union(t, zs).n_components > 1:
-            out.append(c)
+        if len(zs) >= 2:
+            uf = _atom_union(t, zs)
+            if uf.n_components > 1:
+                out.append(_graph(c, zs, uf))
     return tuple(out)
 
 
-def _canonical_star(
-    M: NumericalMonoid, graph: FactorizationGraph
-) -> list[Relation]:
-    # one spanning choice per Betti element: root at the component with the
-    # lexicographically smallest factorization and join each other
-    # component's smallest member to the root's smallest member
-    root_rep = min(graph.vertices[i] for i in graph.components[0])
-    rels = []
-    for comp in graph.components[1:]:
-        rep = min(graph.vertices[i] for i in comp)
-        rels.append(make_relation(M, root_rep, rep))
-    return rels
+def _canonical_presentation(
+    M: NumericalMonoid, graphs: Iterable[FactorizationGraph]
+) -> Presentation:
+    # one spanning choice per Betti element: join each other component's
+    # first member to the first member of the first component
+    return make_presentation(
+        M,
+        [
+            make_relation(M, g.components[0][0], comp[0])
+            for g in graphs
+            for comp in g.components[1:]
+        ],
+    )
 
 
 def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> Presentation:
-    rels: list[Relation] = []
-    for beta in _betti_impl(M, deadline):
-        graph = factorization_graph(M, beta, deadline=deadline)
-        rels.extend(_canonical_star(M, graph))
-    return make_presentation(M, rels)
+    return _canonical_presentation(M, _betti_impl(M, deadline))
 
 
 # One memo keyed by the monoid alone: an exact result is exact whatever
@@ -257,7 +263,7 @@ def _spanning_tree_count(sizes: list[int]) -> int:
 
 
 def _beta_choices(
-    M: NumericalMonoid, comps: list[list[tuple[int, ...]]], cap: int
+    M: NumericalMonoid, comps: tuple[tuple[tuple[int, ...], ...], ...], cap: int
 ) -> list[tuple[Relation, ...]]:
     # all spanning choices at one Betti element, truncated at cap; order is
     # deterministic (Prufer code order, then product order over sorted members)
@@ -287,8 +293,7 @@ def all_minimal_presentations(
     count = 1
     per_beta: list[list[tuple[Relation, ...]]] = []
     for beta in betti_elements(M):
-        graph = factorization_graph(M, beta)
-        comps = [graph.members(ci) for ci in range(len(graph.components))]
+        comps = factorization_graph(M, beta).components
         count *= _spanning_tree_count([len(c) for c in comps])
         if cap > 0:
             per_beta.append(_beta_choices(M, comps, cap))

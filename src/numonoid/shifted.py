@@ -22,8 +22,6 @@ from .errors import (
     InvalidInput,
     NotARelation,
     NotInImage,
-    NotMinimal,
-    NotPrimitive,
     ShiftBelowThreshold,
     VerificationFailed,
 )
@@ -31,7 +29,7 @@ from .oracle import congruence_closure_check
 from .presentations import (
     Presentation,
     Relation,
-    _canonical_star,
+    _canonical_presentation,
     factorization_graph,
     make_presentation,
     make_relation,
@@ -220,31 +218,22 @@ def accelerated_minimal_presentation(
     verification), and the canonical spanning star is emitted, so the output
     matches the direct canonical choice exactly.
     """
-    member = monoid_at(F, n)
-    if not member.primitive:
-        raise NotPrimitive(
-            f"M_{n} has gcd {gcd(n, F.d)}; the correspondence needs a primitive member"
-        )
-    if not member.minimal:
-        raise NotMinimal(f"generator tuple {member.monoid.generators} is not minimal")
+    target = monoid_at(F, n).monoid
+    # minimal_presentation at n, or at n0 (same gcd(n, d)), raises NotPrimitive/NotMinimal
     if n <= F.threshold + F.step:
-        return minimal_presentation(member.monoid, deadline=deadline)
+        return minimal_presentation(target, deadline=deadline)
     n0 = F.threshold + 1 + (n - F.threshold - 1) % F.step
     steps = (n - n0) // F.step
     base = minimal_presentation(monoid_at(F, n0).monoid, deadline=deadline)
     lifted = lift_presentation(F, n0, base, steps)
-    target = member.monoid
-    rels = []
+    graphs = []
     for beta, beta_rels in sorted(lifted.by_betti().items()):
         graph = factorization_graph(target, beta, deadline=deadline)
         if len(graph.components) < 2:
             raise VerificationFailed(
                 f"lifted value {beta} has a connected graph; lift is unsound"
             )
-        comp_of = {}
-        for ci, comp in enumerate(graph.components):
-            for vi in comp:
-                comp_of[graph.vertices[vi]] = ci
+        comp_of = {z: ci for ci, comp in enumerate(graph.components) for z in comp}
         uf = UnionFind(len(graph.components))
         for rel in beta_rels:
             ci = comp_of.get(rel.left)
@@ -261,8 +250,8 @@ def accelerated_minimal_presentation(
             raise VerificationFailed(
                 f"lifted relations at {beta} do not span the components"
             )
-        rels.extend(_canonical_star(target, graph))
-    return make_presentation(target, rels)
+        graphs.append(graph)
+    return _canonical_presentation(target, graphs)
 
 
 def equal_length_projection(

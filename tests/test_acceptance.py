@@ -224,7 +224,7 @@ def test_c12_structural_property_sweeps():
                 continue
             for beta in betti_elements(member.monoid):
                 g = factorization_graph(member.monoid, beta)
-                comps = [[g.vertices[i] for i in c] for c in g.components]
+                comps = g.components
                 for ci in range(len(comps)):
                     for cj in range(ci + 1, len(comps)):
                         for z in comps[ci]:

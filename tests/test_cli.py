@@ -332,6 +332,13 @@ def test_verify_input_validation(cli, tmp_path):
     fractional.write_text(json.dumps({"generators": [6, 9, 20], "relations": [{"left": [1.5, 0, 0], "right": [0, 1, 0]}]}))
     code, _ = cli("verify", "--gens", "6,9,20", "--presentation", str(fractional))
     assert code == 1
+    boolean = tmp_path / "boolean.json"
+    boolean.write_text(json.dumps({"generators": [6, 9, 20], "relations": [
+        {"left": [3, 0, 0], "right": [0, 2, False]},
+        {"left": [1, 6, 0], "right": [0, 0, 3]},
+    ]}))
+    code, _ = cli("verify", "--gens", "6,9,20", "--presentation", str(boolean))
+    assert code == 1
 
 
 def test_bad_usage_is_exit_1(cli, tmp_path):
@@ -349,3 +356,6 @@ def test_bad_usage_is_exit_1(cli, tmp_path):
                "--window", "-3") == (1, "")
     assert cli("factorizations", "--gens", "6,9,20", "--element", "60",
                "--cap", "-1") == (1, "")
+    for timeout in ("-5", "nan"):
+        assert cli("bench", "--r", "6,9,20", "--n", "401",
+                   "--timeout-secs", timeout) == (1, "")

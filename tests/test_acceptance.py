@@ -32,6 +32,8 @@ from numonoid import (
     tame_degree,
 )
 from numonoid.oracle import factorization_buckets
+from numonoid.factorizations import _enumerate
+from numonoid.presentations import _atom_union, _graph
 
 F = ShiftedFamily((6, 9, 20))
 
@@ -209,6 +211,28 @@ def test_c11_accelerated_path_beats_the_direct_budget():
     direct = minimal_presentation(monoid_at(F, 400).monoid)
     accel = accelerated_minimal_presentation(F, 400)
     assert direct.relations == accel.relations
+
+
+def test_c13_lift_is_verified_at_any_shift():
+    # the target-side check enumerates each lifted Betti element by length
+    # slices, so a cold lift costs about the same at n = 10^6 as at 10^9
+    for r in [(6, 9, 20), (3, 5)]:
+        fam = ShiftedFamily(r)
+        for n in (10**6, 10**9):
+            clear_caches()
+            t0 = time.perf_counter()
+            pres = accelerated_minimal_presentation(fam, n)
+            assert time.perf_counter() - t0 < 5.0
+            assert pres.monoid.generators == fam.generators_at(n)
+            n0 = fam.threshold + 1 + (n - fam.threshold - 1) % fam.step
+            base = minimal_presentation(monoid_at(fam, n0).monoid)
+            assert len(pres.relations) == len(base.relations)
+    # where the generic search still finishes, it builds the same graphs
+    n = 20011
+    M = monoid_at(F, n).monoid
+    for beta in accelerated_minimal_presentation(F, n).betti_values():
+        zs = _enumerate(M.generators, beta)
+        assert factorization_graph(M, beta) == _graph(beta, zs, _atom_union(M.t, zs))
 
 
 def test_c12_structural_property_sweeps():

@@ -347,6 +347,10 @@ def test_bad_usage_is_exit_1(cli, tmp_path):
     assert cli("frobnicate")[0] == 1
     assert cli("survey", "--r", "6,9,20", "--n-from", "0", "--n-to", "4",
                "--which", "betti", "--out", "-")[0] == 1
+    # an output path that cannot be written is refused, not a traceback
+    assert cli("survey", "--r", "6,9,20", "--n-from", "401", "--n-to", "402",
+               "--which", "betti",
+               "--out", str(tmp_path / "missing" / "x.csv")) == (1, "")
     # negative bounds are refused, not run
     path = tmp_path / "pres.json"
     path.write_text(cli("minpres", "--gens", "6,9,20")[1])

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from numonoid import (
@@ -10,6 +12,7 @@ from numonoid import (
     factorizations,
     length_profile,
 )
+from numonoid.factorizations import _sliced_is_cheaper
 
 M6920 = NumericalMonoid((6, 9, 20))
 
@@ -65,6 +68,15 @@ def test_cap_budget():
         factorizations(M6920, 60, cap=4)
     with pytest.raises(InvalidInput):
         factorizations(M6920, 60, cap=-1)
+
+
+def test_sliced_search_honours_the_deadline():
+    # few lengths and many offset combinations: the sliced search is chosen
+    # and reads the clock every few thousand steps
+    M = NumericalMonoid((100, 101, 102, 103, 104))
+    assert _sliced_is_cheaper(M.generators, 50000)
+    with pytest.raises(BudgetExceeded):
+        factorizations(M, 50000, deadline=time.monotonic() - 1)
 
 
 def test_length_profile_fixtures():

@@ -1,11 +1,14 @@
 """Cross-cutting structural properties, randomized where that buys coverage."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numonoid import presentations
 from numonoid import (
+    BudgetExceeded,
     NumericalMonoid,
     ShiftedFamily,
     all_minimal_presentations,
@@ -19,7 +22,12 @@ from numonoid import (
     naive_betti_scan,
     normalize_generators,
 )
-from numonoid.factorizations import distance
+from numonoid.factorizations import (
+    _enumerate,
+    _enumerate_best,
+    _enumerate_sliced,
+    distance,
+)
 from numonoid.oracle import factorization_buckets, monotone_chain_search
 from numonoid.presentations import factorization_graph
 
@@ -207,3 +215,41 @@ def test_monotone_chains_exist_under_minimal_relations():
                 assert monotone_chain_search(M, a, zs[i], zs[j], rels)
                 pairs += 1
     assert pairs > 0
+
+
+# k = 2..4 offsets, so 3..5 generators: family members <n, n + r_1, ...>
+# and arbitrary increasing tuples, neither necessarily minimal or primitive
+offsets = st.lists(st.integers(1, 40), min_size=2, max_size=4, unique=True).map(
+    lambda xs: tuple(sorted(xs))
+)
+generator_tuples = st.one_of(
+    st.builds(lambda n, r: (n, *(n + x for x in r)), st.integers(1, 200), offsets),
+    st.lists(st.integers(1, 120), min_size=3, max_size=5, unique=True).map(
+        lambda xs: tuple(sorted(xs))
+    ),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(gens=generator_tuples, data=st.data())
+def test_both_enumerators_agree_with_each_other_and_the_oracle(gens, data):
+    # a stays at most 1500 and small enough that the oracle's sweep over
+    # every vector of value <= a (about a^t / (t! prod m_i)) stays cheap
+    t = len(gens)
+    budget = (20000 * math.factorial(t) * math.prod(gens)) ** (1 / t)
+    a = data.draw(st.integers(0, min(1500, int(budget))))
+    generic = _enumerate(gens, a)
+    expected = set(factorization_buckets(gens, a).get(a, []))
+    for search in (_enumerate, _enumerate_sliced):
+        zs = search(gens, a)
+        assert zs == generic
+        assert set(zs) == expected
+        for cap in (len(zs), len(zs) - 1):
+            if cap < 0:
+                continue
+            if len(zs) > cap:
+                with pytest.raises(BudgetExceeded):
+                    search(gens, a, cap)
+            else:
+                assert search(gens, a, cap) == zs
+    assert _enumerate_best(gens, a) == generic

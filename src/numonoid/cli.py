@@ -9,8 +9,8 @@ deterministic for fixed inputs, including across --jobs settings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import statistics
 import sys
@@ -144,6 +144,9 @@ def _cmd_minpres(args, out) -> int:
     if args.all:
         M = NumericalMonoid(gens)
         count, items = all_minimal_presentations(M)
+        if args.paranoid:
+            for p in items:
+                _closure_check(M, p.relations, None, out)
         if args.format == "json":
             payload = {
                 "generators": list(M.generators),
@@ -249,28 +252,27 @@ def _cmd_survey(args, out) -> int:
         raise InvalidInput("--n-from must be positive")
     if args.jobs < 1:
         raise InvalidInput("--jobs must be positive")
-    shifts = range(args.n_from, args.n_to + 1)
-    if args.jobs == 1:
-        chunks = [_survey_rows(family, n, args.which) for n in shifts]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(
-                pool.map(lambda n: _survey_rows(family, n, args.which), shifts)
-            )
-    rows = sorted(row for chunk in chunks for row in chunk)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "metric", "value"])
-    writer.writerows(rows)
-    text = buf.getvalue()
+    # the output is opened before any row is computed, so a path that
+    # cannot be written is refused at once
     if args.out == "-":
-        out.write(text)
+        sink = contextlib.nullcontext(out)
     else:
         try:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
+            sink = open(args.out, "w", newline="")
         except OSError as exc:
             raise InvalidInput(f"cannot write {args.out}: {exc}")
+    with sink as fh:
+        shifts = range(args.n_from, args.n_to + 1)
+        if args.jobs == 1:
+            chunks = [_survey_rows(family, n, args.which) for n in shifts]
+        else:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                chunks = list(
+                    pool.map(lambda n: _survey_rows(family, n, args.which), shifts)
+                )
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["n", "metric", "value"])
+        writer.writerows(sorted(row for chunk in chunks for row in chunk))
     return 0
 
 

@@ -22,17 +22,15 @@ Neither recurses over its last two coordinates (the two smallest
 generators, or the two smallest offsets): their solutions form an arithmetic
 progression and are emitted in closed form, cut at the slice's atom count
 in the sliced search.  _enumerate_best picks one of the two from an O(t)
-estimate of each one's work, computed from the generators and a alone.
-factorizations and presentations.factorization_graph use it; the direct
-Betti scan and the minimality check in presentations keep the generic
-search, which is the paper's baseline.
+estimate of each one's work, computed from the generators and a alone; every
+caller outside this module enumerates through it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from .core import NumericalMonoid
 from .errors import BudgetExceeded, DimensionMismatch, InvalidInput, NotAnElement
@@ -90,15 +88,25 @@ def factorizations(
 def _sliced_is_cheaper(gens: tuple[int, ...], a: int) -> bool:
     """Whether the length-sliced search is estimated to do less work on a
     than the generic one: the number of innermost calls each would make
-    without pruning."""
+    without pruning, prod_{i>=3} (a//m_i + 1) against
+    (a//m_1 - a//m_t + 1) * prod_{i>=4} (min(a//m_1, a//r_{i-1}) + 1).
+    The Betti scan asks this once per candidate, so it is a plain loop."""
     t = len(gens)
     if t <= 2:  # the generic search is already closed form
         return False
     m0 = gens[0]
-    generic = prod(a // m + 1 for m in gens[2:])
-    sliced = (a // m0 - a // gens[-1] + 1) * prod(
-        min(a // m0, a // (m - m0)) + 1 for m in gens[3:]
-    )
+    top = a // m0
+    generic = a // gens[2] + 1
+    sliced = top - a // gens[-1] + 1
+    if t == 3:
+        # both searches then reach their closed-form tail straight from the
+        # outer loop, and a sliced tail costs about three generic ones: the
+        # generic tail mostly exits on its first test (v % g01), while every
+        # sliced slice pays for its length bound and its atom bound first
+        return 3 * sliced < generic
+    for m in gens[3:]:
+        generic *= a // m + 1
+        sliced *= min(top, a // (m - m0)) + 1
     return sliced < generic
 
 
@@ -202,6 +210,8 @@ def _enumerate_sliced(
             return
         y0 = ((v // g12) * inv) % q1 if q1 > 1 else 0
         ymax = min(v // r2, left)
+        if ymax < y0:
+            return
         ymin = max(0, -((left * r1 - v) // (r2 - r1)))
         y = ymax - (ymax - y0) % q1
         x = (v - y * r2) // r1

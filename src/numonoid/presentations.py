@@ -25,7 +25,7 @@ from .errors import (
     NotMinimal,
     NotPrimitive,
 )
-from .factorizations import DEFAULT_CAP, _check_deadline, _enumerate, _enumerate_best
+from .factorizations import DEFAULT_CAP, _check_deadline, _enumerate_best
 from .unionfind import UnionFind
 
 
@@ -148,7 +148,7 @@ def factorization_graph(
 def _require_minimal(M: NumericalMonoid) -> None:
     # the tuple is minimal iff every generator factors only as itself
     for i, m in enumerate(M.generators):
-        if len(_enumerate(M.generators, m)) != 1:
+        if len(_enumerate_best(M.generators, m)) != 1:
             raise NotMinimal(
                 f"generator {m} is a combination of the others in {M!r}"
             )
@@ -179,7 +179,7 @@ def _betti_impl(
     out = []
     for c in candidates:
         _check_deadline(deadline)
-        zs = _enumerate(gens, c, DEFAULT_CAP, deadline)
+        zs = _enumerate_best(gens, c, DEFAULT_CAP, deadline)
         if len(zs) >= 2:
             uf = _atom_union(t, zs)
             if uf.n_components > 1:

@@ -11,6 +11,7 @@ from numonoid import (
     betti_elements,
     catenary_of_element,
     delta_set_of_element,
+    make_presentation,
     monoid_at,
 )
 
@@ -93,6 +94,35 @@ def test_minpres_all(cli):
     code, out = cli("minpres", "--gens", "6,9,20", "--all", "--format", "text")
     assert code == 0
     assert out.startswith("count 4\n")
+
+
+def test_minpres_all_paranoid_checks_each_presentation(cli, monkeypatch):
+    real_check = cli_module.congruence_closure_check
+    checked = []
+
+    def counting(M, relations, bound):
+        checked.append(len(relations))
+        return real_check(M, relations, bound)
+
+    monkeypatch.setattr(cli_module, "congruence_closure_check", counting)
+    code, out = cli("minpres", "--gens", "6,9,20", "--all", "--paranoid")
+    assert code == 0 and json.loads(out)["count"] == 4
+    assert checked == [2, 2, 2, 2]
+    # a listed presentation that misses a Betti element is caught, not printed
+    real_all = cli_module.all_minimal_presentations
+
+    def dropping_the_last_relation(M):
+        count, items = real_all(M)
+        last = items[-1]
+        return count, items[:-1] + [
+            make_presentation(M, last.relations[:-1])
+        ]
+
+    monkeypatch.setattr(cli_module, "all_minimal_presentations",
+                        dropping_the_last_relation)
+    code, out = cli("minpres", "--gens", "6,9,20", "--all", "--paranoid")
+    assert code == 3
+    assert out.startswith("fail at 60: ")
 
 
 def test_minpres_shift_needs_a_family(cli):
@@ -250,6 +280,16 @@ def test_survey_file_output_and_jobs_determinism(cli, tmp_path):
     a, b = (p.read_bytes() for p in paths)
     assert a == b
     assert a.startswith(b"n,metric,value\n")
+
+
+def test_survey_refuses_an_unwritable_out_before_any_row(cli, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli_module, "_survey_rows",
+                        lambda *args: calls.append(args) or [])
+    assert cli("survey", "--r", "6,9,20", "--n-from", "401", "--n-to", "700",
+               "--which", "catenary",
+               "--out", str(tmp_path / "missing" / "x.csv")) == (1, "")
+    assert calls == []
 
 
 def test_survey_empty_range_writes_header_only(cli):

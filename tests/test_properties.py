@@ -1,5 +1,6 @@
 """Cross-cutting structural properties, randomized where that buys coverage."""
 
+import importlib
 import math
 
 import pytest
@@ -31,6 +32,9 @@ from numonoid.factorizations import (
 from numonoid.oracle import factorization_buckets, monotone_chain_search
 from numonoid.presentations import factorization_graph
 
+# the package's factorizations() function shadows the module's name
+factorizations_module = importlib.import_module("numonoid.factorizations")
+
 monoids = st.lists(
     st.integers(2, 40), min_size=1, max_size=4, unique=True
 ).map(lambda xs: normalize_generators(tuple(sorted(xs))))
@@ -49,7 +53,12 @@ CORPUS = [
     (6, 10, 15),
     (5, 7, 9, 11),
     (8, 9, 10, 11),
+    # the Betti scan enumerates some candidates of these by length slices
+    (26, 29, 31),
+    (26, 28, 29, 31),
+    (17, 18, 20, 21),
 ]
+SLICED_CORPUS = CORPUS[-3:]
 
 
 @settings(deadline=None, max_examples=40)
@@ -101,6 +110,23 @@ def test_betti_elements_match_naive_scan(gens):
     M = NumericalMonoid(gens)
     bound = frobenius(M) + gens[0] + gens[-1]
     assert betti_elements(M) == naive_betti_scan(M, bound)
+
+
+def test_betti_scan_enumerates_through_the_entry(monkeypatch):
+    # the scan asks the entry, which picks the sliced search for some
+    # candidates of these monoids; the test above checks their Betti
+    # elements against the oracle's naive scan
+    calls = []
+    real = factorizations_module._enumerate_sliced
+    monkeypatch.setattr(
+        factorizations_module,
+        "_enumerate_sliced",
+        lambda *args: calls.append(args[1]) or real(*args),
+    )
+    for gens in SLICED_CORPUS:
+        calls.clear()
+        presentations._betti_impl(NumericalMonoid(gens), None)
+        assert calls, gens
 
 
 @pytest.mark.parametrize("gens", CORPUS)

@@ -2,8 +2,9 @@
 
 Subcommands: apery, member, factorizations, betti, minpres, invariant,
 survey, bench, verify.  Exit codes: 0 success, 1 invalid input, 2
-computation budget exceeded, 3 verification failure.  All output is
-deterministic for fixed inputs, including across --jobs settings.
+computation budget exceeded, 3 verification failure, 141 (128 + SIGPIPE)
+when the reader of stdout closes it early.  All output is deterministic
+for fixed inputs, including across --jobs settings.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import statistics
 import sys
 import time
@@ -434,7 +436,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early (`| head`): send what is still buffered to
+        # devnull so the flush at exit cannot raise again, and exit with
+        # the status of a process that SIGPIPE ended
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

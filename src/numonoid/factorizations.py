@@ -261,5 +261,10 @@ def distance(z: tuple[int, ...], zp: tuple[int, ...]) -> int:
     """max(|z - w|, |z' - w|) where w is the coordinatewise minimum."""
     if len(z) != len(zp):
         raise DimensionMismatch(f"vectors of length {len(z)} and {len(zp)}")
-    shared = sum(min(a, b) for a, b in zip(z, zp))
-    return max(sum(z) - shared, sum(zp) - shared)
+    return _distance(z, zp, sum(z), sum(zp))
+
+
+def _distance(z: tuple[int, ...], zp: tuple[int, ...], lz: int, lzp: int) -> int:
+    """distance(z, z') given lz = |z| and lzp = |z'|, for vectors already
+    known to have one dimension: max(|z|, |z'|) - sum_i min(z_i, z'_i)."""
+    return max(lz, lzp) - sum(map(min, z, zp))

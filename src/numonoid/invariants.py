@@ -12,6 +12,22 @@ equal catenary degrees collapse onto the ordinary one and the delta set is
 the singleton {gcd of the offsets}; those paths are exact and are
 cross-checked against the Betti data before being returned.  An explicit
 window always forces the windowed sweep.
+
+The windowed sweeps avoid per-element searches where an identity allows:
+
+- Delta set: the length sets obey L(0) = {0} and
+  L(a) = union over m_i <= a of (L(a - m_i) + 1) (Barron, O'Neill and
+  Pelayo, Math. Comp. 2017).  Each L(a) is kept as an int bitmask over
+  lengths, so the sweep is about t big-int ORs per element of the window
+  and enumerates no factorization; a is in M exactly when its mask is
+  non-zero, and the gaps of L(a) are the runs of zeros between its ones.
+- Monotone and equal catenary: Z(a) is enumerated once and grouped by
+  length.  Equal is the largest bottleneck of a length class; monotone is
+  the larger of equal and the least distance between each two consecutive
+  length classes (proof in monotone_equal_catenary).  Both cost O(|Z(a)|^2)
+  distance evaluations.
+- Tame degree: O(|Z(a)|^2) distances per atom at most, cut short for a
+  factorization as soon as one user of the atom lies within the running max.
 """
 
 from __future__ import annotations
@@ -19,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import NumericalMonoid, contains, default_window
-from .errors import InvalidInput, NotAnElement, VerificationFailed
-from .factorizations import _check_deadline, distance, factorizations, length_profile
+from .errors import InvalidInput, NotAnElement, NotPrimitive, VerificationFailed
+from .factorizations import _check_deadline, _distance, factorizations, length_profile
 from .presentations import betti_elements
 from .shifted import accelerated_minimal_presentation, family_from_generators
-from .unionfind import UnionFind
 
 
 def _family_betti(M: NumericalMonoid, deadline: float | None):
@@ -36,12 +51,20 @@ def _family_betti(M: NumericalMonoid, deadline: float | None):
     return pres.betti_values()
 
 
+def _window(M: NumericalMonoid, window: int | None) -> int:
+    """The validated sweep window: default_window when None.  Sweeps are
+    over numerical monoids, so M must be primitive."""
+    if window is not None and window < 0:
+        raise InvalidInput(f"window must be non-negative, got {window}")
+    if not M.is_primitive:
+        raise NotPrimitive(f"gcd of generators is {M.gcd}; the sweep needs 1")
+    return default_window(M) if window is None else window
+
+
 def _sweep(M: NumericalMonoid, window: int | None, deadline: float | None):
     """The window (default_window when None) and a generator over the
     elements of M in [0, window], checking the deadline before each."""
-    if window is not None and window < 0:
-        raise InvalidInput(f"window must be non-negative, got {window}")
-    w = default_window(M) if window is None else window
+    w = _window(M, window)
 
     def members():
         for a in range(w + 1):
@@ -84,25 +107,34 @@ class TameReport:
     window: int
 
 
-def _bottleneck(vectors: list[tuple[int, ...]]) -> int:
-    """Smallest N with the distance-<=N graph on vectors connected.
+def _sized(zs: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+    """Each factorization paired with its length, for the distance kernel."""
+    return [(z, sum(z)) for z in zs]
 
-    Kruskal on the complete graph: the bottleneck of any minimum spanning
-    tree.  Zero for fewer than two vectors.
+
+def _bottleneck(sized: list[tuple[tuple[int, ...], int]]) -> int:
+    """Smallest N with the distance-<=N graph on the (vector, length) pairs
+    connected.
+
+    Dense Prim on the complete graph, O(m^2) distances and no edge sort:
+    the bottleneck is the largest edge of any minimum spanning tree.  Zero
+    for fewer than two vectors.
     """
-    m = len(vectors)
-    if m <= 1:
+    if len(sized) <= 1:
         return 0
-    edges = sorted(
-        (distance(vectors[i], vectors[j]), i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
-    uf = UnionFind(m)
-    for d, i, j in edges:
-        if uf.union(i, j) and uf.n_components == 1:
-            return d
-    raise AssertionError("complete graph failed to connect")
+    z0, l0 = sized[0]
+    # rest: vectors outside the tree, with their least distance to it
+    rest = [(_distance(z0, z, l0, lz), z, lz) for z, lz in sized[1:]]
+    best = 0
+    while rest:
+        nearest = min(rest)
+        rest.remove(nearest)
+        d, zj, lj = nearest
+        best = max(best, d)
+        rest = [
+            (min(key, _distance(zj, z, lj, lz)), z, lz) for key, z, lz in rest
+        ]
+    return best
 
 
 def catenary_of_element(
@@ -113,7 +145,7 @@ def catenary_of_element(
     zs = factorizations(M, a, deadline=deadline)
     if not zs:
         raise NotAnElement(f"{a} is not an element of {M.generators}")
-    return _bottleneck(zs)
+    return _bottleneck(_sized(zs))
 
 
 def catenary_of_monoid(
@@ -146,66 +178,45 @@ def monotone_equal_catenary(
     """(monotone, equal) catenary degrees of the element a.
 
     equal: smallest N such that within every length class of Z(a) the
-    distance-<=N graph is connected.  monotone: smallest N such that every
-    ordered pair z, z' with |z| >= |z'| is joined by a chain with
-    non-increasing lengths and steps at most N.  Monotone is found by binary
-    search on N over the pairwise distances, checking reachability in the
-    layered graph (bidirectional within a length class, directed toward
-    strictly smaller lengths).
+    distance-<=N graph is connected, that is the largest bottleneck of a
+    class.  monotone: smallest N such that every ordered pair z, z' with
+    |z| >= |z'| is joined by a chain with non-increasing lengths and steps
+    at most N.  With the distinct lengths l_1 < ... < l_s of Z(a),
+
+        monotone = max(equal, max_j min{d(u, v) : |u| = l_j, |v| = l_{j-1}}).
+
+    Proof.  Let N be feasible.  A non-increasing chain between two
+    factorizations of one length stays in that length, so every class is
+    connected at N and N >= equal.  A chain from class j down to class
+    j - 1 passes no length strictly between them, so one of its steps goes
+    straight from class j to class j - 1, and N is at least the least
+    distance between the two classes.  Conversely, let N be the maximum
+    above.  Inside a class any two factorizations are joined at N.  From
+    class j, walk inside the class to the end u of a closest pair (u, v)
+    and step to v in class j - 1; by induction on j, v reaches every
+    factorization of every shorter class.  So N is feasible.
     """
     zs = factorizations(M, a, deadline=deadline)
     if not zs:
         raise NotAnElement(f"{a} is not an element of {M.generators}")
-    m = len(zs)
-    if m <= 1:
-        return 0, 0
-
-    lengths = [sum(z) for z in zs]
-    classes = {}
-    for i, ell in enumerate(lengths):
-        classes.setdefault(ell, []).append(i)
-    equal = max(
-        _bottleneck([zs[i] for i in idx]) for idx in classes.values()
-    )
-
-    dist = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            dist[i][j] = dist[j][i] = distance(zs[i], zs[j])
-
-    def feasible(bound: int) -> bool:
-        # edge i -> j allowed when it does not increase length
-        adj = [
-            [j for j in range(m) if j != i and dist[i][j] <= bound and lengths[j] <= lengths[i]]
-            for i in range(m)
-        ]
-        for src in range(m):
-            seen = [False] * m
-            seen[src] = True
-            stack = [src]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            if any(
-                not seen[j] for j in range(m) if lengths[j] <= lengths[src]
-            ):
-                return False
-        return True
-
-    candidates = sorted({dist[i][j] for i in range(m) for j in range(i + 1, m)})
-    candidates = [c for c in candidates if c >= equal]
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
+    classes: dict[int, list[tuple[int, ...]]] = {}
+    for z in zs:
+        classes.setdefault(sum(z), []).append(z)
+    equal = 0
+    for ell, cls in classes.items():
         _check_deadline(deadline)
-        mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return candidates[lo], equal
+        equal = max(equal, _bottleneck([(z, ell) for z in cls]))
+    monotone = equal
+    lengths = sorted(classes)
+    for shorter, longer in zip(lengths, lengths[1:]):
+        _check_deadline(deadline)
+        step = min(
+            _distance(u, v, longer, shorter)
+            for u in classes[longer]
+            for v in classes[shorter]
+        )
+        monotone = max(monotone, step)
+    return monotone, equal
 
 
 def monoid_catenary_report(
@@ -253,7 +264,10 @@ def delta_set(
     is exactly {d} with d the gcd of the offsets; the Betti-element delta
     sets are checked to confirm it (their union realizes the max of the
     delta set) and a mismatch raises VerificationFailed.  Otherwise: union
-    of element delta sets up to window, flagged window-limited.
+    of element delta sets up to window, flagged window-limited.  The sweep
+    enumerates no factorization: it runs the length-set recurrence
+    L(a) = union over m_i <= a of (L(a - m_i) + 1), L(0) = {0}, on int
+    bitmasks (bit l set when l is in L(a)), keeping the last m_t masks.
     """
     betti = _family_betti(M, deadline) if window is None else None
     if betti is not None:
@@ -266,11 +280,21 @@ def delta_set(
                 f"Betti delta sets give {sorted(union)}, expected {{{d}}}"
             )
         return DeltaSet(frozenset({d}), True, None)
-    w, members = _sweep(M, window, deadline)
-    union = set()
-    for a in members:
-        union |= delta_set_of_element(M, a, deadline=deadline)
-    return DeltaSet(frozenset(union), False, w)
+    w = _window(M, window)
+    gens = M.generators
+    top = gens[-1]
+    # masks[b % top] is the mask of L(b) for the last top elements b; a
+    # slot not yet written holds 0, the empty L(b) of every b < 0
+    masks = [0] * top
+    runs = set()  # lengths of the zero runs between two ones of some L(a)
+    for a in range(w + 1):
+        _check_deadline(deadline)
+        below = 0  # the mask of L(a) - 1, zero exactly when a is not in M
+        for g in gens:
+            below |= masks[(a - g) % top]
+        masks[a % top] = below << 1 if a else 1
+        runs.update(map(len, bin(below).rstrip("0").split("1")[1:-1]))
+    return DeltaSet(frozenset(r + 1 for r in runs), False, w)
 
 
 def tame_degree(
@@ -285,17 +309,27 @@ def tame_degree(
     zs = factorizations(M, a, deadline=deadline)
     if not zs:
         raise NotAnElement(f"{a} is not an element of {M.generators}")
-    gens = M.generators
+    sized = _sized(zs)
     best = 0
-    for i, g in enumerate(gens):
-        if a < g or not contains(M, a - g):
+    for i in range(M.t):
+        # a - m_i is in M exactly when some factorization of a uses atom i
+        users = [(zp, lp) for zp, lp in sized if zp[i] > 0]
+        if not users:
             continue
-        users = [z for z in zs if z[i] > 0]
-        for z in zs:
+        for z, lz in sized:
             if z[i] > 0:
                 continue
             _check_deadline(deadline)
-            best = max(best, min(distance(z, zp) for zp in users))
+            # z raises best only if every user lies farther than best
+            nearest = None
+            for zp, lp in users:
+                d = _distance(z, zp, lz, lp)
+                if d <= best:
+                    break
+                if nearest is None or d < nearest:
+                    nearest = d
+            else:
+                best = nearest
     return best
 
 

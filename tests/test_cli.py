@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +302,27 @@ def test_survey_empty_range_writes_header_only(cli):
         "--which", "betti", "--out", "-",
     )
     assert (code, out) == (0, "n,metric,value\n")
+
+
+def test_survey_into_a_reader_that_closes_early_exits_quietly(tmp_path):
+    # the survey writes about 200 kB, more than a pipe holds, so its writes
+    # fail with EPIPE once the reader has closed after two lines
+    src = Path(cli_module.__file__).resolve().parents[1]
+    err = tmp_path / "stderr"
+    with open(err, "wb") as err_fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "numonoid.cli", "survey", "--r", "6,9,20",
+             "--n-from", "1000", "--n-to", "3000", "--which", "betti",
+             "--out", "-"],
+            stdout=subprocess.PIPE, stderr=err_fh,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert head == [b"n,metric,value\n", b"1000,betti,3018\n"]
+    assert b"Traceback" not in err.read_bytes()
+    assert code == 141
 
 
 def test_survey_skips_degenerate_members(cli):

@@ -16,10 +16,12 @@ from numonoid import (
     betti_elements,
     congruence_closure_check,
     contains,
+    delta_set,
     factorizations,
     frobenius,
     minimal_presentation,
     monoid_at,
+    monotone_equal_catenary,
     naive_betti_scan,
     normalize_generators,
 )
@@ -279,3 +281,85 @@ def test_both_enumerators_agree_with_each_other_and_the_oracle(gens, data):
             else:
                 assert search(gens, a, cap) == zs
     assert _enumerate_best(gens, a) == generic
+
+
+# primitive monoids on 2..5 generators in [3, 30]
+small_monoids = (
+    st.lists(st.integers(3, 30), min_size=2, max_size=5, unique=True)
+    .map(normalize_generators)
+    .filter(lambda M: M.is_primitive)
+)
+
+
+def _oracle_window(gens: tuple[int, ...], most: int) -> int:
+    # about the largest window whose oracle sweep, over every vector of
+    # value <= window (about window^t / (t! prod m_i) of them), stays cheap
+    t = len(gens)
+    return min(most, int((20000 * math.factorial(t) * math.prod(gens)) ** (1 / t)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(M=small_monoids, data=st.data())
+def test_windowed_delta_set_matches_the_oracle(M, data):
+    # the sweep runs the length-set recurrence; the oracle lists every
+    # factorization of every element of the window
+    w = data.draw(st.integers(0, _oracle_window(M.generators, 300)))
+    expected = set()
+    for zs in factorization_buckets(M.generators, w).values():
+        lengths = sorted({sum(z) for z in zs})
+        expected.update(b - a for a, b in zip(lengths, lengths[1:]))
+    assert delta_set(M, window=w).values == expected
+
+
+def _monotone_equal_by_search(zs):
+    """(monotone, equal) catenary degrees of one element from Z(a), straight
+    from the definitions: for each, binary search over the pairwise
+    distances for the least N at which every required chain exists in the
+    layered graph (steps of at most N, within a length class for equal,
+    never to a longer factorization for monotone)."""
+    def d(x, y):
+        # max(|x - w|, |y - w|) with w the coordinatewise minimum
+        w = [min(p, q) for p, q in zip(x, y)]
+        return max(sum(x) - sum(w), sum(y) - sum(w))
+
+    m = len(zs)
+    lengths = [sum(z) for z in zs]
+    dist = [[d(x, y) for y in zs] for x in zs]
+
+    def feasible(bound, allowed):
+        for src in range(m):
+            seen = [False] * m
+            seen[src] = True
+            stack = [src]
+            while stack:
+                u = stack.pop()
+                for v in range(m):
+                    if not seen[v] and dist[u][v] <= bound and allowed(u, v):
+                        seen[v] = True
+                        stack.append(v)
+            if any(not seen[j] for j in range(m) if allowed(src, j)):
+                return False
+        return True
+
+    def least(allowed):
+        candidates = sorted({0} | {d for row in dist for d in row})
+        lo, hi = 0, len(candidates) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if feasible(candidates[mid], allowed):
+                hi = mid
+            else:
+                lo = mid + 1
+        return candidates[lo]
+
+    monotone = least(lambda u, v: lengths[v] <= lengths[u])
+    equal = least(lambda u, v: lengths[v] == lengths[u])
+    return monotone, equal
+
+
+@settings(deadline=None, max_examples=30)
+@given(M=small_monoids, data=st.data())
+def test_monotone_equal_catenary_matches_the_definition(M, data):
+    w = data.draw(st.integers(0, _oracle_window(M.generators, 120)))
+    for a, zs in sorted(factorization_buckets(M.generators, w).items()):
+        assert monotone_equal_catenary(M, a) == _monotone_equal_by_search(zs), a

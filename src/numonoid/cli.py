@@ -339,7 +339,8 @@ def _cmd_verify(args, out) -> int:
         raise InvalidInput(f"{args.presentation} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         raise InvalidInput(f"{args.presentation} does not hold a JSON object")
-    if tuple(payload.get("generators", ())) != gens:
+    generators = payload.get("generators")
+    if not isinstance(generators, list) or tuple(generators) != gens:
         raise InvalidInput("presentation file generators do not match --gens")
     try:
         relations = [

@@ -3,8 +3,9 @@
 Everything here works straight from definitions and shares no machinery with
 the optimized modules: membership by coin-sieve reachability, factorization
 sets by one unpruned recursive sweep over a whole window, factorization-graph
-components by pairwise support intersection, congruence generation by
-breadth-first search over translated relation instances.  Deliberately simple
+connectivity by a flood over pairwise support intersection, congruence
+generation by joining, within each element's factorizations, every translate
+u + left ~ u + right of a relation that lands on it.  Deliberately simple
 and only modestly fast; the optimized modules must agree with these routines
 on small instances, and derived test fixtures are frozen from their output.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .core import NumericalMonoid
 from .errors import InvalidInput, NotARelation
@@ -99,16 +101,20 @@ def congruence_closure_check(
 ) -> ClosureReport:
     """Do the relations generate every same-value identification up to window?
 
-    For each element a <= window with at least two factorizations, build the
-    graph on Z(a) whose edges are translated relation instances (subtract one
-    side where it fits coordinatewise, add the other) and test connectivity.
-    Accepts Relation objects or bare (left, right) pairs.
+    The congruence the relations generate is the equivalence generated by
+    their translates u + left ~ u + right.  For each element a <= window with
+    at least two factorizations, join the two sides of every translate of
+    value a (u runs over the vectors of value a - value(left)) in a forest
+    over Z(a), and test that every factorization shares the root of the
+    first.  A failure records a with the first factorization and the first
+    one, in bucket order, not joined to it.  Accepts Relation objects or bare
+    (left, right) pairs.
     """
     if window < 0:
         raise InvalidInput(f"window must be non-negative, got {window}")
     gens = M.generators
-    pairs = _as_pairs(relations)
-    for left, right in pairs:
+    translates = []
+    for left, right in _as_pairs(relations):
         if len(left) != len(gens) or len(right) != len(gens):
             raise NotARelation(f"relation {left} ~ {right} has wrong arity")
         if any(isinstance(c, bool) or not isinstance(c, int) for c in left + right):
@@ -121,10 +127,7 @@ def congruence_closure_check(
             raise NotARelation(
                 f"sides of {left} ~ {right} evaluate to {lval} and {rval}"
             )
-    moves = []
-    for left, right in pairs:
-        moves.append((left, right))
-        moves.append((right, left))
+        translates.append((lval, left, right))
 
     buckets = factorization_buckets(gens, window)
     failures = []
@@ -132,63 +135,47 @@ def congruence_closure_check(
         zs = buckets[a]
         if len(zs) < 2:
             continue
-        index = {z: i for i, z in enumerate(zs)}
-        adjacency: list[list[int]] = [[] for _ in zs]
-        for sub, add in moves:
-            for z, i in index.items():
-                if all(zc >= sc for zc, sc in zip(z, sub)):
-                    w = tuple(zc - sc + ac for zc, sc, ac in zip(z, sub, add))
-                    adjacency[i].append(index[w])
-        seen = [False] * len(zs)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            for j in adjacency[stack.pop()]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        if not all(seen):
-            missing = next(z for z, i in index.items() if not seen[i])
+        # a forest over Z(a) alone; a translate joins the trees of its sides
+        parent: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+        def root(z):
+            while z in parent:
+                z = parent[z]
+            return z
+
+        for value, left, right in translates:
+            for u in buckets.get(a - value, ()):
+                x = root(tuple(map(add, u, left)))
+                y = root(tuple(map(add, u, right)))
+                if x != y:
+                    parent[x] = y
+        first = root(zs[0])
+        missing = next((z for z in zs if root(z) != first), None)
+        if missing is not None:
             failures.append((a, (zs[0], missing)))
     return ClosureReport(window, tuple(failures))
 
 
-def _support_components(zs: list[tuple[int, ...]]) -> list[list[int]]:
-    # components of the graph joining factorizations with intersecting
-    # support, by the definition itself: pairwise tests plus flood fill
-    n = len(zs)
-    supports = [frozenset(i for i, c in enumerate(z) if c > 0) for z in zs]
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if supports[i] & supports[j]:
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-    comps = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            for j in adjacency[stack.pop()]:
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
 def naive_betti_scan(M: NumericalMonoid, bound: int) -> list[int]:
-    """All a <= bound whose factorization graph is disconnected."""
+    """All a <= bound whose factorization graph is disconnected.
+
+    Flood from the first factorization of a, stepping to every factorization
+    whose support meets the current one's; a is reported when some
+    factorization is never reached.
+    """
     buckets = factorization_buckets(M.generators, bound)
     out = []
     for a in sorted(buckets):
         zs = buckets[a]
-        if len(zs) >= 2 and len(_support_components(zs)) > 1:
+        if len(zs) < 2:
+            continue
+        supports = [{i for i, c in enumerate(z) if c} for z in zs]
+        frontier, unreached = supports[:1], supports[1:]
+        while frontier and unreached:
+            s = frontier.pop()
+            frontier += [t for t in unreached if s & t]
+            unreached = [t for t in unreached if not s & t]
+        if unreached:
             out.append(a)
     return out
 

@@ -404,6 +404,10 @@ def test_verify_input_validation(cli, tmp_path):
     ]}))
     code, _ = cli("verify", "--gens", "6,9,20", "--presentation", str(boolean))
     assert code == 1
+    scalar_generators = tmp_path / "scalar.json"
+    scalar_generators.write_text(json.dumps({"generators": 5, "relations": []}))
+    code, _ = cli("verify", "--gens", "6,9,20", "--presentation", str(scalar_generators))
+    assert code == 1
 
 
 def test_bad_usage_is_exit_1(cli, tmp_path):

@@ -4,7 +4,7 @@ import importlib
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from numonoid import presentations
@@ -31,7 +31,11 @@ from numonoid.factorizations import (
     _enumerate_sliced,
     distance,
 )
-from numonoid.oracle import factorization_buckets, monotone_chain_search
+from numonoid.oracle import (
+    ClosureReport,
+    factorization_buckets,
+    monotone_chain_search,
+)
 from numonoid.presentations import factorization_graph
 
 # the package's factorizations() function shadows the module's name
@@ -363,3 +367,63 @@ def test_monotone_equal_catenary_matches_the_definition(M, data):
     w = data.draw(st.integers(0, _oracle_window(M.generators, 120)))
     for a, zs in sorted(factorization_buckets(M.generators, w).items()):
         assert monotone_equal_catenary(M, a) == _monotone_equal_by_search(zs), a
+
+
+def _closure_by_move_graph(M, relations, window):
+    """congruence_closure_check's report, from a search on each element's
+    move graph: the vertices are Z(a), and each relation, read both ways,
+    moves z to z - sub + add wherever sub fits below z coordinatewise.  A
+    failure records a with the first factorization and the first one, in
+    bucket order, the depth-first search from it never reaches."""
+    moves = []
+    for left, right in relations:
+        moves.append((left, right))
+        moves.append((right, left))
+    buckets = factorization_buckets(M.generators, window)
+    failures = []
+    for a in sorted(buckets):
+        zs = buckets[a]
+        if len(zs) < 2:
+            continue
+        index = {z: i for i, z in enumerate(zs)}
+        adjacency = [[] for _ in zs]
+        for sub, add in moves:
+            for z, i in index.items():
+                if all(zc >= sc for zc, sc in zip(z, sub)):
+                    w = tuple(zc - sc + ac for zc, sc, ac in zip(z, sub, add))
+                    adjacency[i].append(index[w])
+        seen = [False] * len(zs)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for j in adjacency[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        if not all(seen):
+            missing = next(z for z, i in index.items() if not seen[i])
+            failures.append((a, (zs[0], missing)))
+    return ClosureReport(window, tuple(failures))
+
+
+@settings(deadline=None, max_examples=200)
+@given(gens=st.sampled_from(CORPUS), data=st.data())
+def test_closure_check_matches_the_move_graph_reference(gens, data):
+    # relation sets that generate the congruence and sets that miss part of
+    # it: a sub-multiset of a minimal presentation, each relation either way
+    # round, plus a few extra relations between factorizations of one element
+    M = NumericalMonoid(gens)
+    pres = minimal_presentation(M)
+    window = data.draw(st.integers(0, max(pres.betti_values()) + 2 * gens[-1]))
+    picked = data.draw(
+        st.lists(st.tuples(st.sampled_from(pres.relations), st.booleans()), max_size=6)
+    )
+    relations = [(r.right, r.left) if flip else (r.left, r.right) for r, flip in picked]
+    buckets = factorization_buckets(gens, window)
+    zs = buckets[data.draw(st.sampled_from(sorted(buckets)))]
+    relations += data.draw(
+        st.lists(st.tuples(st.sampled_from(zs), st.sampled_from(zs)), max_size=3)
+    )
+    report = congruence_closure_check(M, relations, window)
+    event("passes" if report.ok else "fails")
+    assert report == _closure_by_move_graph(M, relations, window)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import statistics
@@ -74,6 +75,11 @@ def _non_negative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
+
+
+def _is_int(x) -> bool:
+    # JSON true and 6.0 compare equal to 1 and 6, but are not integers
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _coords(z) -> str:
@@ -340,20 +346,43 @@ def _cmd_verify(args, out) -> int:
     if not isinstance(payload, dict):
         raise InvalidInput(f"{args.presentation} does not hold a JSON object")
     generators = payload.get("generators")
-    if not isinstance(generators, list) or tuple(generators) != gens:
+    if (
+        not isinstance(generators, list)
+        or not all(_is_int(g) for g in generators)
+        or tuple(generators) != gens
+    ):
         raise InvalidInput("presentation file generators do not match --gens")
     try:
-        relations = [
-            make_relation(M, tuple(r["left"]), tuple(r["right"]))
-            for r in payload["relations"]
-        ]
+        relations = []
+        for r in payload["relations"]:
+            rel = make_relation(M, tuple(r["left"]), tuple(r["right"]))
+            tag = r.get("betti", rel.betti)
+            if not _is_int(tag) or tag != rel.betti:
+                raise InvalidInput(
+                    f"relation tagged betti {tag!r} has sides of value {rel.betti}"
+                )
+            relations.append(rel)
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed relations block: {exc}")
+    # the list is checked after the closure, so that a dropped relation is
+    # reported as the gap it leaves
     bound = _closure_check(M, relations, args.bound, out)
+    listed = payload.get("betti_elements")
+    values = sorted({rel.betti for rel in relations})
+    if listed is not None and (
+        listed != values or not all(_is_int(b) for b in listed)
+    ):
+        raise InvalidInput(
+            f"betti_elements {listed!r} are not the relations' values {values}"
+        )
     out.write(f"ok window={bound} relations={len(relations)}\n")
     return 0
 
 
+# Built once per process.  Callers that run main in-process, such as the
+# tests, call it many times, and each parser costs about 2 ms and leaves
+# reference cycles that only a full garbage collection frees.
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="numonoid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

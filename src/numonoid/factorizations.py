@@ -175,7 +175,10 @@ def _enumerate(
             counts[i] = c
             rec(i - 1, v - c * m)
 
-    rec(t - 1, a)
+    try:
+        rec(t - 1, a)
+    finally:
+        del rec  # rec's closure refers to rec; without this, out lives until gc
     return out
 
 
@@ -239,8 +242,11 @@ def _enumerate_sliced(
             counts[i] = c
             rec(i - 1, v - c * ri, left - c)
 
-    for length in range(-(-a // gens[-1]), a // m0 + 1):
-        rec(t - 1, a - m0 * length, length)
+    try:
+        for length in range(-(-a // gens[-1]), a // m0 + 1):
+            rec(t - 1, a - m0 * length, length)
+    finally:
+        del rec  # as in _enumerate
     out.sort(key=lambda z: z[::-1], reverse=True)
     return out
 

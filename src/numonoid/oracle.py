@@ -69,7 +69,10 @@ def _buckets(gens: tuple[int, ...], bound: int) -> dict[int, list[tuple[int, ...
             c += 1
         counts[i] = 0
 
-    rec(t - 1, 0)
+    try:
+        rec(t - 1, 0)
+    finally:
+        del rec  # rec's closure holds rec; the cycle would keep buckets alive
     return buckets
 
 

@@ -7,6 +7,14 @@ any set of relations forming a spanning tree on the components of its graph.
 This module computes a deterministic ("canonical") choice, enumerates or
 counts all choices, and finds the Betti elements from the finite Apery
 candidate set rather than an unbounded scan.
+
+The scan decides each candidate c without enumerating Z(c).  By Rosales'
+theorem (Semigroup Forum 55, 1997; Rosales and Garcia-Sanchez, Numerical
+Semigroups, 2009, ch. 7) the factorization graph of c has as many
+components as the atom graph of c: its vertices are the atoms m_i with
+c - m_i in M, and m_i ~ m_j whenever c - m_i - m_j in M.  The atom graph
+costs O(t^2) lookups in the Apery table, so only the candidates whose atom
+graph is disconnected, which are the Betti elements, are enumerated.
 """
 
 from __future__ import annotations
@@ -154,6 +162,30 @@ def _require_minimal(M: NumericalMonoid) -> None:
             )
 
 
+def _atom_components(gens: tuple[int, ...], ap: tuple[int, ...], c: int) -> int:
+    """Number of components of the atom graph of c, which equals the number
+    of components of its factorization graph (see _betti_impl).
+
+    The vertices are the atoms m_i with c - m_i in M and the edges join
+    m_i != m_j with c - m_i - m_j in M.  ap is the Apery table of M with
+    respect to m_1 = len(ap); x is in M iff x >= ap[x % m_1], which fails
+    for every negative x since the table is non-negative.
+    """
+    m1 = len(ap)
+    atoms = [m for m in gens if c - m >= ap[(c - m) % m1]]
+    comps = 0
+    while atoms:
+        comps += 1
+        frontier = [atoms.pop()]
+        while frontier and atoms:
+            d = c - frontier.pop()
+            rest = []
+            for m in atoms:
+                (frontier if d - m >= ap[(d - m) % m1] else rest).append(m)
+            atoms = rest
+    return comps
+
+
 def _betti_impl(
     M: NumericalMonoid, deadline: float | None
 ) -> tuple[FactorizationGraph, ...]:
@@ -170,20 +202,27 @@ def _betti_impl(
     # and m_1 with the m_1-using component, collapsing the two, which is
     # impossible.  So w = b - m_i is in the Apery set, and w != 0 because an
     # atom of a minimal tuple factors uniquely (as itself).
-    table = apery(M)
-    candidates = sorted(
-        {m + w for m in M.generators[1:] for w in table.entries if w}
-    )
+    #
+    # Only candidates whose atom graph is disconnected are enumerated, by
+    # Rosales' theorem (module docstring).  Proof: send each vertex m_i of
+    # the atom graph of c to the component of the factorizations of c that
+    # use m_i; there is at least one, since c - m_i is in M, and they
+    # pairwise share m_i.  Every component is reached, since c > 0.  An edge
+    # m_i ~ m_j extends to a factorization using both, so adjacent atoms go
+    # to one component.  Conversely the support of a factorization is a
+    # clique of the atom graph, and two factorizations sharing an atom have
+    # connected supports, so the atoms used in one component of the
+    # factorization graph are connected in the atom graph.
+    ap = apery(M).entries
+    candidates = sorted({m + w for m in M.generators[1:] for w in ap if w})
     gens = M.generators
     t = M.t
     out = []
     for c in candidates:
         _check_deadline(deadline)
-        zs = _enumerate_best(gens, c, DEFAULT_CAP, deadline)
-        if len(zs) >= 2:
-            uf = _atom_union(t, zs)
-            if uf.n_components > 1:
-                out.append(_graph(c, zs, uf))
+        if _atom_components(gens, ap, c) > 1:
+            zs = _enumerate_best(gens, c, DEFAULT_CAP, deadline)
+            out.append(_graph(c, zs, _atom_union(t, zs)))
     return tuple(out)
 
 

@@ -8,12 +8,12 @@ on coordinate k of the shorter side; equal-length relations are untouched.
 The correspondence composes across steps, so a minimal presentation computed
 directly at a small base shift determines one at any larger shift in the same
 residue class mod r_k in closed form.  That removes the part of the direct
-algorithm that grows with n: the Betti-element candidate scan visits about
-k*n candidates (whose values grow like n^2), so it takes about a quarter
-second at n = 10^4 and a few seconds at 10^5 for r = (6,9,20).  The
-re-verification at the target enumerates each lifted Betti element's
-factorizations by length slices, whose cost hardly depends on n, so a
-verified lift at n = 10^6 or 10^9 takes tens of milliseconds.
+algorithm that grows with n: the Betti-element candidate scan tests about
+k*n candidates against the Apery table, so it takes about 50 ms at
+n = 10^4 and 0.6 s at 10^5 for r = (6,9,20).  The re-verification at the
+target enumerates each lifted Betti element's factorizations by length
+slices, whose cost hardly depends on n, so a verified lift at n = 10^6 or
+10^9 takes a few milliseconds.
 """
 
 from __future__ import annotations

@@ -410,6 +410,40 @@ def test_verify_input_validation(cli, tmp_path):
     assert code == 1
 
 
+def _tampered_presentation(cli, tmp_path, edit, gens="6,9,20"):
+    _, out = cli("minpres", "--gens", gens)
+    payload = json.loads(out)
+    edit(payload)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(payload))
+    return cli("verify", "--gens", gens, "--presentation", str(path))
+
+
+@pytest.mark.parametrize(
+    "gens, edit",
+    [
+        ("6,9,20", lambda p: p["relations"][0].update(betti=999)),
+        ("6,9,20", lambda p: p.update(betti_elements=[18, 999])),
+        ("6,9,20", lambda p: p["generators"].__setitem__(0, 6.0)),
+        # true == 1, so only the type tells it from the generator 1
+        ("1", lambda p: p["generators"].__setitem__(0, True)),
+    ],
+    ids=["betti-tag", "betti-elements", "float-generator", "bool-generator"],
+)
+def test_verify_refuses_a_file_unlike_what_it_holds(cli, tmp_path, gens, edit):
+    assert _tampered_presentation(cli, tmp_path, edit, gens) == (1, "")
+
+
+def test_verify_accepts_a_file_without_tags(cli, tmp_path):
+    def untag(payload):
+        del payload["betti_elements"]
+        for r in payload["relations"]:
+            del r["betti"]
+
+    code, out = _tampered_presentation(cli, tmp_path, untag)
+    assert code == 0 and out.startswith("ok window=")
+
+
 def test_bad_usage_is_exit_1(cli, tmp_path):
     assert cli("betti", "--gens", "6,x")[0] == 1
     assert cli("betti", "--gens", "6,9,20", "--bogus")[0] == 1

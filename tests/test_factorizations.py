@@ -1,3 +1,4 @@
+import gc
 import time
 
 import pytest
@@ -8,11 +9,13 @@ from numonoid import (
     InvalidInput,
     NotAnElement,
     NumericalMonoid,
+    clear_caches,
     distance,
     factorizations,
     length_profile,
 )
 from numonoid.factorizations import _sliced_is_cheaper
+from numonoid.oracle import factorization_buckets
 
 M6920 = NumericalMonoid((6, 9, 20))
 
@@ -114,3 +117,24 @@ def test_distance_fixtures():
 
 def test_repeated_calls_are_deterministic():
     assert factorizations(M6920, 126) == factorizations(M6920, 126)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # a recursive search whose closure kept itself alive would hold its
+    # results until the next full collection
+    shifted = NumericalMonoid((1000, 1006, 1009, 1020))
+    assert not _sliced_is_cheaper(M6920.generators, 600)
+    assert _sliced_is_cheaper(shifted.generators, 30018)
+    clear_caches()  # so that the oracle's sweep runs, not its cache
+    gc.collect()
+    gc.disable()
+    try:
+        for run in (
+            lambda: factorizations(M6920, 600),
+            lambda: factorizations(shifted, 30018),
+            lambda: factorization_buckets((6, 9, 20), 101),
+        ):
+            assert run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -13,6 +13,7 @@ from numonoid import (
     NumericalMonoid,
     ShiftedFamily,
     all_minimal_presentations,
+    apery,
     betti_elements,
     congruence_closure_check,
     contains,
@@ -133,6 +134,25 @@ def test_betti_scan_enumerates_through_the_entry(monkeypatch):
         calls.clear()
         presentations._betti_impl(NumericalMonoid(gens), None)
         assert calls, gens
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    M=st.lists(st.integers(3, 30), min_size=3, max_size=4, unique=True)
+    .map(normalize_generators)
+    .filter(lambda M: M.t >= 3 and M.is_primitive)
+)
+def test_atom_graph_counts_the_factorization_graph_components(M):
+    # the scan enumerates a candidate only when its atom graph splits; at
+    # every candidate that graph has as many components as the
+    # factorization graph, and the scan finds the oracle's Betti elements
+    gens = M.generators
+    ap = apery(M).entries
+    for c in sorted({m + w for m in gens[1:] for w in ap if w}):
+        expected = len(factorization_graph(M, c).components)
+        assert presentations._atom_components(gens, ap, c) == expected, c
+    bound = frobenius(M) + gens[0] + gens[-1]
+    assert betti_elements(M) == naive_betti_scan(M, bound)
 
 
 @pytest.mark.parametrize("gens", CORPUS)

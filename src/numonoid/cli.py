@@ -77,6 +77,17 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _timeout_secs(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also refuses nan, which never expires
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
+def _add_timeout(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--timeout-secs", type=_timeout_secs, default=60.0)
+
+
 def _is_int(x) -> bool:
     # JSON true and 6.0 compare equal to 1 and 6, but are not integers
     return isinstance(x, int) and not isinstance(x, bool)
@@ -182,29 +193,31 @@ def _cmd_invariant(args, out) -> int:
     gens = _int_list(args.gens)
     M = NumericalMonoid(gens)
     which = args.which
+    deadline = time.monotonic() + args.timeout_secs
     if args.element is not None:
         a = args.element
         if which == "delta":
-            values = sorted(delta_set_of_element(M, a))
+            values = sorted(delta_set_of_element(M, a, deadline=deadline))
             payload = {"which": which, "element": a, "values": values}
         elif which == "catenary":
             payload = {
                 "which": which,
                 "element": a,
-                "value": catenary_of_element(M, a),
+                "value": catenary_of_element(M, a, deadline=deadline),
             }
         elif which in ("mon-catenary", "eq-catenary"):
-            mon, eq = monotone_equal_catenary(M, a)
+            mon, eq = monotone_equal_catenary(M, a, deadline=deadline)
             value = mon if which == "mon-catenary" else eq
             payload = {"which": which, "element": a, "value": value}
         else:
-            payload = {"which": which, "element": a, "value": tame_degree(M, a)}
+            value = tame_degree(M, a, deadline=deadline)
+            payload = {"which": which, "element": a, "value": value}
         out.write(json.dumps(payload) + "\n")
         return 0
 
     # monoid level; explicit --window forces the windowed path
     if which == "delta":
-        ds = delta_set(M, window=args.window)
+        ds = delta_set(M, window=args.window, deadline=deadline)
         payload = {
             "which": which,
             "values": sorted(ds.values),
@@ -212,9 +225,10 @@ def _cmd_invariant(args, out) -> int:
             "window": ds.window,
         }
     elif which == "catenary":
-        payload = {"which": which, "value": catenary_of_monoid(M), "exact": True}
+        value = catenary_of_monoid(M, deadline=deadline)
+        payload = {"which": which, "value": value, "exact": True}
     elif which in ("mon-catenary", "eq-catenary"):
-        report = monoid_catenary_report(M, window=args.window)
+        report = monoid_catenary_report(M, window=args.window, deadline=deadline)
         value = report.monotone if which == "mon-catenary" else report.equal
         payload = {
             "which": which,
@@ -223,7 +237,7 @@ def _cmd_invariant(args, out) -> int:
             "window": report.window,
         }
     else:
-        report = tame_degree_windowed(M, window=args.window)
+        report = tame_degree_windowed(M, window=args.window, deadline=deadline)
         payload = {
             "which": which,
             "value": report.value,
@@ -288,8 +302,6 @@ def _cmd_bench(args, out) -> int:
     family = ShiftedFamily(_int_list(args.r))
     if args.repeats < 1:
         raise InvalidInput("--repeats must be positive")
-    if not args.timeout_secs >= 0:  # also refuses nan, which never expires
-        raise InvalidInput("--timeout-secs must be non-negative")
     member = monoid_at(family, args.n)
 
     accel_times = []
@@ -431,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--element", type=int, default=None)
     p.add_argument("--window", type=_non_negative, default=None)
+    _add_timeout(p)
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("survey", help="family survey CSV")
@@ -450,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--timeout-secs", type=float, default=60.0)
+    _add_timeout(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="closure-check a presentation file")

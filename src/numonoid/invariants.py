@@ -1,11 +1,14 @@
 """Factorization invariants: delta sets, catenary degrees, tame degree.
 
 Monoid-level ordinary catenary is exact (it is attained at a Betti element,
-so a per-Betti bottleneck computation suffices).  Monoid-level monotone and
-equal catenary degrees and the tame degree have no known finite certificate
-in general, so outside the shifted-family regime they are reported as sups
-over a stated window and flagged as lower bounds.  The regime is read off
-the generators: M = <m_1, ..., m_t> is the member n = m_1 of the family with
+so a per-Betti bottleneck computation suffices).  The tame degree is
+attained at an element at most F + 2 m_t, F the Frobenius number, so its
+sweep stops there and is exact once the window reaches it, as the default
+window always does (proof in tame_degree_windowed).  Monoid-level monotone
+and equal catenary degrees have no known finite certificate in general, so
+outside the shifted-family regime they are reported as sups over a stated
+window and flagged as lower bounds.  The regime is read off the
+generators: M = <m_1, ..., m_t> is the member n = m_1 of the family with
 offsets r_i = m_{i+1} - m_1, and is inside it when m_1 > r_k^2.  There the
 Betti elements come from the accelerated presentation, the monotone and
 equal catenary degrees collapse onto the ordinary one and the delta set is
@@ -25,16 +28,20 @@ The windowed sweeps avoid per-element searches where an identity allows:
   length.  Equal is the largest bottleneck of a length class; monotone is
   the larger of equal and the least distance between each two consecutive
   length classes (proof in monotone_equal_catenary).  Both cost O(|Z(a)|^2)
-  distance evaluations.
+  distance evaluations, less in the sweep, which skips every class and
+  every pair of classes too short to raise its running max (d(u, v) <=
+  max(|u|, |v|)) and stops a closest-pair scan at the first pair within it.
 - Tame degree: O(|Z(a)|^2) distances per atom at most, cut short for a
-  factorization as soon as one user of the atom lies within the running max.
+  factorization as soon as one user of the atom lies within the running
+  max, for the elements up to min(window, F + 2 m_t) only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .core import NumericalMonoid, contains, default_window
+from .core import NumericalMonoid, contains, default_window, frobenius
 from .errors import InvalidInput, NotAnElement, NotPrimitive, VerificationFailed
 from .factorizations import _check_deadline, _distance, factorizations, length_profile
 from .presentations import betti_elements
@@ -61,18 +68,12 @@ def _window(M: NumericalMonoid, window: int | None) -> int:
     return default_window(M) if window is None else window
 
 
-def _sweep(M: NumericalMonoid, window: int | None, deadline: float | None):
-    """The window (default_window when None) and a generator over the
-    elements of M in [0, window], checking the deadline before each."""
-    w = _window(M, window)
-
-    def members():
-        for a in range(w + 1):
-            _check_deadline(deadline)
-            if contains(M, a):
-                yield a
-
-    return w, members()
+def _members(M: NumericalMonoid, last: int, deadline: float | None):
+    """The elements of M in [0, last], checking the deadline before each."""
+    for a in range(last + 1):
+        _check_deadline(deadline)
+        if contains(M, a):
+            yield a
 
 
 @dataclass(frozen=True)
@@ -196,26 +197,51 @@ def monotone_equal_catenary(
     and step to v in class j - 1; by induction on j, v reaches every
     factorization of every shorter class.  So N is feasible.
     """
+    return _monotone_equal(M, a, 0, 0, deadline)
+
+
+def _monotone_equal(
+    M: NumericalMonoid,
+    a: int,
+    monotone: int,
+    equal: int,
+    deadline: float | None,
+) -> tuple[int, int]:
+    """(max(monotone, monotone degree of a), max(equal, equal degree of a)).
+
+    The floors let a sweep skip what cannot raise its running max: since
+    d(u, v) <= max(|u|, |v|), a length class l <= equal has bottleneck at
+    most equal, a consecutive pair of classes whose longer length is
+    <= monotone has least distance at most monotone, and the scan for a
+    closest pair can stop at the first pair within monotone.  With zero
+    floors nothing is skipped and the result is the element's own degrees.
+    """
     zs = factorizations(M, a, deadline=deadline)
     if not zs:
         raise NotAnElement(f"{a} is not an element of {M.generators}")
     classes: dict[int, list[tuple[int, ...]]] = {}
     for z in zs:
         classes.setdefault(sum(z), []).append(z)
-    equal = 0
     for ell, cls in classes.items():
         _check_deadline(deadline)
-        equal = max(equal, _bottleneck([(z, ell) for z in cls]))
-    monotone = equal
+        if ell > equal:
+            equal = max(equal, _bottleneck([(z, ell) for z in cls]))
+    monotone = max(monotone, equal)
     lengths = sorted(classes)
     for shorter, longer in zip(lengths, lengths[1:]):
         _check_deadline(deadline)
-        step = min(
-            _distance(u, v, longer, shorter)
-            for u in classes[longer]
-            for v in classes[shorter]
-        )
-        monotone = max(monotone, step)
+        if longer <= monotone:
+            continue
+        # the least distance between the classes raises monotone only if
+        # no pair lies within it; every distance is at most longer
+        nearest = longer
+        for u, v in product(classes[longer], classes[shorter]):
+            d = _distance(u, v, longer, shorter)
+            if d <= monotone:
+                break
+            nearest = min(nearest, d)
+        else:
+            monotone = nearest
     return monotone, equal
 
 
@@ -236,13 +262,11 @@ def monoid_catenary_report(
     if betti is not None:
         ordinary = catenary_of_monoid(M, betti=betti, deadline=deadline)
         return CatenaryReport(ordinary, ordinary, ordinary, True, None)
-    w, members = _sweep(M, window, deadline)
+    w = _window(M, window)
     ordinary = catenary_of_monoid(M, deadline=deadline)
     monotone = equal = 0
-    for a in members:
-        mc, ec = monotone_equal_catenary(M, a, deadline=deadline)
-        monotone = max(monotone, mc)
-        equal = max(equal, ec)
+    for a in _members(M, w, deadline):
+        monotone, equal = _monotone_equal(M, a, monotone, equal, deadline)
     return CatenaryReport(ordinary, monotone, equal, False, w)
 
 
@@ -339,16 +363,32 @@ def tame_degree_windowed(
     window: int | None = None,
     deadline: float | None = None,
 ) -> TameReport:
-    """Windowed sup of element tame degrees; a lower bound for the monoid.
+    """Sup of the element tame degrees over the elements up to window
+    (default default_window), and the first element attaining it.
 
-    No closed form for the monoid-level tame degree is implemented (none is
-    known for shifted families); the report records the window and the
-    first element attaining the max.
+    Only the elements up to min(window, F + 2 m_t), F the Frobenius number,
+    are searched: for every element a, some element at most both a and
+    F + 2 m_t has a tame degree at least that of a.  So the sup, and the
+    first element attaining it, are those of the whole window, and once
+    window >= F + 2 m_t (always true at default_window, by Schur's bound
+    F <= (m_1 - 1)(m_t - 1) - 1) the value is the exact tame degree of M.
+
+    Proof (after Chapman, Garcia-Sanchez, Llena, Ponomarenko and Rosales,
+    Manuscripta Math. 2006).  Let z in Z(a) and an atom i with a - m_i in M
+    give the tame degree T of a.  Take z0 <= z coordinatewise and minimal
+    with pi(z0) - m_i in M, where pi(z0) = sum z0_j m_j.  Translating by
+    z - z0 carries each factorization of pi(z0) using atom i to one of a
+    using atom i, as far from z as it was from z0.  So z0 lies at least T
+    from every user of i at pi(z0), and the tame degree of pi(z0) <= a is
+    at least T.  z0 is not zero, since pi(z0) >= m_i, and
+    for j in its support minimality gives pi(z0) - m_j - m_i not in M, so
+    pi(z0) <= F + m_i + m_j <= F + 2 m_t.  Minimal generation is not used.
     """
-    w, members = _sweep(M, window, deadline)
+    w = _window(M, window)
+    last = min(w, frobenius(M) + 2 * M.generators[-1])
     value = -1
     attained = None
-    for a in members:
+    for a in _members(M, last, deadline):
         ta = tame_degree(M, a, deadline=deadline)
         if ta > value:
             value, attained = ta, a

@@ -466,3 +466,11 @@ def test_bad_usage_is_exit_1(cli, tmp_path):
     for timeout in ("-5", "nan"):
         assert cli("bench", "--r", "6,9,20", "--n", "401",
                    "--timeout-secs", timeout) == (1, "")
+        assert cli("invariant", "--gens", "11,17,20,23", "--which",
+                   "mon-catenary", "--timeout-secs", timeout) == (1, "")
+
+
+def test_invariant_timeout_is_exit_2(cli):
+    # the windowed sweep honours the budget and prints nothing
+    assert cli("invariant", "--gens", "11,17,20,23", "--which",
+               "mon-catenary", "--timeout-secs", "0") == (2, "")

@@ -17,6 +17,7 @@ from numonoid import (
     default_window,
     delta_set,
     delta_set_of_element,
+    frobenius,
     monoid_at,
     monoid_catenary_report,
     monotone_equal_catenary,
@@ -77,6 +78,19 @@ def test_monoid_catenary_report_windowed():
     )
     with pytest.raises(InvalidInput):
         monoid_catenary_report(M, window=-2)
+    # the running equal degree is 2 when the sweep reaches 33, whose one
+    # length-3 class {(2,0,1,0), (0,3,0,0)} raises it to 3: a class only
+    # one longer than the running max still counts
+    rep = monoid_catenary_report(NumericalMonoid((9, 11, 15, 17)), window=40)
+    assert rep == CatenaryReport(
+        ordinary=5, monotone=3, equal=3, exact=False, window=40
+    )
+    # likewise the running monotone degree is 5 at 36, whose classes of
+    # lengths 2 and 6, {(0,0,1,1)} and {(4,2,0,0)}, lie 6 apart
+    rep = monoid_catenary_report(NumericalMonoid((4, 10, 15, 21)), window=40)
+    assert rep == CatenaryReport(
+        ordinary=6, monotone=6, equal=2, exact=False, window=40
+    )
 
 
 def test_monoid_catenary_report_family_exact():
@@ -138,6 +152,12 @@ def test_tame_degree():
 
 def test_tame_degree_windowed():
     assert tame_degree_windowed(M, window=200) == TameReport(10, 60, 200)
+    # the sweep stops at F + 2 m_t = 201 here; the value is first reached
+    # at 200, past F + m_1 + m_t = 196, and the report keeps the window
+    S = NumericalMonoid((20, 24, 25))
+    assert frobenius(S) == 151
+    assert tame_degree_windowed(S, window=600) == TameReport(9, 200, 600)
+    assert tame_degree_windowed(S) == TameReport(9, 200, default_window(S))
     with pytest.raises(InvalidInput):
         tame_degree_windowed(M, window=-3)
 

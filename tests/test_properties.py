@@ -17,14 +17,17 @@ from numonoid import (
     betti_elements,
     congruence_closure_check,
     contains,
+    default_window,
     delta_set,
     factorizations,
     frobenius,
     minimal_presentation,
     monoid_at,
+    monoid_catenary_report,
     monotone_equal_catenary,
     naive_betti_scan,
     normalize_generators,
+    tame_degree_windowed,
 )
 from numonoid.factorizations import (
     _enumerate,
@@ -387,6 +390,60 @@ def test_monotone_equal_catenary_matches_the_definition(M, data):
     w = data.draw(st.integers(0, _oracle_window(M.generators, 120)))
     for a, zs in sorted(factorization_buckets(M.generators, w).items()):
         assert monotone_equal_catenary(M, a) == _monotone_equal_by_search(zs), a
+
+
+@settings(deadline=None, max_examples=30)
+@given(M=small_monoids, data=st.data())
+def test_windowed_catenary_report_matches_the_definition(M, data):
+    # the sweep skips the length classes and pairs of classes that cannot
+    # raise its running max; the sup over the window must not move
+    w = data.draw(st.integers(0, _oracle_window(M.generators, 120)))
+    by_search = [
+        _monotone_equal_by_search(zs)
+        for zs in factorization_buckets(M.generators, w).values()
+    ]
+    report = monoid_catenary_report(M, window=w)
+    assert report.monotone == max(mon for mon, _ in by_search)
+    assert report.equal == max(eq for _, eq in by_search)
+    assert (report.exact, report.window) == (False, w)
+
+
+def _tame_by_definition(gens, w):
+    """(value, attained_at) of the windowed tame degree from every
+    factorization of every element up to w: for each element a, the max
+    over atoms m_i with a - m_i in M and over z in Z(a) of the distance
+    from z to the nearest factorization of a using m_i; then the largest
+    value and the first element reaching it."""
+    buckets = factorization_buckets(gens, w)
+    best, attained = -1, None
+    for a in range(w + 1):
+        zs = buckets.get(a)
+        if zs is None:
+            continue
+        ta = 0
+        for i, g in enumerate(gens):
+            if a - g in buckets:
+                users = [u for u in zs if u[i] > 0]
+                ta = max([ta] + [min(distance(z, u) for u in users) for z in zs])
+        if ta > best:
+            best, attained = ta, a
+    return best, attained
+
+
+@settings(deadline=None, max_examples=60)
+@given(M=small_monoids, data=st.data())
+def test_windowed_tame_degree_matches_the_definition(M, data):
+    # the sweep stops at F + 2 m_t; windows up to three times that check
+    # that nothing past it raises the value or moves where it is attained
+    cap = frobenius(M) + 2 * M.generators[-1]
+    assert cap <= default_window(M)
+    w = data.draw(st.integers(0, _oracle_window(M.generators, 3 * cap)))
+    event("past the stop" if w > cap else "within the stop")
+    report = tame_degree_windowed(M, window=w)
+    assert (report.value, report.attained_at) == _tame_by_definition(
+        M.generators, w
+    )
+    assert report.window == w
 
 
 def _closure_by_move_graph(M, relations, window):

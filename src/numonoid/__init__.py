@@ -6,6 +6,7 @@ from . import core as _core
 from . import oracle as _oracle
 from . import presentations as _presentations
 from .core import (
+    DEFAULT_CAP,
     AperyTable,
     NumericalMonoid,
     apery,
@@ -29,7 +30,6 @@ from .errors import (
     VerificationFailed,
 )
 from .factorizations import (
-    DEFAULT_CAP,
     LengthProfile,
     distance,
     factorizations,

@@ -4,7 +4,7 @@ Subcommands: apery, member, factorizations, betti, minpres, invariant,
 survey, bench, verify.  Exit codes: 0 success, 1 invalid input, 2
 computation budget exceeded, 3 verification failure, 141 (128 + SIGPIPE)
 when the reader of stdout closes it early.  All output is deterministic
-for fixed inputs, including across --jobs settings.
+for fixed inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import clear_caches
 from .core import NumericalMonoid, apery, contains, frobenius
@@ -41,15 +40,15 @@ from .invariants import (
 )
 from .oracle import congruence_closure_check
 from .presentations import (
+    _canonical_presentation,
     all_minimal_presentations,
-    betti_elements,
     make_relation,
     minimal_presentation,
 )
 from .shifted import (
     ShiftedFamily,
+    _betti_graphs,
     accelerated_minimal_presentation,
-    family_from_generators,
     monoid_at,
 )
 
@@ -141,27 +140,14 @@ def _cmd_factorizations(args, out) -> int:
 
 def _cmd_betti(args, out) -> int:
     M = NumericalMonoid(_int_list(args.gens))
-    for beta in betti_elements(M):
-        out.write(f"{beta}\n")
+    for graph in _betti_graphs(M, None):
+        out.write(f"{graph.element}\n")
     return 0
 
 
-def _minpres_for_strategy(gens: tuple[int, ...], strategy: str):
-    # the accelerated path itself falls back to the direct one below the
-    # lifting regime, so auto only has to route single generators
-    M = NumericalMonoid(gens)
-    family, n = family_from_generators(gens)
-    if family is None and strategy == "shift":
-        raise InvalidInput("a single generator has no shifted family")
-    if strategy == "direct" or family is None:
-        return minimal_presentation(M)
-    return accelerated_minimal_presentation(family, n)
-
-
 def _cmd_minpres(args, out) -> int:
-    gens = _int_list(args.gens)
+    M = NumericalMonoid(_int_list(args.gens))
     if args.all:
-        M = NumericalMonoid(gens)
         count, items = all_minimal_presentations(M)
         if args.paranoid:
             for p in items:
@@ -182,7 +168,12 @@ def _cmd_minpres(args, out) -> int:
                 out.write("\n")
                 _print_presentation(p, "text", out)
         return 0
-    pres = _minpres_for_strategy(gens, args.strategy)
+    if args.strategy == "direct":
+        pres = minimal_presentation(M)
+    elif args.strategy == "shift" and M.t == 1:
+        raise InvalidInput("a single generator has no shifted family")
+    else:
+        pres = _canonical_presentation(M, _betti_graphs(M, None))
     if args.paranoid:
         _closure_check(pres.monoid, pres.relations, None, out)
     _print_presentation(pres, args.format, out)
@@ -199,18 +190,14 @@ def _cmd_invariant(args, out) -> int:
         if which == "delta":
             values = sorted(delta_set_of_element(M, a, deadline=deadline))
             payload = {"which": which, "element": a, "values": values}
-        elif which == "catenary":
-            payload = {
-                "which": which,
-                "element": a,
-                "value": catenary_of_element(M, a, deadline=deadline),
-            }
-        elif which in ("mon-catenary", "eq-catenary"):
-            mon, eq = monotone_equal_catenary(M, a, deadline=deadline)
-            value = mon if which == "mon-catenary" else eq
-            payload = {"which": which, "element": a, "value": value}
         else:
-            value = tame_degree(M, a, deadline=deadline)
+            if which == "catenary":
+                value = catenary_of_element(M, a, deadline=deadline)
+            elif which == "tame":
+                value = tame_degree(M, a, deadline=deadline)
+            else:
+                mon, eq = monotone_equal_catenary(M, a, deadline=deadline)
+                value = mon if which == "mon-catenary" else eq
             payload = {"which": which, "element": a, "value": value}
         out.write(json.dumps(payload) + "\n")
         return 0
@@ -284,17 +271,13 @@ def _cmd_survey(args, out) -> int:
         except OSError as exc:
             raise InvalidInput(f"cannot write {args.out}: {exc}")
     with sink as fh:
+        # every row, in order of n, before the header: a failed
+        # verification leaves the output empty
         shifts = range(args.n_from, args.n_to + 1)
-        if args.jobs == 1:
-            chunks = [_survey_rows(family, n, args.which) for n in shifts]
-        else:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                chunks = list(
-                    pool.map(lambda n: _survey_rows(family, n, args.which), shifts)
-                )
+        rows = [row for n in shifts for row in _survey_rows(family, n, args.which)]
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "metric", "value"])
-        writer.writerows(sorted(row for chunk in chunks for row in chunk))
+        writer.writerows(rows)
     return 0
 
 
@@ -456,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--out", required=True, help="output path, - for stdout")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="rows are computed in order")
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("bench", help="direct vs accelerated timing")

@@ -21,11 +21,15 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     InvalidGenerators,
     InvalidInput,
     NotPrimitive,
 )
+
+# the most entries of an Apery table, and of vectors one enumeration emits
+DEFAULT_CAP = 10**7
 
 
 class NumericalMonoid:
@@ -143,9 +147,14 @@ def apery(M: NumericalMonoid) -> AperyTable:
     arcs rho -> (rho + m_i) mod m_1 of weight m_i.  The shortest distance
     from residue 0 to rho is exactly the least element of M in that class,
     because every element is reachable by adding generators one at a time
-    and adding m_1 itself never changes the residue.
+    and adding m_1 itself never changes the residue.  Raises
+    BudgetExceeded, before allocating anything, when m_1 > DEFAULT_CAP.
     """
     m1 = M.generators[0]
+    if m1 > DEFAULT_CAP:
+        raise BudgetExceeded(
+            f"an Apery table of {m1} entries exceeds the cap of {DEFAULT_CAP}"
+        )
     dist: list = [None] * m1
     dist[0] = 0
     heap: list[tuple[int, int]] = [(0, 0)]

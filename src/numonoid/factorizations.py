@@ -32,10 +32,8 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .core import NumericalMonoid
+from .core import DEFAULT_CAP, NumericalMonoid
 from .errors import BudgetExceeded, DimensionMismatch, InvalidInput, NotAnElement
-
-DEFAULT_CAP = 10**7
 
 # deadline checks are amortized: one clock read per this many inner steps
 _TICK = 4096

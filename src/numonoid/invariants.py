@@ -10,11 +10,12 @@ outside the shifted-family regime they are reported as sups over a stated
 window and flagged as lower bounds.  The regime is read off the
 generators: M = <m_1, ..., m_t> is the member n = m_1 of the family with
 offsets r_i = m_{i+1} - m_1, and is inside it when m_1 > r_k^2.  There the
-Betti elements come from the accelerated presentation, the monotone and
-equal catenary degrees collapse onto the ordinary one and the delta set is
-the singleton {gcd of the offsets}; those paths are exact and are
-cross-checked against the Betti data before being returned.  An explicit
-window always forces the windowed sweep.
+monotone and equal catenary degrees collapse onto the ordinary one and the
+delta set is the singleton {gcd of the offsets}; those paths are exact and
+are cross-checked against the Betti data before being returned.  Every
+Betti element comes from shifted._betti_graphs, which takes the lift well
+above the threshold and the direct scan otherwise.  An explicit window
+always forces the windowed sweep.
 
 The windowed sweeps avoid per-element searches where an identity allows:
 
@@ -44,18 +45,14 @@ from itertools import product
 from .core import NumericalMonoid, contains, default_window, frobenius
 from .errors import InvalidInput, NotAnElement, NotPrimitive, VerificationFailed
 from .factorizations import _check_deadline, _distance, factorizations, length_profile
-from .presentations import betti_elements
-from .shifted import accelerated_minimal_presentation, family_from_generators
+from .shifted import _betti_graphs, family_from_generators
 
 
-def _family_betti(M: NumericalMonoid, deadline: float | None):
-    """Betti elements of M read off the accelerated presentation when M is
-    above its shifted family's threshold (m_1 > r_k^2), else None."""
+def _regime_family(M: NumericalMonoid):
+    """M's shifted family when M is above the family's threshold
+    (m_1 > r_k^2), where its theorems hold, else None."""
     family, n = family_from_generators(M.generators)
-    if family is None or n <= family.threshold:
-        return None
-    pres = accelerated_minimal_presentation(family, n, deadline=deadline)
-    return pres.betti_values()
+    return family if family is not None and n > family.threshold else None
 
 
 def _window(M: NumericalMonoid, window: int | None) -> int:
@@ -157,15 +154,12 @@ def catenary_of_monoid(
 ) -> int:
     """Catenary degree of the monoid: the max over its Betti elements.
 
-    The value is attained at a Betti element, so this is exact.  Above the
-    family threshold the Betti elements come from the accelerated
-    presentation, otherwise from the direct scan; a precomputed Betti list
-    can be passed to skip both.
+    The value is attained at a Betti element, so this is exact.  The Betti
+    elements come from shifted._betti_graphs, by the lift or the direct
+    scan; a precomputed Betti list can be passed to skip both.
     """
     if betti is None:
-        betti = _family_betti(M, deadline)
-    if betti is None:
-        betti = betti_elements(M, deadline=deadline)
+        betti = [graph.element for graph in _betti_graphs(M, deadline)]
     best = 0
     for beta in betti:
         _check_deadline(deadline)
@@ -258,9 +252,8 @@ def monoid_catenary_report(
     report is exact; otherwise they are sups over elements up to window
     (default default_window) and flagged as lower bounds.
     """
-    betti = _family_betti(M, deadline) if window is None else None
-    if betti is not None:
-        ordinary = catenary_of_monoid(M, betti=betti, deadline=deadline)
+    if window is None and _regime_family(M) is not None:
+        ordinary = catenary_of_monoid(M, deadline=deadline)
         return CatenaryReport(ordinary, ordinary, ordinary, True, None)
     w = _window(M, window)
     ordinary = catenary_of_monoid(M, deadline=deadline)
@@ -293,12 +286,12 @@ def delta_set(
     L(a) = union over m_i <= a of (L(a - m_i) + 1), L(0) = {0}, on int
     bitmasks (bit l set when l is in L(a)), keeping the last m_t masks.
     """
-    betti = _family_betti(M, deadline) if window is None else None
-    if betti is not None:
-        d = family_from_generators(M.generators)[0].d
+    family = _regime_family(M) if window is None else None
+    if family is not None:
+        d = family.d
         union = set()
-        for beta in betti:
-            union |= delta_set_of_element(M, beta, deadline=deadline)
+        for graph in _betti_graphs(M, deadline):
+            union |= delta_set_of_element(M, graph.element, deadline=deadline)
         if union != {d}:
             raise VerificationFailed(
                 f"Betti delta sets give {sorted(union)}, expected {{{d}}}"

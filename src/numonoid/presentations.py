@@ -241,24 +241,34 @@ def _canonical_presentation(
     )
 
 
-def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> Presentation:
-    return _canonical_presentation(M, _betti_impl(M, deadline))
+_Scan = tuple[tuple[FactorizationGraph, ...], Presentation]
 
 
-# One memo keyed by the monoid alone: an exact result is exact whatever
-# budget it was computed under, so calls with and without a deadline share
-# it.  Only completed computations are stored.  clear_caches() empties it.
-_minpres_memo: dict[NumericalMonoid, Presentation] = {}
+def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> _Scan:
+    graphs = _betti_impl(M, deadline)
+    return graphs, _canonical_presentation(M, graphs)
+
+
+# One memo keyed by the monoid alone, holding the scan's Betti graphs next
+# to the canonical presentation built from them.  An exact result is exact
+# whatever budget it was computed under, so calls with and without a
+# deadline share it.  Only completed computations are stored.
+# clear_caches() empties it.
+_minpres_memo: dict[NumericalMonoid, _Scan] = {}
+
+
+def _scan(M: NumericalMonoid, deadline: float | None) -> _Scan:
+    """The memoized direct scan of M: its Betti graphs and presentation."""
+    if M not in _minpres_memo:
+        _minpres_memo[M] = _minpres_impl(M, deadline)
+    return _minpres_memo[M]
 
 
 def minimal_presentation(
     M: NumericalMonoid, *, deadline: float | None = None
 ) -> Presentation:
-    """The canonical minimal presentation of M."""
-    pres = _minpres_memo.get(M)
-    if pres is None:
-        pres = _minpres_memo[M] = _minpres_impl(M, deadline)
-    return pres
+    """The canonical minimal presentation of M, by the direct scan."""
+    return _scan(M, deadline)[1]
 
 
 def betti_elements(M: NumericalMonoid, *, deadline: float | None = None) -> list[int]:
@@ -325,14 +335,17 @@ def all_minimal_presentations(
 
     The count is the product over Betti elements of the spanning-tree count
     of the complete multigraph on the components of the factorization graph,
-    with edge multiplicity |C|*|C'| between components C and C'.
+    with edge multiplicity |C|*|C'| between components C and C'.  The
+    graphs come from shifted._betti_graphs, by the lift or the scan.
     """
     if cap < 0:
         raise InvalidInput("cap must be non-negative")
+    from .shifted import _betti_graphs  # shifted imports this module
+
     count = 1
     per_beta: list[list[tuple[Relation, ...]]] = []
-    for beta in betti_elements(M):
-        comps = factorization_graph(M, beta).components
+    for graph in _betti_graphs(M, None):
+        comps = graph.components
         count *= _spanning_tree_count([len(c) for c in comps])
         if cap > 0:
             per_beta.append(_beta_choices(M, comps, cap))

@@ -14,6 +14,11 @@ n = 10^4 and 0.6 s at 10^5 for r = (6,9,20).  The re-verification at the
 target enumerates each lifted Betti element's factorizations by length
 slices, whose cost hardly depends on n, so a verified lift at n = 10^6 or
 10^9 takes a few milliseconds.
+
+_betti_graphs, the factorization graphs of the Betti elements, is the one
+place that chooses between the lift and the direct scan, and every path that
+may lift reads it.  minimal_presentation and betti_elements always scan, so
+that the two paths can be checked against each other.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ from .errors import (
 )
 from .oracle import congruence_closure_check
 from .presentations import (
+    FactorizationGraph,
     Presentation,
     Relation,
     _canonical_presentation,
+    _scan,
     factorization_graph,
     make_presentation,
     make_relation,
@@ -205,57 +212,53 @@ def lift_presentation(
     return make_presentation(target, rels)
 
 
-def accelerated_minimal_presentation(
-    F: ShiftedFamily,
-    n: int,
-    *,
-    deadline: float | None = None,
-) -> Presentation:
-    """Minimal presentation of M_n via a small base shift plus lifting.
-
-    For n within r_k of the threshold (or below) this is just the direct
-    computation.  Otherwise the base shift n0 is the smallest integer above
-    r_k^2 congruent to n mod r_k; the direct computation runs there, the
-    result is lifted (n - n0)/r_k steps, and the lift is re-canonicalized:
-    each lifted Betti element's factorization graph at the target is built,
-    the lifted relations are checked to span its components (the structural
-    verification), and the canonical spanning star is emitted, so the output
-    matches the direct canonical choice exactly.
-    """
-    target = monoid_at(F, n).monoid
-    # minimal_presentation at n, or at n0 (same gcd(n, d)), raises NotPrimitive/NotMinimal
-    if n <= F.threshold + F.step:
-        return minimal_presentation(target, deadline=deadline)
+def _betti_graphs(
+    M: NumericalMonoid, deadline: float | None
+) -> tuple[FactorizationGraph, ...]:
+    """The factorization graphs of the Betti elements of M, in increasing
+    order.  When M = M_n with n > r_k^2 + r_k, the direct scan runs at the
+    base shift n0, the smallest integer above r_k^2 congruent to n mod r_k,
+    and its presentation is lifted (n - n0)/r_k steps; the graph of each
+    lifted Betti element is built at M, and the lifted relations must join
+    its components in a spanning tree (the structural verification).
+    Otherwise the graphs come from the memoized direct scan."""
+    F, n = family_from_generators(M.generators)
+    if F is None or n <= F.threshold + F.step:
+        return _scan(M, deadline)[0]
+    # n0 has the same gcd(n, d), so the scan there raises NotPrimitive for M
     n0 = F.threshold + 1 + (n - F.threshold - 1) % F.step
     steps = (n - n0) // F.step
     base = minimal_presentation(monoid_at(F, n0).monoid, deadline=deadline)
     lifted = lift_presentation(F, n0, base, steps)
     graphs = []
     for beta, beta_rels in sorted(lifted.by_betti().items()):
-        graph = factorization_graph(target, beta, deadline=deadline)
-        if len(graph.components) < 2:
-            raise VerificationFailed(
-                f"lifted value {beta} has a connected graph; lift is unsound"
-            )
+        graph = factorization_graph(M, beta, deadline=deadline)
         comp_of = {z: ci for ci, comp in enumerate(graph.components) for z in comp}
         uf = UnionFind(len(graph.components))
         for rel in beta_rels:
-            ci = comp_of.get(rel.left)
-            cj = comp_of.get(rel.right)
-            if ci is None or cj is None:
-                raise VerificationFailed(
-                    f"lifted side of {rel} does not factor {beta}"
-                )
-            if not uf.union(ci, cj):
+            if rel.left not in comp_of or rel.right not in comp_of:
+                raise VerificationFailed(f"lifted side of {rel} does not factor {beta}")
+            # a connected graph fails here too, at its first relation
+            if not uf.union(comp_of[rel.left], comp_of[rel.right]):
                 raise VerificationFailed(
                     f"lifted relations at {beta} do not join distinct components"
                 )
         if uf.n_components != 1:
-            raise VerificationFailed(
-                f"lifted relations at {beta} do not span the components"
-            )
+            raise VerificationFailed(f"relations lifted to {beta} do not span")
         graphs.append(graph)
-    return _canonical_presentation(target, graphs)
+    return tuple(graphs)
+
+
+def accelerated_minimal_presentation(
+    F: ShiftedFamily,
+    n: int,
+    *,
+    deadline: float | None = None,
+) -> Presentation:
+    """Minimal presentation of M_n via a small base shift plus lifting
+    (_betti_graphs), in the direct computation's canonical choice."""
+    target = monoid_at(F, n).monoid
+    return _canonical_presentation(target, _betti_graphs(target, deadline))
 
 
 def equal_length_projection(

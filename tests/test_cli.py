@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from numonoid import cli as cli_module
+from numonoid import core, presentations
 from numonoid import (
     BudgetExceeded,
     NumericalMonoid,
@@ -14,6 +16,7 @@ from numonoid import (
     VerificationFailed,
     betti_elements,
     catenary_of_element,
+    clear_caches,
     delta_set_of_element,
     make_presentation,
     monoid_at,
@@ -47,6 +50,54 @@ def test_factorizations_cap_exceeded_is_exit_2(cli):
 
 def test_betti(cli):
     assert cli("betti", "--gens", "6,9,20") == (0, "18\n60\n")
+
+
+def test_apery_refuses_an_oversized_table(cli, monkeypatch):
+    # a table of 10^9 entries would take gigabytes; it is refused before
+    # anything is allocated.  The guard is first seen to fire on a small
+    # table under a lowered cap, so the large call never runs without it.
+    clear_caches()
+    with monkeypatch.context() as patched:
+        patched.setattr(core, "DEFAULT_CAP", 5)
+        assert cli("apery", "--gens", "6,9,20") == (2, "")
+    tracemalloc.start()
+    try:
+        result = cli("apery", "--gens", "1000000000,1000000006,1000000009,1000000020")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "")
+    assert peak < 10**6
+
+
+def test_betti_and_all_presentations_take_the_lift(cli, monkeypatch):
+    # at n = 10^6 + 1 the direct scan takes seconds; both commands scan only
+    # the base shift 401 and lift from there
+    scanned = []
+    real = presentations._betti_impl
+
+    def counting(M, deadline):
+        scanned.append(M.generators[0])
+        return real(M, deadline)
+
+    monkeypatch.setattr(presentations, "_betti_impl", counting)
+    gens = "1000001,1000007,1000010,1000021"
+    clear_caches()
+    code, out = cli("betti", "--gens", gens)
+    assert code == 0
+    assert out.split() == [
+        "3000021", "7000067", "8000080", "50003050003", "50003050009", "50003050042",
+    ]
+    clear_caches()
+    code, out = cli("minpres", "--gens", gens, "--all", "--format", "text")
+    assert code == 0 and out.startswith("count 2\n")
+    assert scanned == [401, 401]
+    code, out = cli("minpres", "--gens", gens, "--all")
+    assert code == 0
+    code, single = cli("minpres", "--gens", gens)
+    assert code == 0
+    assert json.loads(out)["presentations"][0] == json.loads(single)["relations"]
+    assert scanned == [401, 401]
 
 
 def test_minpres_json_schema(cli):

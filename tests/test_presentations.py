@@ -256,17 +256,22 @@ def test_deadline_calls_share_the_memo(monkeypatch):
 
 
 def test_all_minimal_presentations_builds_each_graph_once(monkeypatch):
-    # on a cold memo the presentation reuses the Betti scan's graphs, so
-    # factorization_graph runs once per Betti element, to list its components
-    built = []
-    real = presentations.factorization_graph
+    # the presentations reuse the Betti scan's graphs: on a cold memo Z(b)
+    # is enumerated once per Betti element b, to build its graph, and on a
+    # warm memo not at all
+    enumerated = []
+    real = presentations._enumerate_best
 
-    def logged(M, a, **kwargs):
-        built.append(a)
-        return real(M, a, **kwargs)
+    def logged(gens, a, *args, **kwargs):
+        enumerated.append(a)
+        return real(gens, a, *args, **kwargs)
 
-    monkeypatch.setattr(presentations, "factorization_graph", logged)
+    monkeypatch.setattr(presentations, "_enumerate_best", logged)
+    M = NumericalMonoid((6, 9, 20))
     clear_caches()
-    count, _ = all_minimal_presentations(NumericalMonoid((6, 9, 20)))
+    count, _ = all_minimal_presentations(M)
     assert count == 4
-    assert built == [18, 60]
+    assert [a for a in enumerated if a in (18, 60)] == [18, 60]
+    enumerated.clear()
+    assert all_minimal_presentations(M)[0] == 4
+    assert [a for a in enumerated if a in (18, 60)] == []

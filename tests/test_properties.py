@@ -4,10 +4,10 @@ import importlib
 import math
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from numonoid import presentations
+from numonoid import presentations, shifted
 from numonoid import (
     BudgetExceeded,
     NumericalMonoid,
@@ -194,6 +194,23 @@ def test_betti_scan_returns_the_factorization_graphs(M):
     graphs = presentations._betti_impl(M, None)
     assert graphs == tuple(factorization_graph(M, g.element) for g in graphs)
     assert [g.element for g in graphs] == betti_elements(M)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    F=st.lists(st.integers(1, 9), min_size=2, max_size=3, unique=True).map(
+        lambda xs: ShiftedFamily(tuple(sorted(xs)))
+    ),
+    data=st.data(),
+)
+def test_lifted_betti_graphs_match_the_scan(F, data):
+    # past r_k^2 + r_k the router lifts from the base shift; its graphs are
+    # the ones the direct scan finds at the target
+    n = data.draw(st.integers(F.threshold + F.step + 1, F.threshold + 6 * F.step))
+    member = monoid_at(F, n)
+    assume(member.primitive)
+    graphs = shifted._betti_graphs(member.monoid, None)
+    assert graphs == presentations._betti_impl(member.monoid, None)
 
 
 @pytest.mark.parametrize(

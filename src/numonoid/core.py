@@ -76,6 +76,15 @@ class NumericalMonoid:
             raise DimensionMismatch(
                 f"expected {len(gens)} coordinates, got {len(coords)}"
             )
+        # plain non-negative ints are checked and summed in one pass;
+        # anything else goes through the checks below, in their order
+        total = 0
+        for c, g in zip(coords, gens):
+            if type(c) is not int or c < 0:
+                break
+            total += c * g
+        else:
+            return total
         if any(isinstance(c, bool) or not isinstance(c, int) for c in coords):
             raise InvalidInput("coordinates must be integers")
         if any(c < 0 for c in coords):

@@ -88,7 +88,8 @@ def _sliced_is_cheaper(gens: tuple[int, ...], a: int) -> bool:
     than the generic one: the number of innermost calls each would make
     without pruning, prod_{i>=3} (a//m_i + 1) against
     (a//m_1 - a//m_t + 1) * prod_{i>=4} (min(a//m_1, a//r_{i-1}) + 1).
-    The Betti scan asks this once per candidate, so it is a plain loop."""
+    Every enumeration asks this once (the Betti scan at each Betti element
+    only), and it costs O(t), so it is a plain loop."""
     t = len(gens)
     if t <= 2:  # the generic search is already closed form
         return False
@@ -256,6 +257,11 @@ def length_profile(
     zs = factorizations(M, a, deadline=deadline)
     if not zs:
         raise NotAnElement(f"{a} is not in {M!r}")
+    return _profile(a, zs)
+
+
+def _profile(a: int, zs) -> LengthProfile:
+    """The length profile of a, given its non-empty factorization set zs."""
     lengths = sorted({sum(z) for z in zs})
     deltas = tuple(b - a_ for a_, b in zip(lengths, lengths[1:]))
     return LengthProfile(a, tuple(lengths), deltas)

@@ -14,8 +14,9 @@ monotone and equal catenary degrees collapse onto the ordinary one and the
 delta set is the singleton {gcd of the offsets}; those paths are exact and
 are cross-checked against the Betti data before being returned.  Every
 Betti element comes from shifted._betti_graphs, which takes the lift well
-above the threshold and the direct scan otherwise.  An explicit window
-always forces the windowed sweep.
+above the threshold and the direct scan otherwise, and its factorizations
+are read off the graph's vertices rather than enumerated again.  An
+explicit window always forces the windowed sweep.
 
 The windowed sweeps avoid per-element searches where an identity allows:
 
@@ -44,7 +45,13 @@ from itertools import product
 
 from .core import NumericalMonoid, contains, default_window, frobenius
 from .errors import InvalidInput, NotAnElement, NotPrimitive, VerificationFailed
-from .factorizations import _check_deadline, _distance, factorizations, length_profile
+from .factorizations import (
+    _check_deadline,
+    _distance,
+    _profile,
+    factorizations,
+    length_profile,
+)
 from .shifted import _betti_graphs, family_from_generators
 
 
@@ -155,12 +162,16 @@ def catenary_of_monoid(
     """Catenary degree of the monoid: the max over its Betti elements.
 
     The value is attained at a Betti element, so this is exact.  The Betti
-    elements come from shifted._betti_graphs, by the lift or the direct
-    scan; a precomputed Betti list can be passed to skip both.
+    elements and their factorizations come from shifted._betti_graphs, by
+    the lift or the direct scan; with a precomputed Betti list, each listed
+    element is enumerated instead.
     """
-    if betti is None:
-        betti = [graph.element for graph in _betti_graphs(M, deadline)]
     best = 0
+    if betti is None:
+        for graph in _betti_graphs(M, deadline):
+            _check_deadline(deadline)
+            best = max(best, _bottleneck(_sized(graph.vertices)))
+        return best
     for beta in betti:
         _check_deadline(deadline)
         best = max(best, catenary_of_element(M, beta, deadline=deadline))
@@ -291,7 +302,7 @@ def delta_set(
         d = family.d
         union = set()
         for graph in _betti_graphs(M, deadline):
-            union |= delta_set_of_element(M, graph.element, deadline=deadline)
+            union.update(_profile(graph.element, graph.vertices).deltas)
         if union != {d}:
             raise VerificationFailed(
                 f"Betti delta sets give {sorted(union)}, expected {{{d}}}"

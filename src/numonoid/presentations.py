@@ -8,22 +8,55 @@ This module computes a deterministic ("canonical") choice, enumerates or
 counts all choices, and finds the Betti elements from the finite Apery
 candidate set rather than an unbounded scan.
 
-The scan decides each candidate c without enumerating Z(c).  By Rosales'
-theorem (Semigroup Forum 55, 1997; Rosales and Garcia-Sanchez, Numerical
-Semigroups, 2009, ch. 7) the factorization graph of c has as many
+The scan decides every candidate at once, without enumerating Z(c).  By
+Rosales' theorem (Semigroup Forum 55, 1997; Rosales and Garcia-Sanchez,
+Numerical Semigroups, 2009, ch. 7) the factorization graph of c has as many
 components as the atom graph of c: its vertices are the atoms m_i with
-c - m_i in M, and m_i ~ m_j whenever c - m_i - m_j in M.  The atom graph
-costs O(t^2) lookups in the Apery table, so only the candidates whose atom
-graph is disconnected, which are the Betti elements, are enumerated.
+c - m_i in M, and m_i ~ m_j whenever c - m_i - m_j in M.  Only the
+candidates whose atom graph is disconnected, which are the Betti elements,
+are enumerated.
+
+The atom graphs of all candidates are decided together, with Python ints as
+packed vectors holding one field per residue rho mod m_1.  Write
+
+    l_s(rho) = ap[(rho - s) mod m_1] + s,
+
+the least element of M + s congruent to rho, where ap is the Apery table of
+M with respect to m_1.  The candidates from generator m_i (i >= 2) are
+exactly c = l_{m_i}(rho) for rho != m_i mod m_1 (the residue left out is the
+one where w = 0), and for such c and any s >= 0
+
+    c - s in M  iff  c >= l_s(rho).
+
+Proof.  c - s is congruent to rho - s, and an integer x is in M iff
+x >= ap[x mod m_1] (a negative x fails, as the table is non-negative), so
+c - s in M iff c - s >= ap[(rho - s) mod m_1], that is c >= l_s(rho).  As
+rho runs over the residues other than m_i, w = ap[(rho - m_i) mod m_1] runs
+over the non-zero Apery elements, so l_{m_i}(rho) = m_i + w runs over the
+candidates from m_i.
+
+So with s = m_j the comparison gives the vertices of every candidate's atom
+graph, and with s = m_j + m_l its edges.  One subtraction compares all
+residues at once.  Let C hold the candidates, L a vector l_s and G the top
+bit of every field, which lies above every value, so it is clear in C and
+L.  Then (C | G) - L borrows only inside a field, and keeps the guard bit
+of a field exactly when that field of C is at least that of L.
+A bitwise Floyd-Warshall over the t atoms then closes every candidate's
+edge relation in t rounds, and the candidates with a vertex that m_i does
+not reach are read off the set guard bits.  That is a few hundred big-int
+operations for the whole scan, each linear in m_1.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from operator import and_, rshift
 
 from .core import NumericalMonoid, apery
 from .errors import (
@@ -162,28 +195,83 @@ def _require_minimal(M: NumericalMonoid) -> None:
             )
 
 
-def _atom_components(gens: tuple[int, ...], ap: tuple[int, ...], c: int) -> int:
-    """Number of components of the atom graph of c, which equals the number
-    of components of its factorization graph (see _betti_impl).
+def _pack(values: tuple[int, ...], size: int) -> int:
+    """The values as one int whose k-th field of size bytes holds values[k];
+    every value must fit in its field.  The bytes are laid out by C-level
+    strided copies, eight bytes of each value at a time."""
+    out = bytearray(len(values) * size)
+    for lo in range(0, size, 8):
+        # bytes lo .. lo + 7 of every value, as little-endian 8-byte words
+        part = values
+        if size > 8:
+            down = map(rshift, values, itertools.repeat(8 * lo))
+            part = map(and_, down, itertools.repeat(2**64 - 1))
+        words = array("Q", part)
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw = words.tobytes()
+        for b in range(min(8, size - lo)):
+            out[lo + b :: size] = raw[b::8]
+    return int.from_bytes(out, "little")
 
-    The vertices are the atoms m_i with c - m_i in M and the edges join
-    m_i != m_j with c - m_i - m_j in M.  ap is the Apery table of M with
-    respect to m_1 = len(ap); x is in M iff x >= ap[x % m_1], which fails
-    for every negative x since the table is non-negative.
+
+def _split_candidates(
+    gens: tuple[int, ...], ap: tuple[int, ...], deadline: float | None
+) -> set[int]:
+    """The candidates m_i + w (i >= 2, w in Ap(M, m_1), w != 0) whose atom
+    graph is disconnected, decided on packed vectors (module docstring).
+
+    ap is the Apery table of M = <gens> with respect to m_1 = len(ap).
+    Minimal generation is not used, so this holds for any primitive tuple.
     """
-    m1 = len(ap)
-    atoms = [m for m in gens if c - m >= ap[(c - m) % m1]]
-    comps = 0
-    while atoms:
-        comps += 1
-        frontier = [atoms.pop()]
-        while frontier and atoms:
-            d = c - frontier.pop()
-            rest = []
-            for m in atoms:
-                (frontier if d - m >= ap[(d - m) % m1] else rest).append(m)
-            atoms = rest
-    return comps
+    m1, t = len(ap), len(gens)
+    _check_deadline(deadline)
+    # a field holds every l_s compared below (s <= m_{t-1} + m_t) and one
+    # guard bit above it, rounded up to whole bytes
+    size = (max(ap) + 2 * gens[-1]).bit_length() // 8 + 1
+    width = 8 * size
+    span = width * m1
+    full = (1 << span) - 1
+    ones = full // ((1 << width) - 1)
+    guard = ones << (width - 1)
+    packed = _pack(ap, size)
+
+    def least(s: int) -> int:
+        # field rho holds l_s(rho): the table rotated up by s fields, plus s
+        k = s % m1 * width
+        return ((packed << k) & full | packed >> (span - k)) + s * ones
+
+    # l_s for every s compared below, built once for all the passes
+    pairs = list(itertools.combinations(range(t), 2))
+    lows = {s: least(s) for s in {*gens, *(gens[j] + gens[l] for j, l in pairs)}}
+    split = set()
+    for i in range(1, t):
+        _check_deadline(deadline)
+        mi = gens[i]
+        c = lows[mi] | guard
+        # reach[j][l]: guard bits of the candidates whose atom graph joins
+        # m_j and m_l, first by an edge, then by a path (Floyd-Warshall)
+        reach = [[0] * t for _ in range(t)]
+        for j, l in pairs:
+            reach[j][l] = reach[l][j] = (c - lows[gens[j] + gens[l]]) & guard
+        for k in range(t):
+            via = reach[k]
+            for j, l in pairs:
+                if k != j and k != l:
+                    reach[j][l] = reach[l][j] = reach[j][l] | via[j] & via[l]
+        # a vertex m_j that m_i does not reach; every path from m_i ends at
+        # a vertex, so reach[i][j] is inside the vertex bits and ^ removes it
+        apart = 0
+        for j in range(t):
+            if j != i:
+                apart |= (c - lows[gens[j]]) & guard ^ reach[i][j]
+        while apart:
+            bit = apart.bit_length() - 1
+            apart ^= 1 << bit
+            rho = bit // width
+            if rho != mi % m1:  # w = 0 there
+                split.add(ap[(rho - mi) % m1] + mi)
+    return split
 
 
 def _betti_impl(
@@ -214,15 +302,11 @@ def _betti_impl(
     # connected supports, so the atoms used in one component of the
     # factorization graph are connected in the atom graph.
     ap = apery(M).entries
-    candidates = sorted({m + w for m in M.generators[1:] for w in ap if w})
     gens = M.generators
-    t = M.t
     out = []
-    for c in candidates:
-        _check_deadline(deadline)
-        if _atom_components(gens, ap, c) > 1:
-            zs = _enumerate_best(gens, c, DEFAULT_CAP, deadline)
-            out.append(_graph(c, zs, _atom_union(t, zs)))
+    for c in sorted(_split_candidates(gens, ap, deadline)):
+        zs = _enumerate_best(gens, c, DEFAULT_CAP, deadline)
+        out.append(_graph(c, zs, _atom_union(M.t, zs)))
     return tuple(out)
 
 

@@ -63,6 +63,24 @@ def test_evaluate():
 
 
 @pytest.mark.parametrize(
+    "coords, error, message",
+    [
+        ((1, 2, 3), DimensionMismatch, "expected 2 coordinates, got 3"),
+        ((True, 0), InvalidInput, "coordinates must be integers"),
+        ((1, 2.0), InvalidInput, "coordinates must be integers"),
+        ((0, -1), InvalidInput, "coordinates must be non-negative"),
+        # the type check comes before the sign check
+        ((-1, 1.5), InvalidInput, "coordinates must be integers"),
+    ],
+)
+def test_evaluate_refusals_keep_their_class_and_message(coords, error, message):
+    with pytest.raises(error) as info:
+        NumericalMonoid((3, 5)).evaluate(coords)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "raw,expected",
     [
         ((9, 6, 20, 6, 18), (6, 9, 20)),

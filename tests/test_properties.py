@@ -139,6 +139,38 @@ def test_betti_scan_enumerates_through_the_entry(monkeypatch):
         assert calls, gens
 
 
+def _atom_components_by_flood(
+    gens: tuple[int, ...], ap: tuple[int, ...], c: int
+) -> int:
+    """Number of components of the atom graph of c, one flood per component.
+
+    The vertices are the atoms m_i with c - m_i in M and the edges join
+    m_i != m_j with c - m_i - m_j in M.  ap is the Apery table of M with
+    respect to m_1 = len(ap); x is in M iff x >= ap[x % m_1], which fails
+    for every negative x since the table is non-negative.
+    """
+    m1 = len(ap)
+    atoms = [m for m in gens if c - m >= ap[(c - m) % m1]]
+    comps = 0
+    while atoms:
+        comps += 1
+        frontier = [atoms.pop()]
+        while frontier and atoms:
+            d = c - frontier.pop()
+            rest = []
+            for m in atoms:
+                (frontier if d - m >= ap[(d - m) % m1] else rest).append(m)
+            atoms = rest
+    return comps
+
+
+def _split_by_flood(gens: tuple[int, ...], ap: tuple[int, ...]) -> set[int]:
+    """The candidates m_i + w (i >= 2, w != 0 in the Apery set) whose atom
+    graph the flood finds disconnected."""
+    candidates = {m + w for m in gens[1:] for w in ap if w}
+    return {c for c in candidates if _atom_components_by_flood(gens, ap, c) > 1}
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     M=st.lists(st.integers(3, 30), min_size=3, max_size=4, unique=True)
@@ -148,14 +180,54 @@ def test_betti_scan_enumerates_through_the_entry(monkeypatch):
 def test_atom_graph_counts_the_factorization_graph_components(M):
     # the scan enumerates a candidate only when its atom graph splits; at
     # every candidate that graph has as many components as the
-    # factorization graph, and the scan finds the oracle's Betti elements
+    # factorization graph, the packed kernel splits exactly the candidates
+    # the flood splits, and the scan finds the oracle's Betti elements
     gens = M.generators
     ap = apery(M).entries
     for c in sorted({m + w for m in gens[1:] for w in ap if w}):
         expected = len(factorization_graph(M, c).components)
-        assert presentations._atom_components(gens, ap, c) == expected, c
+        assert _atom_components_by_flood(gens, ap, c) == expected, c
+    assert presentations._split_candidates(gens, ap, None) == _split_by_flood(gens, ap)
     bound = frobenius(M) + gens[0] + gens[-1]
     assert betti_elements(M) == naive_betti_scan(M, bound)
+
+
+# primitive increasing tuples on 2..6 generators up to 60, minimal or not
+# (the kernel does not use minimality)
+small_tuples = st.lists(st.integers(2, 60), min_size=2, max_size=6, unique=True).map(
+    lambda xs: tuple(sorted(xs))
+)
+
+
+@st.composite
+def wide_tuples(draw):
+    # m_1 in [2, 12] and up to four generators in [2^e, 2^(e+1)) for some e
+    # in 60..80, in distinct non-zero classes mod m_1; then no generator is
+    # a multiple of m_1, nor another one plus multiples of m_1, nor a sum of
+    # two others, so the tuple is minimal, and the Apery entries, from 2^60
+    # to past 2^80, straddle the 64-bit words the packing copies
+    m1 = draw(st.integers(2, 12))
+    e = draw(st.integers(60, 80))
+    classes = draw(st.lists(st.integers(1, m1 - 1), min_size=1, max_size=4, unique=True))
+    lo, hi = -(-(2**e) // m1), 2 ** (e + 1) // m1 - 1
+    return tuple(sorted([m1, *(draw(st.integers(lo, hi)) * m1 + r for r in classes)]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    gens=st.one_of(small_tuples, wide_tuples()).filter(
+        lambda gens: math.gcd(*gens) == 1
+    )
+)
+def test_packed_kernel_matches_the_flood(gens):
+    # every candidate's atom graph decided on packed fields, against the
+    # flood over the same candidates one at a time
+    M = NumericalMonoid(gens)
+    if gens[-1] >= 2**60:
+        presentations._require_minimal(M)
+    ap = apery(M).entries
+    event(f"t = {len(gens)}, Apery entries past 2^64: {max(ap) >= 2**64}")
+    assert presentations._split_candidates(gens, ap, None) == _split_by_flood(gens, ap)
 
 
 @pytest.mark.parametrize("gens", CORPUS)

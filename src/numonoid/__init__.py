@@ -85,7 +85,7 @@ __version__ = "0.1.0"
 def clear_caches():
     """Drop all memoized Apery sets, presentations, and oracle factorization
     tables.  Used for honest benchmark timings."""
-    _core.apery.cache_clear()
+    _core._apery_memo.clear()
     _presentations._minpres_memo.clear()
     _oracle._buckets.cache_clear()
 

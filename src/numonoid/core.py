@@ -8,16 +8,15 @@ set of M with respect to m_1 is known: for a >= 0,
 
     a in M  iff  a >= (least element of M congruent to a mod m_1).
 
-The Apery table is computed by a shortest-path run over the m_1 residue
-classes, so no factorization enumeration is ever needed for membership,
-even when m_1 is on the order of 10^4.
+The Apery table is computed by a round robin over the m_1 residue classes,
+one pass per generator and no heap, so no factorization enumeration is ever
+needed for membership, even when m_1 is on the order of 10^6.
 """
 
 from __future__ import annotations
 
-import heapq
+import time
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -30,6 +29,12 @@ from .errors import (
 
 # the most entries of an Apery table, and of vectors one enumeration emits
 DEFAULT_CAP = 10**7
+
+
+def _check_deadline(deadline: float | None) -> None:
+    """Raise BudgetExceeded once time.monotonic() has passed deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded("wall-clock deadline exceeded")
 
 
 class NumericalMonoid:
@@ -148,41 +153,85 @@ def _representable(target: int, gens: list[int]) -> bool:
     return bool(reach[target])
 
 
-@lru_cache(maxsize=None)
-def apery(M: NumericalMonoid) -> AperyTable:
+# The memo of apery, keyed by the monoid alone: a table is exact whatever
+# deadline it was computed under.  Only completed tables are stored;
+# clear_caches() empties it.
+_apery_memo: dict[NumericalMonoid, AperyTable] = {}
+
+
+def apery(M: NumericalMonoid, *, deadline: float | None = None) -> AperyTable:
     """Apery table of M with respect to its multiplicity m_1.
 
-    Dijkstra over residues mod m_1: each generator m_i (i >= 2) contributes
-    arcs rho -> (rho + m_i) mod m_1 of weight m_i.  The shortest distance
-    from residue 0 to rho is exactly the least element of M in that class,
-    because every element is reachable by adding generators one at a time
-    and adding m_1 itself never changes the residue.  Raises
-    BudgetExceeded, before allocating anything, when m_1 > DEFAULT_CAP.
+    Round robin over the residues mod m_1 (Boecker and Liptak, "A fast and
+    simple algorithm for the money changing problem", Algorithmica 48,
+    2007).  dist starts as the table of <m_1>: 0 at residue 0, every other
+    residue unreached.  The pass for g = m_i (i >= 2) turns the table of
+    <m_1, ..., m_{i-1}> into that of <m_1, ..., m_i>, whose entry at rho is
+    the least dist[rho - k g] + k g over k >= 0; k >= L, the length of the
+    cycle of rho under rho -> rho + g, only repeats a residue at a larger
+    cost.  The residues fall into gcd(g, m_1) such cycles, and each is
+    walked once from its least entry lo, keeping val = min(dist[cur],
+    val + g).  Invariant: at the j-th residue after lo, val is the least
+    dist[cur - k g] + k g over k <= j, and it is written there.  The k > j
+    need not be looked at: such a chain passes lo, so it costs at least
+    dist[lo] + j g, the chain from lo.  So the walk writes the new table,
+    and lo keeps its entry.
+
+    The unreached mark is m_1 m_t, above every entry of every pass.  A
+    non-zero least element w of its class in <m_1, ..., m_i> has a
+    factorization without m_1 (w - m_1 would be smaller, in the same
+    class), with k atoms of at most m_t each.  If k >= m_1, two of the
+    partial sums 0 = s_0 < s_1 < ... < s_k = w agree mod m_1, say s_a and
+    s_b with a < b, and w - (s_b - s_a) is a smaller element of the class.
+    So w <= (m_1 - 1) m_t.  Hence min(mark, x) = x for every entry x: the
+    mark acts as infinity, and a residue keeps it exactly when no element of
+    <m_1, ..., m_i> lies in its class.  One left after the last pass means
+    gcd(M) > 1 and raises NotPrimitive.
+
+    Raises BudgetExceeded, before allocating anything, when
+    m_1 > DEFAULT_CAP, and before any pass once deadline has passed; a
+    refused call stores nothing.  A memoized table is returned whatever the
+    deadline.
     """
-    m1 = M.generators[0]
+    table = _apery_memo.get(M)
+    if table is not None:
+        return table
+    gens = M.generators
+    m1 = gens[0]
     if m1 > DEFAULT_CAP:
         raise BudgetExceeded(
             f"an Apery table of {m1} entries exceeds the cap of {DEFAULT_CAP}"
         )
-    dist: list = [None] * m1
+    unreached = m1 * gens[-1]
+    dist = [unreached] * m1
     dist[0] = 0
-    heap: list[tuple[int, int]] = [(0, 0)]
-    arcs = M.generators[1:]
-    while heap:
-        d, rho = heapq.heappop(heap)
-        if d > dist[rho]:
-            continue
-        for g in arcs:
-            nrho = (rho + g) % m1
-            nd = d + g
-            if dist[nrho] is None or nd < dist[nrho]:
-                dist[nrho] = nd
-                heapq.heappush(heap, (nd, nrho))
-    if any(v is None for v in dist):
+    for g in gens[1:]:
+        _check_deadline(deadline)
+        step = g % m1
+        cycles = gcd(step, m1)
+        for first in range(cycles):
+            # the cycle of first is its class mod cycles; start at its least
+            row = dist[first::cycles]
+            cur = first + cycles * row.index(min(row))
+            # the copy would keep every entry the walk replaces alive
+            del row
+            val = dist[cur]
+            for _ in range(m1 // cycles - 1):
+                cur += step
+                if cur >= m1:
+                    cur -= m1
+                val += g
+                old = dist[cur]
+                if old < val:
+                    val = old
+                else:
+                    dist[cur] = val
+    if unreached in dist:
         raise NotPrimitive(
             f"gcd of generators is {M.gcd}; some residues mod {m1} unreachable"
         )
-    return AperyTable(m1, tuple(dist))
+    table = _apery_memo[M] = AperyTable(m1, tuple(dist))
+    return table
 
 
 def contains(M: NumericalMonoid, a: int) -> bool:

@@ -28,21 +28,14 @@ caller outside this module enumerates through it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import gcd
 
-from .core import DEFAULT_CAP, NumericalMonoid
+from .core import DEFAULT_CAP, NumericalMonoid, _check_deadline
 from .errors import BudgetExceeded, DimensionMismatch, InvalidInput, NotAnElement
 
 # deadline checks are amortized: one clock read per this many inner steps
 _TICK = 4096
-
-
-def _check_deadline(deadline: float | None) -> None:
-    """Raise BudgetExceeded once time.monotonic() has passed deadline."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded("wall-clock deadline exceeded")
 
 
 @dataclass(frozen=True)

@@ -301,7 +301,7 @@ def _betti_impl(
     # clique of the atom graph, and two factorizations sharing an atom have
     # connected supports, so the atoms used in one component of the
     # factorization graph are connected in the atom graph.
-    ap = apery(M).entries
+    ap = apery(M, deadline=deadline).entries
     gens = M.generators
     out = []
     for c in sorted(_split_candidates(gens, ap, deadline)):

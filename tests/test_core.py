@@ -1,15 +1,21 @@
+import time
+
 import pytest
 
+from numonoid import presentations
 from numonoid import (
     AperyTable,
+    BudgetExceeded,
     InvalidGenerators,
     InvalidInput,
     DimensionMismatch,
     NotPrimitive,
     NumericalMonoid,
     apery,
+    clear_caches,
     contains,
     frobenius,
+    minimal_presentation,
     normalize_generators,
 )
 
@@ -111,6 +117,36 @@ def test_apery_fixtures():
 def test_apery_requires_primitive():
     with pytest.raises(NotPrimitive):
         apery(NumericalMonoid((4, 6)))
+
+
+def test_apery_honours_the_deadline_and_caches_nothing_refused():
+    M = NumericalMonoid((6, 9, 20))
+    clear_caches()
+    with pytest.raises(BudgetExceeded):
+        apery(M, deadline=time.monotonic() - 1)
+    # the refused call stored nothing, so a second one is refused too
+    with pytest.raises(BudgetExceeded):
+        apery(M, deadline=time.monotonic() - 1)
+    table = apery(M)
+    assert table.entries == (0, 49, 20, 9, 40, 29)
+    # a memoized table is returned whatever the deadline
+    assert apery(M, deadline=time.monotonic() - 1) is table
+    clear_caches()
+    with pytest.raises(BudgetExceeded):
+        apery(M, deadline=time.monotonic() - 1)
+
+
+def test_direct_scan_stops_in_the_apery_stage(monkeypatch):
+    # a past deadline stops the scan before the candidate kernel runs
+    def kernel(*args):
+        raise AssertionError("the kernel ran past the deadline")
+
+    monkeypatch.setattr(presentations, "_split_candidates", kernel)
+    clear_caches()
+    with pytest.raises(BudgetExceeded):
+        minimal_presentation(
+            NumericalMonoid((401, 407, 410, 421)), deadline=time.monotonic() - 1
+        )
 
 
 def test_frobenius():

@@ -1,15 +1,17 @@
 """Cross-cutting structural properties, randomized where that buys coverage."""
 
+import heapq
 import importlib
 import math
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from numonoid import presentations, shifted
 from numonoid import (
     BudgetExceeded,
+    NotPrimitive,
     NumericalMonoid,
     ShiftedFamily,
     all_minimal_presentations,
@@ -21,6 +23,8 @@ from numonoid import (
     delta_set,
     factorizations,
     frobenius,
+    lift_presentation,
+    make_relation,
     minimal_presentation,
     monoid_at,
     monoid_catenary_report,
@@ -39,6 +43,7 @@ from numonoid.oracle import (
     ClosureReport,
     factorization_buckets,
     monotone_chain_search,
+    reachable_up_to,
 )
 from numonoid.presentations import factorization_graph
 
@@ -92,6 +97,76 @@ def test_membership_matches_sieve(M):
     buckets = factorization_buckets(M.generators, 120)
     for a in range(121):
         assert contains(M, a) == (a in buckets)
+
+
+def _apery_by_dijkstra(gens: tuple[int, ...]) -> list:
+    """The Apery table of <gens> with respect to m_1 = gens[0], by Dijkstra
+    over the residues mod m_1, with None at each unreached residue.
+
+    Each m_i (i >= 2) contributes arcs rho -> (rho + m_i) mod m_1 of weight
+    m_i, and the distance from residue 0 to rho is the least element of the
+    monoid in that class.
+    """
+    m1 = gens[0]
+    dist: list = [None] * m1
+    dist[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        d, rho = heapq.heappop(heap)
+        if d > dist[rho]:
+            continue
+        for g in gens[1:]:
+            nrho, nd = (rho + g) % m1, d + g
+            if dist[nrho] is None or nd < dist[nrho]:
+                dist[nrho] = nd
+                heapq.heappush(heap, (nd, nrho))
+    return dist
+
+
+# increasing tuples, not normalized: m_1 in [1, 24] and up to four more
+# generators in (m_1, 5 m_1], so that some are multiples of m_1 (a pass with
+# step 0), some are at or above 2 m_1, some steps share a factor with m_1 (a
+# pass walks several cycles), and some tuples are not primitive
+apery_tuples = st.integers(1, 24).flatmap(
+    lambda m1: st.lists(st.integers(m1 + 1, 5 * m1), max_size=4, unique=True).map(
+        lambda rest: (m1, *sorted(rest))
+    )
+)
+
+
+@settings(deadline=None, max_examples=300)
+@example(gens=(1,))
+@example(gens=(5,))
+@example(gens=(4, 8, 13))  # step 0, and a generator past 2 m_1
+@example(gens=(6, 10, 15))  # steps 4 and 3: two cycles, then three
+@example(gens=(6, 9, 20))
+@example(gens=(4, 6))  # not primitive
+@example(gens=(6, 8, 9, 14))  # non-minimal, steps 2, 3 and 2
+@given(gens=apery_tuples)
+def test_apery_matches_dijkstra_and_the_sieve(gens):
+    # the round robin against the heap Dijkstra it replaced and against the
+    # least reachable value of each class; every Apery entry is below
+    # m_1 m_t, so the sieve up to there sees every class that has one
+    m1 = gens[0]
+    steps = [g % m1 for g in gens[1:]]
+    event(f"t = {len(gens)}")
+    event(f"step 0: {0 in steps}")
+    event(f"several cycles: {any(math.gcd(s, m1) > 1 for s in steps if s)}")
+    event(f"generator >= 2 m_1: {gens[-1] >= 2 * m1}")
+    reach = reachable_up_to(gens, m1 * gens[-1])
+    least: list = [None] * m1
+    for v in range(len(reach) - 1, -1, -1):
+        if reach[v]:
+            least[v % m1] = v
+    expected = _apery_by_dijkstra(gens)
+    assert least == expected
+    M = NumericalMonoid(gens)
+    event(f"primitive: {M.is_primitive}")
+    if None in expected:
+        with pytest.raises(NotPrimitive):
+            apery(M)
+    else:
+        assert apery(M).entries == tuple(expected)
 
 
 @settings(deadline=None, max_examples=60)
@@ -283,6 +358,27 @@ def test_lifted_betti_graphs_match_the_scan(F, data):
     assume(member.primitive)
     graphs = shifted._betti_graphs(member.monoid, None)
     assert graphs == presentations._betti_impl(member.monoid, None)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    F=st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True).map(
+        lambda xs: ShiftedFamily(tuple(sorted(xs)))
+    ),
+    data=st.data(),
+)
+def test_lifted_relations_are_canonical(F, data):
+    # lift_presentation builds each Relation directly; it is the one
+    # make_relation builds from either order of the same sides at the target
+    n = data.draw(st.integers(F.threshold + 1, F.threshold + 3 * F.step))
+    member = monoid_at(F, n)
+    assume(member.primitive)
+    pres = minimal_presentation(member.monoid)
+    lifted = lift_presentation(F, n, pres, data.draw(st.integers(0, 40)))
+    assert len(lifted.relations) == len(pres.relations)
+    for rel in lifted.relations:
+        assert make_relation(lifted.monoid, rel.left, rel.right) == rel
+        assert make_relation(lifted.monoid, rel.right, rel.left) == rel
 
 
 @pytest.mark.parametrize(

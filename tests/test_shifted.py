@@ -163,6 +163,17 @@ def test_lift_presentation_validation():
         lift_presentation(F, 399, pres, 1)
 
 
+def test_lift_presentation_evaluates_both_sides_at_the_target():
+    # a hand-built Relation whose sides differ in value stays a non-relation
+    # at every shift, and the lift refuses it
+    M = monoid_at(F, 450).monoid
+    assert 8 * 459 != 3 * 450 + 2 * 456 + 4 * 470
+    bad = make_presentation(M, [Relation((3, 2, 0, 4), (0, 0, 8, 0), 8 * 459)])
+    for steps in (0, 1, 5):
+        with pytest.raises(NotARelation):
+            lift_presentation(F, 450, bad, steps)
+
+
 def test_lifted_presentation_still_generates_the_kernel():
     pres = minimal_presentation(monoid_at(F, 401).monoid)
     lifted = lift_presentation(F, 401, pres, 3)

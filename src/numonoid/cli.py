@@ -20,14 +20,14 @@ import sys
 import time
 
 from . import clear_caches
-from .core import NumericalMonoid, apery, contains, frobenius
+from .core import DEFAULT_CAP, NumericalMonoid, apery, contains, frobenius
 from .errors import (
     BudgetExceeded,
     InvalidInput,
     MonoidError,
     VerificationFailed,
 )
-from .factorizations import DEFAULT_CAP, factorizations
+from .factorizations import factorizations
 from .invariants import (
     catenary_of_element,
     catenary_of_monoid,

@@ -43,15 +43,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import NumericalMonoid, contains, default_window, frobenius
-from .errors import InvalidInput, NotAnElement, NotPrimitive, VerificationFailed
-from .factorizations import (
+from .core import (
+    NumericalMonoid,
     _check_deadline,
-    _distance,
-    _profile,
-    factorizations,
-    length_profile,
+    contains,
+    default_window,
+    frobenius,
 )
+from .errors import InvalidInput, NotAnElement, NotPrimitive, VerificationFailed
+from .factorizations import _distance, _profile, factorizations, length_profile
 from .shifted import _betti_graphs, family_from_generators
 
 
@@ -112,6 +112,16 @@ class TameReport:
     window: int
 
 
+def _factorizations_of(
+    M: NumericalMonoid, a: int, deadline: float | None
+) -> list[tuple[int, ...]]:
+    """Z(a); NotAnElement when a is not in M."""
+    zs = factorizations(M, a, deadline=deadline)
+    if not zs:
+        raise NotAnElement(f"{a} is not an element of {M.generators}")
+    return zs
+
+
 def _sized(zs: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
     """Each factorization paired with its length, for the distance kernel."""
     return [(z, sum(z)) for z in zs]
@@ -147,9 +157,7 @@ def catenary_of_element(
 ) -> int:
     """Smallest N such that any two factorizations of a are joined by a
     chain of factorizations with consecutive distances at most N."""
-    zs = factorizations(M, a, deadline=deadline)
-    if not zs:
-        raise NotAnElement(f"{a} is not an element of {M.generators}")
+    zs = _factorizations_of(M, a, deadline)
     return _bottleneck(_sized(zs))
 
 
@@ -221,9 +229,7 @@ def _monotone_equal(
     closest pair can stop at the first pair within monotone.  With zero
     floors nothing is skipped and the result is the element's own degrees.
     """
-    zs = factorizations(M, a, deadline=deadline)
-    if not zs:
-        raise NotAnElement(f"{a} is not an element of {M.generators}")
+    zs = _factorizations_of(M, a, deadline)
     classes: dict[int, list[tuple[int, ...]]] = {}
     for z in zs:
         classes.setdefault(sum(z), []).append(z)
@@ -334,9 +340,7 @@ def tame_degree(
     distance from z to the nearest factorization using atom i.  Zero when
     every factorization already touches every reachable atom.
     """
-    zs = factorizations(M, a, deadline=deadline)
-    if not zs:
-        raise NotAnElement(f"{a} is not an element of {M.generators}")
+    zs = _factorizations_of(M, a, deadline)
     sized = _sized(zs)
     best = 0
     for i in range(M.t):
@@ -390,12 +394,10 @@ def tame_degree_windowed(
     """
     w = _window(M, window)
     last = min(w, frobenius(M) + 2 * M.generators[-1])
-    value = -1
-    attained = None
+    # 0 is in M and last >= 0, so a = 0 (tame degree 0) is always searched
+    value, attained = -1, None
     for a in _members(M, last, deadline):
         ta = tame_degree(M, a, deadline=deadline)
         if ta > value:
             value, attained = ta, a
-    if value < 0:
-        value, attained = 0, None
     return TameReport(value, attained, w)

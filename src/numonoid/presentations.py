@@ -1,9 +1,14 @@
 """Factorization graphs, Betti elements, and minimal presentations.
 
 The factorization graph of an element a joins two factorizations whenever
-they share an atom.  Elements with a disconnected graph are the Betti
-elements; a minimal presentation of M consists, for each Betti element, of
-any set of relations forming a spanning tree on the components of its graph.
+they share an atom, so each of its components is fixed by the set of atoms
+its members use, and distinct components use disjoint sets.  The
+components are therefore built from atom bitmasks (_atom_union): each
+factorization merges every component whose mask meets its support, and
+there are at most t + 1 of them.  Elements with a disconnected graph are
+the Betti elements; a minimal presentation of M consists, for each Betti
+element, of any set of relations forming a spanning tree on the components
+of its graph.
 This module computes a deterministic ("canonical") choice, enumerates or
 counts all choices, and finds the Betti elements from the finite Apery
 candidate set rather than an unbounded scan.
@@ -58,7 +63,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import and_, rshift
 
-from .core import NumericalMonoid, apery
+from .core import DEFAULT_CAP, NumericalMonoid, _check_deadline, apery
 from .errors import (
     InvalidInput,
     NotAnElement,
@@ -66,8 +71,7 @@ from .errors import (
     NotMinimal,
     NotPrimitive,
 )
-from .factorizations import DEFAULT_CAP, _check_deadline, _enumerate_best
-from .unionfind import UnionFind
+from .factorizations import _enumerate_best
 
 
 @dataclass(frozen=True)
@@ -152,25 +156,37 @@ class FactorizationGraph:
         return [frozenset(comp) for comp in self.components]
 
 
-def _atom_union(t: int, zs: list[tuple[int, ...]]) -> UnionFind:
-    # vertices sharing an atom are merged through a per-atom anchor vertex,
-    # linear in the total support size, no pairwise scan
-    uf = UnionFind(len(zs))
-    anchor = [-1] * t
-    for vi, z in enumerate(zs):
+def _atom_union(t: int, zs: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    # the components as lists, each with the disjoint mask of the atoms its
+    # members use (module docstring): at most t + 1 of them, as the zero
+    # vector of Z(0) has no atom and stays alone, so a call is linear in
+    # |zs| * t
+    masks: list[int] = []
+    comps: list[list[tuple[int, ...]]] = []
+    for z in zs:
+        mask = 0
         for i in range(t):
             if z[i]:
-                if anchor[i] < 0:
-                    anchor[i] = vi
-                else:
-                    uf.union(vi, anchor[i])
-    return uf
+                mask |= 1 << i
+        merged = [z]
+        k = 0
+        while k < len(masks):
+            if masks[k] & mask:
+                mask |= masks.pop(k)
+                merged += comps.pop(k)
+            else:
+                k += 1
+        masks.append(mask)
+        comps.append(merged)
+    return comps
 
 
-def _graph(a: int, zs: list[tuple[int, ...]], uf: UnionFind) -> FactorizationGraph:
+def _graph(
+    a: int, zs: list[tuple[int, ...]], comps: list[list[tuple[int, ...]]]
+) -> FactorizationGraph:
     # components are disjoint, so sorting the sorted components orders them
     # by their first member
-    comps = sorted(tuple(sorted(zs[i] for i in group)) for group in uf.groups())
+    comps = sorted(tuple(sorted(comp)) for comp in comps)
     return FactorizationGraph(a, tuple(zs), tuple(comps))
 
 

@@ -46,7 +46,6 @@ from .presentations import (
     make_relation,
     minimal_presentation,
 )
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -247,16 +246,19 @@ def _betti_graphs(
     for beta, beta_rels in sorted(lifted.by_betti().items()):
         graph = factorization_graph(M, beta, deadline=deadline)
         comp_of = {z: ci for ci, comp in enumerate(graph.components) for z in comp}
-        uf = UnionFind(len(graph.components))
+        # label[ci]: the class of component ci under the relations so far
+        label = list(range(len(graph.components)))
         for rel in beta_rels:
             if rel.left not in comp_of or rel.right not in comp_of:
                 raise VerificationFailed(f"lifted side of {rel} does not factor {beta}")
+            keep, gone = label[comp_of[rel.left]], label[comp_of[rel.right]]
             # a connected graph fails here too, at its first relation
-            if not uf.union(comp_of[rel.left], comp_of[rel.right]):
+            if keep == gone:
                 raise VerificationFailed(
                     f"lifted relations at {beta} do not join distinct components"
                 )
-        if uf.n_components != 1:
+            label = [keep if x == gone else x for x in label]
+        if len(set(label)) != 1:
             raise VerificationFailed(f"relations lifted to {beta} do not span")
         graphs.append(graph)
     return tuple(graphs)

@@ -119,9 +119,9 @@ def test_c04_accelerated_agrees_with_direct_for_sixty_shifts():
         direct = minimal_presentation(M)
         accel = accelerated_minimal_presentation(F, n)
         assert accel.relations == direct.relations, n
+        # the two are equal, so one closure check vouches for both
         window = frobenius(M) + 2 * M.generators[-1]
         assert congruence_closure_check(M, direct.relations, window).ok, n
-        assert congruence_closure_check(M, accel.relations, window).ok, n
     assert time.perf_counter() - t0 < 300.0
 
 

@@ -20,6 +20,8 @@ from numonoid import (
     delta_set_of_element,
     make_presentation,
     monoid_at,
+    monotone_equal_catenary,
+    tame_degree,
 )
 
 
@@ -197,6 +199,20 @@ def test_invariant_element_payloads(cli):
         "invariant", "--gens", "6,9,20", "--which", "delta", "--element", "60"
     )
     assert json.loads(out) == {"which": "delta", "element": 60, "values": [1, 4]}
+    M = NumericalMonoid((6, 9, 20))
+    mon, eq = monotone_equal_catenary(M, 60)
+    for which, value in (
+        ("tame", tame_degree(M, 60)),
+        ("mon-catenary", mon),
+        ("eq-catenary", eq),
+    ):
+        code, out = cli(
+            "invariant", "--gens", "6,9,20", "--which", which, "--element", "60"
+        )
+        assert (code, json.loads(out)) == (
+            0,
+            {"which": which, "element": 60, "value": value},
+        )
 
 
 def test_invariant_monoid_payloads(cli):
@@ -514,6 +530,9 @@ def test_bad_usage_is_exit_1(cli, tmp_path):
                "--window", "-3") == (1, "")
     assert cli("factorizations", "--gens", "6,9,20", "--element", "60",
                "--cap", "-1") == (1, "")
+    assert cli("survey", "--r", "6,9,20", "--n-from", "401", "--n-to", "402",
+               "--which", "betti", "--out", "-", "--jobs", "0") == (1, "")
+    assert cli("bench", "--r", "6,9,20", "--n", "401", "--repeats", "0") == (1, "")
     for timeout in ("-5", "nan"):
         assert cli("bench", "--r", "6,9,20", "--n", "401",
                    "--timeout-secs", timeout) == (1, "")

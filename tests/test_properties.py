@@ -305,6 +305,55 @@ def test_packed_kernel_matches_the_flood(gens):
     assert presentations._split_candidates(gens, ap, None) == _split_by_flood(gens, ap)
 
 
+def _components_by_flood(zs):
+    """The components of the factorization graph on zs, by a breadth-first
+    flood that joins two factorizations whenever their supports overlap,
+    in FactorizationGraph's order."""
+    left = list(zs)
+    comps = []
+    while left:
+        comp = [left.pop(0)]
+        for z in comp:  # comp grows as the flood reaches new members
+            near = [y for y in left if any(a and b for a, b in zip(z, y))]
+            left = [y for y in left if y not in near]
+            comp += near
+        comps.append(tuple(sorted(comp)))
+    return tuple(sorted(comps))
+
+
+# increasing tuples, not normalized, so some are not minimal, with an
+# element a of each: any sum of generators, or a common multiple of two of
+# them, which often has factorizations with disjoint supports
+@st.composite
+def graph_elements(draw):
+    xs = draw(st.lists(st.integers(2, 30), min_size=1, max_size=4, unique=True))
+    gens = tuple(sorted(xs))
+    if len(gens) > 1 and draw(st.booleans()):
+        pair = st.lists(st.integers(0, len(gens) - 1), min_size=2, max_size=2, unique=True)
+        i, j = draw(pair)
+        a = math.lcm(gens[i], gens[j]) * draw(st.integers(1, 2))
+    else:
+        a = sum(g * draw(st.integers(0, 4)) for g in gens)
+    return gens, a
+
+
+@settings(deadline=None, max_examples=300)
+@example(case=((2, 3, 6), 6))  # three components, one atom each
+@example(case=((2, 3, 5), 9))  # (3, 1, 0) comes last and joins two components
+@example(case=((2, 3, 5), 0))  # the zero vector, with no atom
+# (0, 3, 0) joins (1, 1, 1), then (4, 0, 0) meets them through atom 3 alone
+@example(case=((3, 4, 5), 12))
+@given(case=graph_elements().filter(lambda case: case[1] <= 120))
+def test_factorization_graph_matches_the_flood(case):
+    gens, a = case
+    M = NumericalMonoid(gens)
+    zs = factorizations(M, a)
+    graph = factorization_graph(M, a)
+    event(f"components: {len(graph.components)}")
+    assert graph.vertices == tuple(zs)
+    assert graph.components == _components_by_flood(zs)
+
+
 @pytest.mark.parametrize("gens", CORPUS)
 def test_minimal_presentation_closure(gens):
     M = NumericalMonoid(gens)

@@ -1,6 +1,7 @@
 import pytest
 
 from numonoid import (
+    FactorizationGraph,
     InvalidInput,
     NotARelation,
     NotInImage,
@@ -250,10 +251,9 @@ def test_family_from_generators():
     assert fam is None and n == 7
 
 
-def test_tampered_lift_is_caught(monkeypatch):
-    # replace the lifted relation at 11280 with one whose sides share
-    # support, hence sit in the same component; the spanning verification
-    # inside the accelerated path must reject the batch
+def _swap_relation_at_11280(monkeypatch, make):
+    # the lift hands back its presentation with the relation at 11280 of
+    # M_450 replaced by make(target)
     import numonoid.shifted as shifted_mod
 
     real = lift_presentation
@@ -261,15 +261,59 @@ def test_tampered_lift_is_caught(monkeypatch):
     def tampered(F_, n0, pres, steps):
         lifted = real(F_, n0, pres, steps)
         target = lifted.monoid
-        assert 20 * 450 + 5 * 456 == 21 * 450 + 2 * 456 + 2 * 459 == 11280
-        rels = [
-            make_relation(target, (21, 2, 2, 0), (20, 5, 0, 0))
-            if r.betti == 11280
-            else r
-            for r in lifted.relations
-        ]
+        rels = [make(target) if r.betti == 11280 else r for r in lifted.relations]
         return make_presentation(target, rels)
 
     monkeypatch.setattr(shifted_mod, "lift_presentation", tampered)
-    with pytest.raises(VerificationFailed):
+
+
+def _tamper_join(monkeypatch):
+    # sides that share support, hence sit in the same component
+    assert 20 * 450 + 5 * 456 == 21 * 450 + 2 * 456 + 2 * 459 == 11280
+    _swap_relation_at_11280(
+        monkeypatch, lambda M: make_relation(M, (21, 2, 2, 0), (20, 5, 0, 0))
+    )
+
+
+def _tamper_factor(monkeypatch):
+    # a true relation of M_450, at 1368, tagged 11280
+    assert 3 * 456 == 450 + 2 * 459 == 1368
+    _swap_relation_at_11280(
+        monkeypatch, lambda M: Relation((0, 3, 0, 0), (1, 0, 2, 0), 11280)
+    )
+
+
+def _tamper_span(monkeypatch):
+    # the graph at 11280 reports its two-member component as two, so the
+    # one lifted relation there leaves a component unjoined
+    import numonoid.shifted as shifted_mod
+
+    real = shifted_mod.factorization_graph
+
+    def split(M, a, **kwargs):
+        g = real(M, a, **kwargs)
+        if a != 11280:
+            return g
+        comps = []
+        for comp in g.components:
+            comps += [comp[:1], comp[1:]] if len(comp) > 1 else [comp]
+        assert len(comps) == len(g.components) + 1
+        return FactorizationGraph(a, g.vertices, tuple(sorted(comps)))
+
+    monkeypatch.setattr(shifted_mod, "factorization_graph", split)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        pytest.param(_tamper_join, "do not join distinct components", id="join"),
+        pytest.param(_tamper_factor, "does not factor 11280", id="factor"),
+        pytest.param(_tamper_span, "relations lifted to 11280 do not span", id="span"),
+    ],
+)
+def test_tampered_lift_is_caught(monkeypatch, tamper, message):
+    # the spanning verification inside the accelerated path must reject
+    # each tampered lift, with the message of the check that fired
+    tamper(monkeypatch)
+    with pytest.raises(VerificationFailed, match=message):
         accelerated_minimal_presentation(F, 450)

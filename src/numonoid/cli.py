@@ -236,10 +236,11 @@ def _cmd_invariant(args, out) -> int:
 
 
 def _survey_rows(family, n: int, which: str) -> list[tuple[int, str, int]]:
-    member = monoid_at(family, n)
-    if not member.primitive or not member.minimal:
-        return [(n, "skip", 0)]
     try:
+        # checking a member's minimality may itself be refused
+        member = monoid_at(family, n)
+        if not member.primitive or not member.minimal:
+            return [(n, "skip", 0)]
         if which == "catenary":
             return [(n, which, catenary_of_monoid(member.monoid))]
         if which == "delta":

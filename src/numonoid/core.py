@@ -124,33 +124,42 @@ def normalize_generators(raw) -> NumericalMonoid:
     """Sort, deduplicate, and drop redundant generators.
 
     A generator is redundant when it is a non-negative combination of the
-    others; since all generators are positive, only smaller kept generators
-    can participate in such a combination, so one ascending pass suffices.
-    The result is minimally generated.  Idempotent.
+    others.  Dividing by the gcd changes no combination, so the redundant
+    ones are read off the Apery table of the primitive quotient.  The
+    result is minimally generated.  Idempotent.  Raises BudgetExceeded,
+    as apery does, when the least value divided by the gcd exceeds
+    DEFAULT_CAP.
     """
     vals = sorted({int(g) for g in raw})
     if not vals:
         raise InvalidGenerators("at least one generator is required")
     if vals[0] < 1:
         raise InvalidGenerators("generators must be positive")
-    kept: list[int] = []
-    for g in vals:
-        if not _representable(g, kept):
-            kept.append(g)
-    return NumericalMonoid(tuple(kept))
+    d = gcd(*vals)
+    M = NumericalMonoid(tuple(v // d for v in vals))
+    redundant = set(_redundant(M))
+    return NumericalMonoid(tuple(d * m for m in M.generators if m not in redundant))
 
 
-def _representable(target: int, gens: list[int]) -> bool:
-    # bounded coin-style reachability up to target, unbounded multiplicity
-    if not gens:
-        return False
-    reach = bytearray(target + 1)
-    reach[0] = 1
-    for g in gens:
-        for v in range(g, target + 1):
-            if reach[v - g]:
-                reach[v] = 1
-    return bool(reach[target])
+def _redundant(M: NumericalMonoid) -> list[int]:
+    """The generators of the primitive M that are combinations of the
+    others, in increasing order: m_i is one iff m_i - m_j is in M for some
+    j < i, which is one lookup in apery(M) per pair.
+
+    Proof.  If m_i - m_j is in M, it is below m_i, so a factorization of it
+    uses only generators below m_i, and adding m_j writes m_i through the
+    others.  Conversely a combination of the others equal to m_i uses only
+    smaller generators, as all are positive, and some m_j with j < i; taking
+    that m_j away leaves m_i - m_j in M.
+    """
+    table = apery(M)
+    ap, m1 = table.entries, table.modulus
+    gens = M.generators
+    return [
+        m
+        for i, m in enumerate(gens)
+        if any(m - g >= ap[(m - g) % m1] for g in gens[:i])
+    ]
 
 
 # The memo of apery, keyed by the monoid alone: a table is exact whatever
@@ -185,12 +194,12 @@ def apery(M: NumericalMonoid, *, deadline: float | None = None) -> AperyTable:
     s_b with a < b, and w - (s_b - s_a) is a smaller element of the class.
     So w <= (m_1 - 1) m_t.  Hence min(mark, x) = x for every entry x: the
     mark acts as infinity, and a residue keeps it exactly when no element of
-    <m_1, ..., m_i> lies in its class.  One left after the last pass means
-    gcd(M) > 1 and raises NotPrimitive.
+    <m_1, ..., m_i> lies in its class.  A primitive M has an element in
+    every class, so none keeps it after the last pass.
 
-    Raises BudgetExceeded, before allocating anything, when
-    m_1 > DEFAULT_CAP, and before any pass once deadline has passed; a
-    refused call stores nothing.  A memoized table is returned whatever the
+    Raises NotPrimitive when gcd(M) > 1, then BudgetExceeded, before
+    allocating anything, when m_1 > DEFAULT_CAP, and before any pass once
+    deadline has passed; a refused call stores nothing.  A memoized table is returned whatever the
     deadline.
     """
     table = _apery_memo.get(M)
@@ -198,6 +207,10 @@ def apery(M: NumericalMonoid, *, deadline: float | None = None) -> AperyTable:
         return table
     gens = M.generators
     m1 = gens[0]
+    if M.gcd != 1:
+        raise NotPrimitive(
+            f"gcd of generators is {M.gcd}; some residues mod {m1} unreachable"
+        )
     if m1 > DEFAULT_CAP:
         raise BudgetExceeded(
             f"an Apery table of {m1} entries exceeds the cap of {DEFAULT_CAP}"
@@ -226,10 +239,6 @@ def apery(M: NumericalMonoid, *, deadline: float | None = None) -> AperyTable:
                     val = old
                 else:
                     dist[cur] = val
-    if unreached in dist:
-        raise NotPrimitive(
-            f"gcd of generators is {M.gcd}; some residues mod {m1} unreachable"
-        )
     table = _apery_memo[M] = AperyTable(m1, tuple(dist))
     return table
 

@@ -4,10 +4,10 @@ A factorization of a is an exponent vector z with pi(z) = sum z_i m_i = a.
 Two exact enumerators produce Z(a); both return it in one documented order,
 vectors sorted by (z_t, z_{t-1}, ..., z_1) descending.
 
-- Generic (_enumerate): recurse over the generators from the largest down,
-  running each coordinate from its maximum to zero, which emits the
-  documented order directly.  Its work grows like the product of a/m_i over
-  the recursed generators.
+- Generic (_enumerate_generic): recurse over the generators from the
+  largest down, running each coordinate from its maximum to zero, which
+  emits the documented order directly.  Its work grows like the product
+  of a/m_i over the recursed generators.
 - Length-sliced (_enumerate_sliced): view M as <n, n + r_1, ..., n + r_k>
   with n = m_1 and r_i = m_{i+1} - m_1.  A factorization of length l is
   then a vector w over the offsets with sum w_i r_i = a - n*l and
@@ -21,9 +21,10 @@ vectors sorted by (z_t, z_{t-1}, ..., z_1) descending.
 Neither recurses over its last two coordinates (the two smallest
 generators, or the two smallest offsets): their solutions form an arithmetic
 progression and are emitted in closed form, cut at the slice's atom count
-in the sliced search.  _enumerate_best picks one of the two from an O(t)
-estimate of each one's work, computed from the generators and a alone; every
-caller outside this module enumerates through it.
+in the sliced search.  _enumerate is the one entry: it picks one of the two
+from an O(t) estimate of each one's work, computed from the generators and
+a alone, and every enumeration, factorizations() and _factorizations_of
+included, goes through it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def factorizations(
         raise InvalidInput("target element must be non-negative")
     if cap < 0:
         raise InvalidInput(f"cap must be non-negative, got {cap}")
-    return _enumerate_best(M.generators, a, cap, deadline)
+    return _enumerate(M.generators, a, cap, deadline)
 
 
 def _sliced_is_cheaper(gens: tuple[int, ...], a: int) -> bool:
@@ -102,7 +103,7 @@ def _sliced_is_cheaper(gens: tuple[int, ...], a: int) -> bool:
     return sliced < generic
 
 
-def _enumerate_best(
+def _enumerate(
     gens: tuple[int, ...],
     a: int,
     cap: int = DEFAULT_CAP,
@@ -110,11 +111,13 @@ def _enumerate_best(
 ) -> list[tuple[int, ...]]:
     """Z(a) in the documented order, by whichever search is estimated
     cheaper; both are exact and honour cap and deadline alike."""
-    search = _enumerate_sliced if _sliced_is_cheaper(gens, a) else _enumerate
+    search = (
+        _enumerate_sliced if _sliced_is_cheaper(gens, a) else _enumerate_generic
+    )
     return search(gens, a, cap, deadline)
 
 
-def _enumerate(
+def _enumerate_generic(
     gens: tuple[int, ...],
     a: int,
     cap: int = DEFAULT_CAP,
@@ -238,7 +241,7 @@ def _enumerate_sliced(
         for length in range(-(-a // gens[-1]), a // m0 + 1):
             rec(t - 1, a - m0 * length, length)
     finally:
-        del rec  # as in _enumerate
+        del rec  # as in _enumerate_generic
     out.sort(key=lambda z: z[::-1], reverse=True)
     return out
 
@@ -247,10 +250,17 @@ def length_profile(
     M: NumericalMonoid, a: int, *, deadline: float | None = None
 ) -> LengthProfile:
     """L(a) and its successive gaps; error when a is not an element."""
+    return _profile(a, _factorizations_of(M, a, deadline))
+
+
+def _factorizations_of(
+    M: NumericalMonoid, a: int, deadline: float | None
+) -> list[tuple[int, ...]]:
+    """Z(a); NotAnElement when a is not in M."""
     zs = factorizations(M, a, deadline=deadline)
     if not zs:
-        raise NotAnElement(f"{a} is not in {M!r}")
-    return _profile(a, zs)
+        raise NotAnElement(f"{a} is not an element of {M.generators}")
+    return zs
 
 
 def _profile(a: int, zs) -> LengthProfile:

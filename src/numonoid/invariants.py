@@ -50,8 +50,8 @@ from .core import (
     default_window,
     frobenius,
 )
-from .errors import InvalidInput, NotAnElement, NotPrimitive, VerificationFailed
-from .factorizations import _distance, _profile, factorizations, length_profile
+from .errors import InvalidInput, NotPrimitive, VerificationFailed
+from .factorizations import _distance, _factorizations_of, _profile, length_profile
 from .shifted import _betti_graphs, family_from_generators
 
 
@@ -110,16 +110,6 @@ class TameReport:
     value: int
     attained_at: int | None
     window: int
-
-
-def _factorizations_of(
-    M: NumericalMonoid, a: int, deadline: float | None
-) -> list[tuple[int, ...]]:
-    """Z(a); NotAnElement when a is not in M."""
-    zs = factorizations(M, a, deadline=deadline)
-    if not zs:
-        raise NotAnElement(f"{a} is not an element of {M.generators}")
-    return zs
 
 
 def _sized(zs: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:

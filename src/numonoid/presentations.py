@@ -63,15 +63,9 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import and_, rshift
 
-from .core import DEFAULT_CAP, NumericalMonoid, _check_deadline, apery
-from .errors import (
-    InvalidInput,
-    NotAnElement,
-    NotARelation,
-    NotMinimal,
-    NotPrimitive,
-)
-from .factorizations import _enumerate_best
+from .core import NumericalMonoid, _check_deadline, _redundant, apery
+from .errors import InvalidInput, NotARelation, NotMinimal
+from .factorizations import _enumerate, _factorizations_of
 
 
 @dataclass(frozen=True)
@@ -194,21 +188,18 @@ def factorization_graph(
     M: NumericalMonoid, a: int, *, deadline: float | None = None
 ) -> FactorizationGraph:
     """Component partition of the factorization graph of a."""
-    if a < 0:
-        raise InvalidInput("target element must be non-negative")
-    zs = _enumerate_best(M.generators, a, DEFAULT_CAP, deadline)
-    if not zs:
-        raise NotAnElement(f"{a} is not in {M!r}")
+    zs = _factorizations_of(M, a, deadline)
     return _graph(a, zs, _atom_union(M.t, zs))
 
 
 def _require_minimal(M: NumericalMonoid) -> None:
-    # the tuple is minimal iff every generator factors only as itself
-    for i, m in enumerate(M.generators):
-        if len(_enumerate_best(M.generators, m)) != 1:
-            raise NotMinimal(
-                f"generator {m} is a combination of the others in {M!r}"
-            )
+    # read off the Apery table of the primitive M (core._redundant), so
+    # nothing is enumerated; the smallest redundant generator is named
+    redundant = _redundant(M)
+    if redundant:
+        raise NotMinimal(
+            f"generator {redundant[0]} is a combination of the others in {M!r}"
+        )
 
 
 def _pack(values: tuple[int, ...], size: int) -> int:
@@ -293,9 +284,10 @@ def _split_candidates(
 def _betti_impl(
     M: NumericalMonoid, deadline: float | None
 ) -> tuple[FactorizationGraph, ...]:
-    # the factorization graphs of the Betti elements, in increasing order
-    if not M.is_primitive:
-        raise NotPrimitive(f"gcd of generators is {M.gcd}")
+    # the factorization graphs of the Betti elements, in increasing order;
+    # apery raises NotPrimitive, and its deadline is checked before the
+    # minimality test reads the table
+    ap = apery(M, deadline=deadline).entries
     _require_minimal(M)
     # Candidate set {m_i + w : i >= 2, w in Ap(M, m_1), w != 0}.  Every Betti
     # element b lies in it: the factorizations of b using the atom m_1
@@ -317,11 +309,10 @@ def _betti_impl(
     # clique of the atom graph, and two factorizations sharing an atom have
     # connected supports, so the atoms used in one component of the
     # factorization graph are connected in the atom graph.
-    ap = apery(M, deadline=deadline).entries
     gens = M.generators
     out = []
     for c in sorted(_split_candidates(gens, ap, deadline)):
-        zs = _enumerate_best(gens, c, DEFAULT_CAP, deadline)
+        zs = _enumerate(gens, c, deadline=deadline)
         out.append(_graph(c, zs, _atom_union(M.t, zs)))
     return tuple(out)
 

@@ -10,7 +10,7 @@ directly at a small base shift determines one at any larger shift in the same
 residue class mod r_k in closed form.  That removes the part of the direct
 algorithm that grows with n: the Apery table has n entries and the
 Betti-element candidate scan decides about k*n candidates from it, so the
-two take about 8 ms at n = 10^4, 0.1 s at 10^5 and 1.3 s at 10^6 for
+two take about 5 ms at n = 10^4, 60 ms at 10^5 and 0.8 s at 10^6 for
 r = (6,9,20).  The re-verification at the target enumerates each lifted
 Betti element's factorizations by length slices, whose cost hardly depends
 on n, so a verified lift at n = 10^6 or 10^9 takes a few milliseconds.
@@ -102,8 +102,10 @@ def monoid_at(F: ShiftedFamily, n: int) -> FamilyMember:
 
     M_n is primitive iff gcd(n, d) = 1.  For n > r_k the tuple is always
     minimal (any sum of two generators exceeds n + r_k); for n <= r_k it is
-    checked explicitly.  Non-minimal or non-primitive members are returned
-    flagged, and the operations that need the standing assumptions raise.
+    checked by normalize_generators, which raises BudgetExceeded when the
+    Apery table it reads exceeds DEFAULT_CAP.  Non-minimal or non-primitive
+    members are returned flagged, and the operations that need the standing
+    assumptions raise.
     """
     if n < 1:
         raise InvalidInput("shift parameter must be positive")

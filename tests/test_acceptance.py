@@ -29,7 +29,7 @@ from numonoid import (
     tame_degree,
 )
 from numonoid.oracle import factorization_buckets
-from numonoid.factorizations import _enumerate
+from numonoid.factorizations import _enumerate_generic
 from numonoid.presentations import _atom_union, _graph
 
 F = ShiftedFamily((6, 9, 20))
@@ -231,7 +231,7 @@ def test_c13_lift_is_verified_at_any_shift():
     n = 20011
     M = monoid_at(F, n).monoid
     for beta in accelerated_minimal_presentation(F, n).betti_values():
-        zs = _enumerate(M.generators, beta)
+        zs = _enumerate_generic(M.generators, beta)
         assert factorization_graph(M, beta) == _graph(beta, zs, _atom_union(M.t, zs))
 
 

@@ -392,6 +392,23 @@ def test_survey_into_a_reader_that_closes_early_exits_quietly(tmp_path):
     assert code == 141
 
 
+def test_survey_records_a_refused_member_check_as_a_row(cli):
+    # the minimality check of <10000001, 10000002, 30000001> needs an Apery
+    # table past DEFAULT_CAP; its refusal is the row's error, not the exit
+    clear_caches()
+    tracemalloc.start()
+    try:
+        result = cli(
+            "survey", "--r", "1,20000000", "--n-from", "10000001",
+            "--n-to", "10000001", "--which", "betti", "--out", "-",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "n,metric,value\n10000001,error:BudgetExceeded,0\n")
+    assert peak < 10**6
+
+
 def test_survey_skips_degenerate_members(cli):
     code, out = cli(
         "survey", "--r", "2,4", "--n-from", "2", "--n-to", "2",

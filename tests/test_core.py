@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from numonoid import (
     InvalidGenerators,
     InvalidInput,
     DimensionMismatch,
+    NotMinimal,
     NotPrimitive,
     NumericalMonoid,
     apery,
@@ -103,6 +105,35 @@ def test_normalize_generators(raw, expected):
     assert normalize_generators(M.generators).generators == expected
 
 
+def test_normalization_reads_the_apery_table_of_the_quotient():
+    # the coin sieve it replaced allocated max(raw) bytes; the table of
+    # <2, 3> has two entries
+    clear_caches()
+    tracemalloc.start()
+    try:
+        M = normalize_generators((2, 3, 10**7 + 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.generators == (2, 3)
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize(
+    "gens,redundant", [((6, 9, 15, 20), 15), ((2, 3, 10**7 + 2), 10**7 + 2)]
+)
+def test_the_scan_refuses_a_redundant_tuple_without_enumerating(
+    gens, redundant, monkeypatch
+):
+    def enumerate_(*args):
+        raise AssertionError("the minimality test enumerated")
+
+    monkeypatch.setattr(presentations, "_enumerate", enumerate_)
+    clear_caches()
+    with pytest.raises(NotMinimal, match=f"^generator {redundant} is"):
+        minimal_presentation(NumericalMonoid(gens))
+
+
 def test_apery_fixtures():
     table = apery(NumericalMonoid((6, 9, 20)))
     assert isinstance(table, AperyTable)
@@ -117,6 +148,10 @@ def test_apery_fixtures():
 def test_apery_requires_primitive():
     with pytest.raises(NotPrimitive):
         apery(NumericalMonoid((4, 6)))
+    # before the size cap, so the direct scan of a large non-primitive
+    # tuple is refused as invalid input, not as a budget
+    with pytest.raises(NotPrimitive):
+        minimal_presentation(NumericalMonoid((2 * 10**7, 2 * 10**7 + 2)))
 
 
 def test_apery_honours_the_deadline_and_caches_nothing_refused():

@@ -15,7 +15,7 @@ from numonoid import (
     length_profile,
 )
 from numonoid.core import DEFAULT_CAP
-from numonoid.factorizations import _enumerate, _sliced_is_cheaper
+from numonoid.factorizations import _enumerate_generic, _sliced_is_cheaper
 from numonoid.oracle import factorization_buckets
 
 M6920 = NumericalMonoid((6, 9, 20))
@@ -85,12 +85,12 @@ def test_sliced_search_honours_the_deadline():
 
 def test_generic_search_honours_the_deadline():
     # about 5000 tails for a single vector, so the generic search reads the
-    # clock at least once; _enumerate_best would pick the sliced search here
+    # clock at least once; _enumerate would pick the sliced search here
     gens, a = (1000, 1001, 1002, 1003), 10**5
     assert _sliced_is_cheaper(gens, a)
-    assert _enumerate(gens, a) == [(100, 0, 0, 0)]
+    assert _enumerate_generic(gens, a) == [(100, 0, 0, 0)]
     with pytest.raises(BudgetExceeded, match="deadline"):
-        _enumerate(gens, a, DEFAULT_CAP, time.monotonic() - 1)
+        _enumerate_generic(gens, a, DEFAULT_CAP, time.monotonic() - 1)
 
 
 def test_length_profile_fixtures():

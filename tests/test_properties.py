@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numonoid import presentations, shifted
 from numonoid import (
     BudgetExceeded,
+    NotMinimal,
     NotPrimitive,
     NumericalMonoid,
     ShiftedFamily,
@@ -35,7 +36,7 @@ from numonoid import (
 )
 from numonoid.factorizations import (
     _enumerate,
-    _enumerate_best,
+    _enumerate_generic,
     _enumerate_sliced,
     distance,
 )
@@ -176,6 +177,48 @@ def test_normalization_is_idempotent(xs):
     assert normalize_generators(once.generators).generators == once.generators
 
 
+def _redundant_by_sieve(vals) -> list[int]:
+    """The distinct values, increasing, that the other distinct values
+    reach as non-negative combinations."""
+    vals = sorted(set(vals))
+    return [
+        g
+        for g in vals
+        if reachable_up_to(tuple(v for v in vals if v != g), g)[g]
+    ]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    xs=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    scale=st.integers(1, 6),
+    repeats=st.integers(0, 3),
+)
+def test_normalization_keeps_what_no_other_value_reaches(xs, scale, repeats):
+    # duplicates and a common factor, which the Apery table is read without
+    raw = [scale * x for x in xs] + [scale * x for x in xs[:repeats]]
+    redundant = _redundant_by_sieve(raw)
+    expected = tuple(g for g in sorted(set(raw)) if g not in redundant)
+    assert normalize_generators(raw).generators == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    gens=st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True)
+    .map(lambda xs: tuple(sorted(xs)))
+    .filter(lambda gens: math.gcd(*gens) == 1)
+)
+def test_the_scan_refuses_exactly_the_redundant_tuples(gens):
+    # NotMinimal names the smallest generator the others reach
+    M = NumericalMonoid(gens)
+    redundant = _redundant_by_sieve(gens)
+    if redundant:
+        with pytest.raises(NotMinimal, match=f"^generator {redundant[0]} is"):
+            minimal_presentation(M)
+    else:
+        assert minimal_presentation(M).monoid == M
+
+
 @settings(deadline=None, max_examples=80)
 @given(data=st.data())
 def test_distance_is_a_metric(data):
@@ -212,6 +255,22 @@ def test_betti_scan_enumerates_through_the_entry(monkeypatch):
         calls.clear()
         presentations._betti_impl(NumericalMonoid(gens), None)
         assert calls, gens
+
+
+@pytest.mark.parametrize("gens", [*SLICED_CORPUS, (6, 9, 20)])
+def test_betti_scan_enumerates_only_its_betti_elements(gens, monkeypatch):
+    # minimality is read off the Apery table, so every enumeration of the
+    # scan is at a Betti element, once each
+    calls = []
+    real = presentations._enumerate
+
+    def logged(searched, a, *args, **kwargs):
+        calls.append(a)
+        return real(searched, a, *args, **kwargs)
+
+    monkeypatch.setattr(presentations, "_enumerate", logged)
+    graphs = presentations._betti_impl(NumericalMonoid(gens), None)
+    assert calls == [g.element for g in graphs]
 
 
 def _atom_components_by_flood(
@@ -527,9 +586,9 @@ def test_both_enumerators_agree_with_each_other_and_the_oracle(gens, data):
     t = len(gens)
     budget = (20000 * math.factorial(t) * math.prod(gens)) ** (1 / t)
     a = data.draw(st.integers(0, min(1500, int(budget))))
-    generic = _enumerate(gens, a)
+    generic = _enumerate_generic(gens, a)
     expected = set(factorization_buckets(gens, a).get(a, []))
-    for search in (_enumerate, _enumerate_sliced):
+    for search in (_enumerate_generic, _enumerate_sliced):
         zs = search(gens, a)
         assert zs == generic
         assert set(zs) == expected
@@ -541,7 +600,7 @@ def test_both_enumerators_agree_with_each_other_and_the_oracle(gens, data):
                     search(gens, a, cap)
             else:
                 assert search(gens, a, cap) == zs
-    assert _enumerate_best(gens, a) == generic
+    assert _enumerate(gens, a) == generic
 
 
 # primitive monoids on 2..5 generators in [3, 30]
@@ -647,7 +706,8 @@ def _tame_by_definition(gens, w):
     factorization of every element up to w: for each element a, the max
     over atoms m_i with a - m_i in M and over z in Z(a) of the distance
     from z to the nearest factorization of a using m_i; then the largest
-    value and the first element reaching it."""
+    value and the first element reaching it.  A z that uses m_i is at
+    distance 0 from itself, so only the z with z_i = 0 can raise the max."""
     buckets = factorization_buckets(gens, w)
     best, attained = -1, None
     for a in range(w + 1):
@@ -658,7 +718,10 @@ def _tame_by_definition(gens, w):
         for i, g in enumerate(gens):
             if a - g in buckets:
                 users = [u for u in zs if u[i] > 0]
-                ta = max([ta] + [min(distance(z, u) for u in users) for z in zs])
+                ta = max(
+                    [ta]
+                    + [min(distance(z, u) for u in users) for z in zs if z[i] == 0]
+                )
         if ta > best:
             best, attained = ta, a
     return best, attained

@@ -5,16 +5,18 @@ the optimized modules: membership by coin-sieve reachability, factorization
 sets by one unpruned recursive sweep over a whole window, factorization-graph
 connectivity by a flood over pairwise support intersection, congruence
 generation by joining, within each element's factorizations, every translate
-u + left ~ u + right of a relation that lands on it.  Deliberately simple
-and only modestly fast; the optimized modules must agree with these routines
-on small instances, and derived test fixtures are frozen from their output.
+u + left ~ u + right of a relation that lands on it.  The sweep stores each
+factorization as a carry-free integer code (see congruence_closure_check),
+so a translate is one integer addition; that changes how the vectors are
+held, not what is checked.  Deliberately simple and only modestly fast;
+the optimized modules must agree with these routines on small instances,
+and derived test fixtures are frozen from their output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
 from .core import NumericalMonoid
 from .errors import InvalidInput, NotARelation
@@ -37,40 +39,63 @@ def factorization_buckets(
     """Every exponent vector with value <= bound, keyed by value.
 
     One recursive sweep; total work proportional to the number of vectors.
-    Results are cached per (gens, bound) and must be treated as read-only.
+    Within a value the vectors come ascending in (z_t, ..., z_2).  The sweep
+    stores integer codes (see congruence_closure_check), cached per
+    (gens, bound); each call returns a fresh dict decoded from them.
     """
-    return _buckets(tuple(gens), bound)
+    gens = tuple(gens)
+    radices = _radices(gens, bound)
+    return {
+        a: [_decode(code, radices) for code in codes]
+        for a, codes in _buckets(gens, bound).items()
+    }
+
+
+def _radices(gens: tuple[int, ...], bound: int) -> list[int]:
+    """One radix per coordinate: a vector of value <= bound has
+    z_j <= bound // m_j, a digit below bound // m_j + 1."""
+    return [bound // g + 1 for g in gens]
+
+
+def _weights(radices: list[int]) -> list[int]:
+    """w_j = the product of the radices before j."""
+    weights, w = [], 1
+    for r in radices:
+        weights.append(w)
+        w *= r
+    return weights
+
+
+def _decode(code: int, radices: list[int]) -> tuple[int, ...]:
+    """The vector whose digits in these radices make up code."""
+    z = []
+    for r in radices:
+        code, c = divmod(code, r)
+        z.append(c)
+    return tuple(z)
 
 
 @lru_cache(maxsize=8)
-def _buckets(gens: tuple[int, ...], bound: int) -> dict[int, list[tuple[int, ...]]]:
-    t = len(gens)
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    counts = [0] * t
+def _buckets(gens: tuple[int, ...], bound: int) -> dict[int, list[int]]:
+    """The codes sum z_j w_j of every vector with value <= bound, by value."""
+    weights = _weights(_radices(gens, bound))
+    buckets: dict[int, list[int]] = {}
 
-    def rec(i: int, acc: int) -> None:
-        m = gens[i]
+    def rec(i: int, acc: int, code: int) -> None:
+        m, w = gens[i], weights[i]
         if i == 0:
-            val = acc
-            c = 0
-            while val <= bound:
-                counts[0] = c
-                buckets.setdefault(val, []).append(tuple(counts))
-                val += m
-                c += 1
-            counts[0] = 0
+            while acc <= bound:
+                buckets.setdefault(acc, []).append(code)
+                acc += m
+                code += w
             return
-        val = acc
-        c = 0
-        while val <= bound:
-            counts[i] = c
-            rec(i - 1, val)
-            val += m
-            c += 1
-        counts[i] = 0
+        while acc <= bound:
+            rec(i - 1, acc, code)
+            acc += m
+            code += w
 
     try:
-        rec(t - 1, 0)
+        rec(len(gens) - 1, 0, 0)
     finally:
         del rec  # rec's closure holds rec; the cycle would keep buckets alive
     return buckets
@@ -108,14 +133,27 @@ def congruence_closure_check(
     their translates u + left ~ u + right.  For each element a <= window with
     at least two factorizations, join the two sides of every translate of
     value a (u runs over the vectors of value a - value(left)) in a forest
-    over Z(a), and test that every factorization shares the root of the
-    first.  A failure records a with the first factorization and the first
-    one, in bucket order, not joined to it.  Accepts Relation objects or bare
-    (left, right) pairs.
+    over Z(a), until it spans Z(a) or the translates run out, and test that
+    every factorization shares the root of the first.  A failure records a
+    with the first factorization and the first one, in bucket order, not
+    joined to it.  Accepts Relation objects or bare (left, right) pairs.
+
+    Vectors are stored as integer codes sum z_j w_j, where w_j is the product
+    of the radices window // m_i + 1 over i < j, so a translate is one integer
+    addition.  The codes carry no digit, so they add like the vectors:
+    - a vector of value at most window has z_j <= window // m_j, a digit
+      below its radix, so distinct vectors have distinct codes;
+    - for a <= window and u in Z(a - value(left)), u + left has value a, so
+      its digits stay below their radices and code(u) + code(left) is
+      code(u + left);
+    - a relation of value above window may have a code that carries, but it
+      has no translate in the window, so its code is never added.
     """
     if window < 0:
         raise InvalidInput(f"window must be non-negative, got {window}")
     gens = M.generators
+    radices = _radices(gens, window)
+    weights = _weights(radices)
     translates = []
     for left, right in _as_pairs(relations):
         if len(left) != len(gens) or len(right) != len(gens):
@@ -130,33 +168,55 @@ def congruence_closure_check(
             raise NotARelation(
                 f"sides of {left} ~ {right} evaluate to {lval} and {rval}"
             )
-        translates.append((lval, left, right))
+        lcode = sum(c * w for c, w in zip(left, weights))
+        rcode = sum(c * w for c, w in zip(right, weights))
+        translates.append((lval, lcode, rcode))
 
-    buckets = factorization_buckets(gens, window)
+    buckets = _buckets(gens, window)
     failures = []
     for a in sorted(buckets):
         zs = buckets[a]
         if len(zs) < 2:
             continue
-        # a forest over Z(a) alone; a translate joins the trees of its sides
-        parent: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-        def root(z):
-            while z in parent:
-                z = parent[z]
-            return z
-
-        for value, left, right in translates:
-            for u in buckets.get(a - value, ()):
-                x = root(tuple(map(add, u, left)))
-                y = root(tuple(map(add, u, right)))
-                if x != y:
-                    parent[x] = y
-        first = root(zs[0])
-        missing = next((z for z in zs if root(z) != first), None)
+        missing = _unjoined(buckets, translates, a)
         if missing is not None:
-            failures.append((a, (zs[0], missing)))
+            pair = (_decode(zs[0], radices), _decode(missing, radices))
+            failures.append((a, pair))
     return ClosureReport(window, tuple(failures))
+
+
+def _unjoined(
+    buckets: dict[int, list[int]], translates: list[tuple[int, int, int]], a: int
+) -> int | None:
+    """The first code of Z(a), in bucket order, whose vector the translates
+    landing on a do not join to the first one; None when they join them all.
+
+    The forest is over Z(a) alone, since every translate of value a joins
+    two members of it.  A join links one root below another, so the forest
+    spans Z(a) once it holds |Z(a)| - 1 links, and the joins stop there.
+    """
+    zs = buckets[a]
+    spanning = len(zs) - 1
+    parent: dict[int, int] = {}
+    for value, lcode, rcode in translates:
+        for u in buckets.get(a - value, ()):
+            x, y = u + lcode, u + rcode
+            while x in parent:
+                x = parent[x]
+            while y in parent:
+                y = parent[y]
+            if x != y:
+                parent[x] = y
+                if len(parent) == spanning:
+                    return None
+
+    def root(z):
+        while z in parent:
+            z = parent[z]
+        return z
+
+    first = root(zs[0])
+    return next(z for z in zs if root(z) != first)
 
 
 def naive_betti_scan(M: NumericalMonoid, bound: int) -> list[int]:
@@ -214,9 +274,9 @@ def monotone_chain_search(
     seen = {z}
     while frontier:
         v = frontier.pop()
-        for sub, add in moves:
+        for sub, put in moves:
             if all(vc >= sc for vc, sc in zip(v, sub)):
-                w = tuple(vc - sc + ac for vc, sc, ac in zip(v, sub, add))
+                w = tuple(vc - sc + pc for vc, sc, pc in zip(v, sub, put))
                 if w in seen or sum(w) > sum(v):
                     continue
                 if w == zp:

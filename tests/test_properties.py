@@ -2,6 +2,7 @@
 
 import heapq
 import importlib
+import itertools
 import math
 
 import pytest
@@ -780,24 +781,84 @@ def _closure_by_move_graph(M, relations, window):
     return ClosureReport(window, tuple(failures))
 
 
-@settings(deadline=None, max_examples=200)
-@given(gens=st.sampled_from(CORPUS), data=st.data())
-def test_closure_check_matches_the_move_graph_reference(gens, data):
-    # relation sets that generate the congruence and sets that miss part of
-    # it: a sub-multiset of a minimal presentation, each relation either way
-    # round, plus a few extra relations between factorizations of one element
-    M = NumericalMonoid(gens)
-    pres = minimal_presentation(M)
-    window = data.draw(st.integers(0, max(pres.betti_values()) + 2 * gens[-1]))
-    picked = data.draw(
+@st.composite
+def closure_cases(draw):
+    """(gens, relations, window), with relation sets that generate the
+    congruence and sets that miss part of it: a sub-multiset of a minimal
+    presentation, each relation either way round, plus a few extra relations
+    between factorizations of one element."""
+    gens = draw(st.sampled_from(CORPUS))
+    pres = minimal_presentation(NumericalMonoid(gens))
+    window = draw(st.integers(0, max(pres.betti_values()) + 2 * gens[-1]))
+    picked = draw(
         st.lists(st.tuples(st.sampled_from(pres.relations), st.booleans()), max_size=6)
     )
     relations = [(r.right, r.left) if flip else (r.left, r.right) for r, flip in picked]
     buckets = factorization_buckets(gens, window)
-    zs = buckets[data.draw(st.sampled_from(sorted(buckets)))]
-    relations += data.draw(
+    zs = buckets[draw(st.sampled_from(sorted(buckets)))]
+    relations += draw(
         st.lists(st.tuples(st.sampled_from(zs), st.sampled_from(zs)), max_size=3)
     )
+    return gens, relations, window
+
+
+@settings(deadline=None, max_examples=200)
+# the edges of the oracle's integer codes, whose radices are window // m_j + 1:
+# window 0, where the zero vector is alone
+@example(case=((2, 3), [((3, 0), (0, 2))], 0))
+# a window below m_1, so every radix is 1
+@example(case=((6, 9, 20), [((3, 0, 0), (0, 2, 0)), ((1, 6, 0), (0, 0, 3))], 5))
+# a relation of value 60 past the window, whose digit 3 would carry: alone it
+# must leave 18 disconnected
+@example(case=((6, 9, 20), [((1, 6, 0), (0, 0, 3))], 59))
+# a single generator, so every element has one factorization
+@example(case=((3,), [((2,), (2,))], 12))
+# five generators
+@example(
+    case=(
+        (5, 6, 7, 8, 9),
+        [((0, 2, 0, 0, 0), (1, 0, 1, 0, 0)), ((0, 0, 0, 2, 0), (0, 0, 1, 0, 1))],
+        40,
+    )
+)
+@given(case=closure_cases())
+def test_closure_check_matches_the_move_graph_reference(case):
+    gens, relations, window = case
+    M = NumericalMonoid(gens)
     report = congruence_closure_check(M, relations, window)
     event("passes" if report.ok else "fails")
     assert report == _closure_by_move_graph(M, relations, window)
+
+
+def _buckets_by_product(gens, bound):
+    """Every vector of value <= bound from the full box of coordinates
+    z_j <= bound // m_j, keyed by value, each list in reversed-lex order."""
+    buckets = {}
+    box = itertools.product(*(range(bound // g + 1) for g in gens))
+    for z in sorted(box, key=lambda z: z[::-1]):
+        value = sum(c * g for c, g in zip(z, gens))
+        if value <= bound:
+            buckets.setdefault(value, []).append(z)
+    return buckets
+
+
+@st.composite
+def bounded_tuples(draw):
+    """(gens, bound): an increasing tuple, neither necessarily primitive nor
+    minimal, and a bound from 0 to past m_t, capped so that the box of
+    _buckets_by_product stays small."""
+    gens = tuple(
+        sorted(draw(st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True)))
+    )
+    hi = 2 * gens[-1]
+    while math.prod(hi // g + 1 for g in gens) > 20000:
+        hi -= 1
+    return gens, draw(st.integers(0, hi))
+
+
+@settings(deadline=None, max_examples=200)
+@example(case=((5, 6, 7, 8, 9), 30))  # five generators
+@given(case=bounded_tuples())
+def test_factorization_buckets_match_the_product_reference(case):
+    gens, bound = case
+    assert factorization_buckets(gens, bound) == _buckets_by_product(gens, bound)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import gcd
+from operator import ge, index
 
 from .errors import (
     BudgetExceeded,
@@ -37,11 +38,30 @@ def _check_deadline(deadline: float | None) -> None:
         raise BudgetExceeded("wall-clock deadline exceeded")
 
 
+def _natural(x, what: str) -> int:
+    """x as a non-negative int, for the integer argument named what.
+
+    operator.index takes exactly the integer types, so a float or a str is
+    refused rather than truncated or parsed; a bool is refused too.  Every
+    refusal raises InvalidInput.
+    """
+    try:
+        n = index(x)
+    except TypeError:
+        n = -1  # refused with the negatives
+    if n < 0 or x is True or x is False:
+        raise InvalidInput(f"{what} must be a non-negative integer, got {x!r}")
+    return n
+
+
 class NumericalMonoid:
     """A numerical monoid given by a strictly increasing tuple of generators.
 
-    The constructor validates ordering and positivity only.  It does not
-    check that the tuple is minimal (no generator a combination of the
+    The constructor is the one check on generator tuples: the entries must
+    be integers (operator.index, so a float or a str is refused rather than
+    truncated, and a bool is refused too), and the tuple non-empty, positive
+    and strictly increasing; any failure raises InvalidGenerators.  It does
+    not check that the tuple is minimal (no generator a combination of the
     others); use normalize_generators when that is not already known.
     Instances are immutable and hashable by generator tuple.
     """
@@ -49,12 +69,18 @@ class NumericalMonoid:
     __slots__ = ("generators",)
 
     def __init__(self, generators):
-        gens = tuple(int(g) for g in generators)
+        raw = tuple(generators)
+        try:
+            gens = tuple(map(index, raw))
+        except TypeError:
+            gens = None
+        if gens is None or bool in map(type, raw):
+            raise InvalidGenerators(f"generators must be integers, got {raw!r}")
         if not gens:
             raise InvalidGenerators("at least one generator is required")
         if gens[0] < 1:
             raise InvalidGenerators("generators must be positive")
-        if any(b <= a for a, b in zip(gens, gens[1:])):
+        if any(map(ge, gens, gens[1:])):
             raise InvalidGenerators("generators must be strictly increasing")
         object.__setattr__(self, "generators", gens)
 
@@ -126,15 +152,13 @@ def normalize_generators(raw) -> NumericalMonoid:
     A generator is redundant when it is a non-negative combination of the
     others.  Dividing by the gcd changes no combination, so the redundant
     ones are read off the Apery table of the primitive quotient.  The
-    result is minimally generated.  Idempotent.  Raises BudgetExceeded,
-    as apery does, when the least value divided by the gcd exceeds
-    DEFAULT_CAP.
+    result is minimally generated.  Idempotent.  The entries are checked
+    by the constructor, each as a one-generator monoid before they are
+    deduplicated and sorted, so InvalidGenerators is raised for what it
+    refuses, and for an empty raw.  Raises BudgetExceeded, as apery does,
+    when the least value divided by the gcd exceeds DEFAULT_CAP.
     """
-    vals = sorted({int(g) for g in raw})
-    if not vals:
-        raise InvalidGenerators("at least one generator is required")
-    if vals[0] < 1:
-        raise InvalidGenerators("generators must be positive")
+    vals = sorted({NumericalMonoid((g,)).multiplicity for g in raw})
     d = gcd(*vals)
     M = NumericalMonoid(tuple(v // d for v in vals))
     redundant = set(_redundant(M))
@@ -245,8 +269,7 @@ def apery(M: NumericalMonoid, *, deadline: float | None = None) -> AperyTable:
 
 def contains(M: NumericalMonoid, a: int) -> bool:
     """Membership test via the Apery table; requires M primitive."""
-    if a < 0:
-        raise InvalidInput("elements of a numerical monoid are non-negative")
+    a = _natural(a, "element")
     table = apery(M)
     return a >= table.entries[a % table.modulus]
 

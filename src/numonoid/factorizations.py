@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import DEFAULT_CAP, NumericalMonoid, _check_deadline
-from .errors import BudgetExceeded, DimensionMismatch, InvalidInput, NotAnElement
+from .core import DEFAULT_CAP, NumericalMonoid, _check_deadline, _natural
+from .errors import BudgetExceeded, DimensionMismatch, NotAnElement
 
 # deadline checks are amortized: one clock read per this many inner steps
 _TICK = 4096
@@ -70,10 +70,7 @@ def factorizations(
     BudgetExceeded past `cap` emitted vectors or past `deadline`
     (time.monotonic seconds).
     """
-    if a < 0:
-        raise InvalidInput("target element must be non-negative")
-    if cap < 0:
-        raise InvalidInput(f"cap must be non-negative, got {cap}")
+    a, cap = _natural(a, "target element"), _natural(cap, "cap")
     return _enumerate(M.generators, a, cap, deadline)
 
 

@@ -11,8 +11,10 @@ window and flagged as lower bounds.  The regime is read off the
 generators: M = <m_1, ..., m_t> is the member n = m_1 of the family with
 offsets r_i = m_{i+1} - m_1, and is inside it when m_1 > r_k^2.  There the
 monotone and equal catenary degrees collapse onto the ordinary one and the
-delta set is the singleton {gcd of the offsets}; those paths are exact and
-are cross-checked against the Betti data before being returned.  Every
+delta set is the singleton {gcd of the offsets}; those paths are exact.
+The delta set's is cross-checked against the Betti elements' delta sets
+before it is returned; monoid_catenary_report's returns the ordinary
+degree three times, with no check of its own.  Every
 Betti element comes from shifted._betti_graphs, which takes the lift well
 above the threshold and the direct scan otherwise, and its factorizations
 are read off the graph's vertices rather than enumerated again.  An
@@ -46,11 +48,12 @@ from itertools import product
 from .core import (
     NumericalMonoid,
     _check_deadline,
+    _natural,
     contains,
     default_window,
     frobenius,
 )
-from .errors import InvalidInput, NotPrimitive, VerificationFailed
+from .errors import NotPrimitive, VerificationFailed
 from .factorizations import _distance, _factorizations_of, _profile, length_profile
 from .shifted import _betti_graphs, family_from_generators
 
@@ -65,8 +68,8 @@ def _regime_family(M: NumericalMonoid):
 def _window(M: NumericalMonoid, window: int | None) -> int:
     """The validated sweep window: default_window when None.  Sweeps are
     over numerical monoids, so M must be primitive."""
-    if window is not None and window < 0:
-        raise InvalidInput(f"window must be non-negative, got {window}")
+    if window is not None:
+        window = _natural(window, "window")
     if not M.is_primitive:
         raise NotPrimitive(f"gcd of generators is {M.gcd}; the sweep needs 1")
     return default_window(M) if window is None else window

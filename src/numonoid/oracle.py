@@ -22,8 +22,16 @@ from .core import NumericalMonoid
 from .errors import InvalidInput, NotARelation
 
 
+def _check_bound(x, what: str) -> None:
+    """Refuse, with InvalidInput, a window or bound that is not a
+    non-negative int (a bool included)."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise InvalidInput(f"{what} must be a non-negative integer, got {x!r}")
+
+
 def reachable_up_to(gens: tuple[int, ...], bound: int) -> list[bool]:
     """reachable[v] iff v is a non-negative combination of gens, v <= bound."""
+    _check_bound(bound, "bound")
     reach = bytearray(bound + 1)
     reach[0] = 1
     for g in gens:
@@ -43,6 +51,7 @@ def factorization_buckets(
     stores integer codes (see congruence_closure_check), cached per
     (gens, bound); each call returns a fresh dict decoded from them.
     """
+    _check_bound(bound, "bound")
     gens = tuple(gens)
     radices = _radices(gens, bound)
     return {
@@ -149,8 +158,7 @@ def congruence_closure_check(
     - a relation of value above window may have a code that carries, but it
       has no translate in the window, so its code is never added.
     """
-    if window < 0:
-        raise InvalidInput(f"window must be non-negative, got {window}")
+    _check_bound(window, "window")
     gens = M.generators
     radices = _radices(gens, window)
     weights = _weights(radices)

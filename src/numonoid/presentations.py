@@ -60,11 +60,10 @@ import sys
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from operator import and_, rshift
 
-from .core import NumericalMonoid, _check_deadline, _redundant, apery
-from .errors import InvalidInput, NotARelation, NotMinimal
+from .core import NumericalMonoid, _check_deadline, _natural, _redundant, apery
+from .errors import NotARelation, NotMinimal
 from .factorizations import _enumerate, _factorizations_of
 
 
@@ -378,18 +377,15 @@ def _labeled_trees(c: int):
         degree = [1] * c
         for x in seq:
             degree[x] += 1
-        leaves = [i for i in range(c) if degree[i] == 1]
-        heapify(leaves)
         edges = []
         for x in seq:
-            leaf = heappop(leaves)
+            # the smallest leaf; a used leaf drops to degree 0
+            leaf = degree.index(1)
+            degree[leaf] = 0
             edges.append((min(leaf, x), max(leaf, x)))
             degree[x] -= 1
-            if degree[x] == 1:
-                heappush(leaves, x)
-        u = heappop(leaves)
-        v = heappop(leaves)
-        edges.append((min(u, v), max(u, v)))
+        u = degree.index(1)
+        edges.append((u, degree.index(1, u + 1)))
         yield sorted(edges)
 
 
@@ -429,8 +425,7 @@ def all_minimal_presentations(
     with edge multiplicity |C|*|C'| between components C and C'.  The
     graphs come from shifted._betti_graphs, by the lift or the scan.
     """
-    if cap < 0:
-        raise InvalidInput("cap must be non-negative")
+    cap = _natural(cap, "cap")
     from .shifted import _betti_graphs  # shifted imports this module
 
     count = 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import NumericalMonoid, default_window, normalize_generators
+from .core import NumericalMonoid, _natural, default_window, normalize_generators
 from .errors import (
     InvalidInput,
     NotARelation,
@@ -50,19 +50,17 @@ from .presentations import (
 
 @dataclass(frozen=True)
 class ShiftedFamily:
-    """The offset tuple r_1 < ... < r_k defining the family n -> M_n."""
+    """The offset tuple r_1 < ... < r_k defining the family n -> M_n.
+
+    The offsets generate the offset monoid S = <r_1, ..., r_k>, so they are
+    checked as its generators, by the NumericalMonoid constructor: a tuple
+    it refuses raises InvalidGenerators, a subclass of InvalidInput.
+    """
 
     r: tuple[int, ...]
 
     def __post_init__(self):
-        r = tuple(int(x) for x in self.r)
-        if not r:
-            raise InvalidInput("at least one offset is required")
-        if r[0] < 1:
-            raise InvalidInput("offsets must be positive")
-        if any(b <= a for a, b in zip(r, r[1:])):
-            raise InvalidInput("offsets must be strictly increasing")
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", NumericalMonoid(self.r).generators)
 
     @property
     def k(self) -> int:
@@ -83,6 +81,9 @@ class ShiftedFamily:
         return self.r[-1] ** 2
 
     def generators_at(self, n: int) -> tuple[int, ...]:
+        """The generators of M_n; InvalidInput unless n is a non-negative
+        integer (n = 0 is left to the NumericalMonoid constructor)."""
+        n = _natural(n, "shift parameter")
         return (n, *(n + ri for ri in self.r))
 
 
@@ -107,9 +108,9 @@ def monoid_at(F: ShiftedFamily, n: int) -> FamilyMember:
     members are returned flagged, and the operations that need the standing
     assumptions raise.
     """
+    gens = F.generators_at(n)
     if n < 1:
         raise InvalidInput("shift parameter must be positive")
-    gens = F.generators_at(n)
     monoid = NumericalMonoid(gens)
     primitive = gcd(n, F.d) == 1
     minimal = True if n > F.step else normalize_generators(gens).generators == gens
@@ -137,19 +138,22 @@ def _shift(F: ShiftedFamily, left, right, steps: int):
 
 
 def _shift_relation(F: ShiftedFamily, n: int, rel, steps: int):
+    # moves rel from M_n to M_{n + r_k} when steps is 1, back when it is -1;
     # a Relation maps to a Relation, a bare (left, right) pair to a pair; the
     # diagonal (z, z) only makes sense as a pair and maps to itself
     wrapped = isinstance(rel, Relation)
     left, right = rel.pair() if wrapped else map(tuple, rel)
-    source = NumericalMonoid(F.generators_at(n))
+    low = NumericalMonoid(F.generators_at(n))
+    high = NumericalMonoid(F.generators_at(low.multiplicity + F.step))
+    source, target = (low, high) if steps > 0 else (high, low)
     if source.evaluate(left) != source.evaluate(right):
         raise NotARelation(
-            f"{left} ~ {right} is not a relation of M_{n} in this family"
+            f"{left} ~ {right} is not a relation of M_{source.multiplicity} "
+            "in this family"
         )
     new_left, new_right = _shift(F, left, right, steps)
     if new_left == new_right:
         return (new_left, new_right)
-    target = NumericalMonoid(F.generators_at(n + steps * F.step))
     out = make_relation(target, new_left, new_right)
     return out if wrapped else out.pair()
 
@@ -174,7 +178,7 @@ def lower_relation(F: ShiftedFamily, n: int, rel):
     side and coordinate k of the shorter side to be at least L; otherwise the
     relation is not in the image of the lift.
     """
-    return _shift_relation(F, n + F.step, rel, -1)
+    return _shift_relation(F, n, rel, -1)
 
 
 def _require_member_presentation(
@@ -182,11 +186,11 @@ def _require_member_presentation(
 ) -> None:
     # lifting and projection both need n above the threshold and a
     # presentation over M_n itself
+    gens_n = F.generators_at(n)
     if n <= F.threshold:
         raise ShiftBelowThreshold(
             f"{what} requires n > {F.threshold}, got n = {n}"
         )
-    gens_n = F.generators_at(n)
     if pres.monoid.generators != gens_n:
         raise InvalidInput(
             f"presentation is over {pres.monoid.generators}, expected {gens_n}"
@@ -211,8 +215,7 @@ def lift_presentation(
     stay distinct, since their lengths or their vectors still differ.
     """
     _require_member_presentation(F, n, pres, "lifting")
-    if steps < 0:
-        raise InvalidInput("steps must be non-negative")
+    steps = _natural(steps, "steps")
     target = NumericalMonoid(F.generators_at(n + steps * F.step))
     rels = []
     for rel in pres.relations:

@@ -13,12 +13,20 @@ from numonoid import (
     NotMinimal,
     NotPrimitive,
     NumericalMonoid,
+    ShiftedFamily,
+    all_minimal_presentations,
     apery,
     clear_caches,
     contains,
+    delta_set,
+    factorizations,
     frobenius,
+    lift_presentation,
     minimal_presentation,
+    monoid_at,
+    monoid_catenary_report,
     normalize_generators,
+    tame_degree_windowed,
 )
 
 
@@ -201,3 +209,105 @@ def test_contains():
     assert all(contains(M, a) for a in range(44, 120))
     with pytest.raises(InvalidInput):
         contains(M, -1)
+
+
+M6920 = NumericalMonoid((6, 9, 20))
+F6920 = ShiftedFamily((6, 9, 20))
+
+
+def _lift_by(steps):
+    base = minimal_presentation(monoid_at(F6920, 401).monoid)
+    return lift_presentation(F6920, 401, base, steps)
+
+
+# each entry point and the error it raises for a non-integer, a bool or a
+# negative value
+GATES = [
+    pytest.param(
+        lambda bad: NumericalMonoid((bad, 9, 20)),
+        InvalidGenerators,
+        id="NumericalMonoid",
+    ),
+    pytest.param(
+        lambda bad: normalize_generators((bad, 9, 20)),
+        InvalidGenerators,
+        id="normalize_generators",
+    ),
+    pytest.param(
+        lambda bad: normalize_generators((9, bad)),
+        InvalidGenerators,
+        id="normalize_generators-mixed",
+    ),
+    pytest.param(
+        lambda bad: ShiftedFamily((bad, 9, 20)),
+        InvalidGenerators,
+        id="ShiftedFamily",
+    ),
+    pytest.param(
+        lambda bad: monoid_at(F6920, bad),
+        InvalidInput,
+        id="monoid_at",
+    ),
+    pytest.param(
+        lambda bad: contains(M6920, bad),
+        InvalidInput,
+        id="contains",
+    ),
+    pytest.param(
+        lambda bad: factorizations(M6920, bad),
+        InvalidInput,
+        id="factorizations-element",
+    ),
+    pytest.param(
+        lambda bad: factorizations(M6920, 60, cap=bad),
+        InvalidInput,
+        id="factorizations-cap",
+    ),
+    pytest.param(
+        lambda bad: all_minimal_presentations(M6920, cap=bad),
+        InvalidInput,
+        id="all_minimal_presentations-cap",
+    ),
+    pytest.param(
+        _lift_by,
+        InvalidInput,
+        id="lift_presentation-steps",
+    ),
+    pytest.param(
+        lambda bad: tame_degree_windowed(M6920, window=bad),
+        InvalidInput,
+        id="tame_degree_windowed-window",
+    ),
+    pytest.param(
+        lambda bad: delta_set(M6920, window=bad),
+        InvalidInput,
+        id="delta_set-window",
+    ),
+    pytest.param(
+        lambda bad: monoid_catenary_report(M6920, window=bad),
+        InvalidInput,
+        id="monoid_catenary_report-window",
+    ),
+]
+
+
+@pytest.mark.parametrize("bad", [6.5, 6.0, "6", True, -1])
+@pytest.mark.parametrize("call,error", GATES)
+def test_non_integers_are_refused_not_truncated(call, error, bad):
+    with pytest.raises(error):
+        call(bad)
+
+
+def test_the_gates_name_what_they_refuse():
+    with pytest.raises(InvalidGenerators, match="integers"):
+        normalize_generators(("6", 9))
+    with pytest.raises(InvalidGenerators, match="integers"):
+        ShiftedFamily((6.7, 9, 20))
+    with pytest.raises(InvalidInput, match="^window must be a non-negative"):
+        tame_degree_windowed(M6920, window=50.5)
+
+    class Eighteen:  # an integer type other than int, as numpy's are
+        def __index__(self):
+            return 18
+
+    assert contains(M6920, Eighteen())

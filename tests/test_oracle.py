@@ -78,6 +78,24 @@ def test_closure_rejects_malformed_relations():
         congruence_closure_check(M6920, [((3, 0, 0), (0, 2, False))], 50)
 
 
+@pytest.mark.parametrize("bad", [20.5, 20.0, "20", True, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: reachable_up_to((6, 9, 20), bad),
+        lambda bad: factorization_buckets((6, 9, 20), bad),
+        lambda bad: congruence_closure_check(M6920, [], bad),
+        lambda bad: naive_betti_scan(M6920, bad),
+    ],
+    ids=["reachable", "buckets", "closure", "betti_scan"],
+)
+def test_oracle_refuses_a_bound_that_is_not_a_non_negative_int(call, bad):
+    # a float bound once gave float "vectors" and a bool window a report
+    # with verified_window=True
+    with pytest.raises(InvalidInput):
+        call(bad)
+
+
 @pytest.mark.parametrize(
     "gens,bound,expected",
     [

@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import time
 
 import pytest
@@ -203,6 +205,37 @@ def test_all_minimal_presentations_cap_truncates_items_not_count():
     assert count == 4 and items == []
     with pytest.raises(InvalidInput):
         all_minimal_presentations(M6920, cap=-1)
+
+
+def _heap_labeled_trees(c):
+    # the textbook Prufer decoder, with the current leaves in a heap
+    if c == 1:
+        yield []
+        return
+    for seq in itertools.product(range(c), repeat=c - 2):
+        degree = [1] * c
+        for x in seq:
+            degree[x] += 1
+        leaves = [i for i in range(c) if degree[i] == 1]
+        heapq.heapify(leaves)
+        edges = []
+        for x in seq:
+            leaf = heapq.heappop(leaves)
+            edges.append((min(leaf, x), max(leaf, x)))
+            degree[x] -= 1
+            if degree[x] == 1:
+                heapq.heappush(leaves, x)
+        u, v = heapq.heappop(leaves), heapq.heappop(leaves)
+        edges.append((min(u, v), max(u, v)))
+        yield sorted(edges)
+
+
+@pytest.mark.parametrize("c", range(1, 7))
+def test_labeled_trees_come_in_the_heap_decoders_order(c):
+    # minpres --all lists presentations in this order, so it is pinned
+    trees = list(_labeled_trees(c))
+    assert trees == list(_heap_labeled_trees(c))
+    assert len(trees) == max(1, c ** (c - 2))
 
 
 def test_spanning_tree_count_matches_direct_enumeration():

@@ -20,7 +20,7 @@ above the threshold and the direct scan otherwise, and its factorizations
 are read off the graph's vertices rather than enumerated again.  An
 explicit window always forces the windowed sweep.
 
-The windowed sweeps avoid per-element searches where an identity allows:
+The windowed sweeps run no per-element search:
 
 - Delta set: the length sets obey L(0) = {0} and
   L(a) = union over m_i <= a of (L(a - m_i) + 1) (Barron, O'Neill and
@@ -28,13 +28,21 @@ The windowed sweeps avoid per-element searches where an identity allows:
   lengths, so the sweep is about t big-int ORs per element of the window
   and enumerates no factorization; a is in M exactly when its mask is
   non-zero, and the gaps of L(a) are the runs of zeros between its ones.
-- Monotone and equal catenary: Z(a) is enumerated once and grouped by
-  length.  Equal is the largest bottleneck of a length class; monotone is
-  the larger of equal and the least distance between each two consecutive
-  length classes (proof in monotone_equal_catenary).  Both cost O(|Z(a)|^2)
-  distance evaluations, less in the sweep, which skips every class and
+  A mask is shifted down to its lowest one before its runs are read, which
+  moves no run, so each distinct shifted mask is decoded once.
+- Monotone and equal catenary and tame degree read every Z(a) of the
+  window from one stream (factorizations._stream), which builds Z(a) from
+  the rows of a - m_i and holds the last m_t rows only.  Its rows are not
+  in the documented order; no sweep result depends on that order.
+- Monotone and equal catenary: Z(a) is grouped by length.  Equal is the
+  largest bottleneck of a length class; monotone is the larger of equal
+  and the least distance between each two consecutive length classes
+  (proof in monotone_equal_catenary).  The sweep skips every class and
   every pair of classes too short to raise its running max (d(u, v) <=
-  max(|u|, |v|)) and stops a closest-pair scan at the first pair within it.
+  max(|u|, |v|)), stops a closest-pair scan at the first pair within it,
+  and takes a class's O(|class|^2) bottleneck only when the class is
+  disconnected under shared atoms; a connected class cannot raise the
+  running max (proof in _monotone_equal).
 - Tame degree: O(|Z(a)|^2) distances per atom at most, cut short for a
   factorization as soon as one user of the atom lies within the running
   max, for the elements up to min(window, F + 2 m_t) only.
@@ -45,16 +53,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import (
-    NumericalMonoid,
-    _check_deadline,
-    _natural,
-    contains,
-    default_window,
-    frobenius,
-)
+from .core import NumericalMonoid, _check_deadline, _natural, default_window, frobenius
 from .errors import NotPrimitive, VerificationFailed
-from .factorizations import _distance, _factorizations_of, _profile, length_profile
+from .factorizations import (
+    _distance,
+    _factorizations_of,
+    _profile,
+    _stream,
+    length_profile,
+)
+from .presentations import _atom_union
 from .shifted import _betti_graphs, family_from_generators
 
 
@@ -73,14 +81,6 @@ def _window(M: NumericalMonoid, window: int | None) -> int:
     if not M.is_primitive:
         raise NotPrimitive(f"gcd of generators is {M.gcd}; the sweep needs 1")
     return default_window(M) if window is None else window
-
-
-def _members(M: NumericalMonoid, last: int, deadline: float | None):
-    """The elements of M in [0, last], checking the deadline before each."""
-    for a in range(last + 1):
-        _check_deadline(deadline)
-        if contains(M, a):
-            yield a
 
 
 @dataclass(frozen=True)
@@ -203,33 +203,64 @@ def monotone_equal_catenary(
     and step to v in class j - 1; by induction on j, v reaches every
     factorization of every shorter class.  So N is feasible.
     """
-    return _monotone_equal(M, a, 0, 0, deadline)
+    zs = _factorizations_of(M, a, deadline)
+    return _monotone_equal(zs, M.t, 0, 0, False, deadline)
 
 
 def _monotone_equal(
-    M: NumericalMonoid,
-    a: int,
+    zs: list[tuple[int, ...]],
+    t: int,
     monotone: int,
     equal: int,
+    gated: bool,
     deadline: float | None,
 ) -> tuple[int, int]:
-    """(max(monotone, monotone degree of a), max(equal, equal degree of a)).
+    """(max(monotone, monotone degree of a), max(equal, equal degree of a))
+    for the element a with factorization set zs, in any order.
 
     The floors let a sweep skip what cannot raise its running max: since
     d(u, v) <= max(|u|, |v|), a length class l <= equal has bottleneck at
     most equal, a consecutive pair of classes whose longer length is
     <= monotone has least distance at most monotone, and the scan for a
     closest pair can stop at the first pair within monotone.  With zero
-    floors nothing is skipped and the result is the element's own degrees.
+    floors and gated False nothing is skipped and the result is the
+    element's own degrees.
+
+    gated also skips every length class that is connected under shared
+    atoms (a member uses every atom, or _atom_union gives one component).  That is sound only for a
+    sweep over every element from 0 up, with equal its running max: such
+    a class has bottleneck at most the equal degree of some smaller
+    element, so only the classes that are disconnected, the Betti elements
+    of the length-graded monoid <(m_i, 1)>, can raise the max.
+
+    Proof, by induction on a (after Chapman, Garcia-Sanchez, Llena,
+    Ponomarenko and Rosales, Manuscripta Math. 2006, whose argument puts
+    the catenary degree at the Betti elements).  Let the class of (a, l) be
+    connected under shared atoms, and let u, v be two of its factorizations
+    adjacent in that graph, so sharing an atom i.  Then u - e_i and v - e_i
+    lie in the class of (a - m_i, l - 1), and are joined there by a chain
+    with steps at most the equal degree of a - m_i < a.  Adding e_i to each
+    step keeps it in the class of (a, l) and keeps its distance, as
+    d(u + e, v + e) = d(u, v).  Chaining along a path of the atom-sharing
+    graph then joins any two factorizations of the class with steps at
+    most the sup of the equal degrees of the elements below a, which the
+    sweep's running max holds by induction.  So the gated running max
+    equals the ungated one after every element.  The per-element
+    monotone_equal_catenary has no smaller elements to lean on and is
+    never gated.
     """
-    zs = _factorizations_of(M, a, deadline)
     classes: dict[int, list[tuple[int, ...]]] = {}
     for z in zs:
         classes.setdefault(sum(z), []).append(z)
     for ell, cls in classes.items():
         _check_deadline(deadline)
-        if ell > equal:
-            equal = max(equal, _bottleneck([(z, ell) for z in cls]))
+        if ell <= equal:
+            continue
+        # a class with a member using every atom is connected, as every
+        # other member shares an atom with it; the test is C-level per vector
+        if gated and (any(map(all, cls)) or len(_atom_union(t, cls)) == 1):
+            continue
+        equal = max(equal, _bottleneck([(z, ell) for z in cls]))
     monotone = max(monotone, equal)
     lengths = sorted(classes)
     for shorter, longer in zip(lengths, lengths[1:]):
@@ -268,8 +299,10 @@ def monoid_catenary_report(
     w = _window(M, window)
     ordinary = catenary_of_monoid(M, deadline=deadline)
     monotone = equal = 0
-    for a in _members(M, w, deadline):
-        monotone, equal = _monotone_equal(M, a, monotone, equal, deadline)
+    # the stream starts at 0, as the gate needs (_monotone_equal); its rows
+    # are not in the documented order, and no degree depends on the order
+    for _, zs in _stream(M.generators, w, deadline):
+        monotone, equal = _monotone_equal(zs, M.t, monotone, equal, True, deadline)
     return CatenaryReport(ordinary, monotone, equal, False, w)
 
 
@@ -313,6 +346,9 @@ def delta_set(
     # masks[b % top] is the mask of L(b) for the last top elements b; a
     # slot not yet written holds 0, the empty L(b) of every b < 0
     masks = [0] * top
+    # the masks of L(a) - 1 shifted down to their lowest one, whose zero
+    # runs have been read: a shift moves no run, and few masks are distinct
+    seen = set()
     runs = set()  # lengths of the zero runs between two ones of some L(a)
     for a in range(w + 1):
         _check_deadline(deadline)
@@ -320,7 +356,11 @@ def delta_set(
         for g in gens:
             below |= masks[(a - g) % top]
         masks[a % top] = below << 1 if a else 1
-        runs.update(map(len, bin(below).rstrip("0").split("1")[1:-1]))
+        if below:
+            key = below >> ((below & -below).bit_length() - 1)
+            if key not in seen:
+                seen.add(key)
+                runs.update(map(len, bin(key).split("1")[1:-1]))
     return DeltaSet(frozenset(r + 1 for r in runs), False, w)
 
 
@@ -334,9 +374,18 @@ def tame_degree(
     every factorization already touches every reachable atom.
     """
     zs = _factorizations_of(M, a, deadline)
+    return _tame(zs, M.t, 0, deadline)
+
+
+def _tame(
+    zs: list[tuple[int, ...]], t: int, best: int, deadline: float | None
+) -> int:
+    """max(best, tame degree of the element a with factorization set zs,
+    in any order).  A z whose nearest user of an atom lies within best
+    cannot raise the max, so its scan stops there; with best 0 the result
+    is the element's own tame degree."""
     sized = _sized(zs)
-    best = 0
-    for i in range(M.t):
+    for i in range(t):
         # a - m_i is in M exactly when some factorization of a uses atom i
         users = [(zp, lp) for zp, lp in sized if zp[i] > 0]
         if not users:
@@ -387,10 +436,13 @@ def tame_degree_windowed(
     """
     w = _window(M, window)
     last = min(w, frobenius(M) + 2 * M.generators[-1])
-    # 0 is in M and last >= 0, so a = 0 (tame degree 0) is always searched
+    # 0 is in M and last >= 0, so a = 0 (tame degree 0) is always searched;
+    # _tame exceeds the floor value only with the exact tame degree of a,
+    # which does not depend on the order of the stream's rows; attained_at
+    # depends on a alone
     value, attained = -1, None
-    for a in _members(M, last, deadline):
-        ta = tame_degree(M, a, deadline=deadline)
+    for a, zs in _stream(M.generators, last, deadline):
+        ta = _tame(zs, M.t, max(value, 0), deadline)
         if ta > value:
             value, attained = ta, a
     return TameReport(value, attained, w)

@@ -29,8 +29,19 @@ def _check_bound(x, what: str) -> None:
         raise InvalidInput(f"{what} must be a non-negative integer, got {x!r}")
 
 
+def _check_generators(gens) -> tuple[int, ...]:
+    """gens as a tuple; refuse, with InvalidInput, an entry that is not a
+    positive int (a bool included)."""
+    gens = tuple(gens)
+    for g in gens:
+        if isinstance(g, bool) or not isinstance(g, int) or g <= 0:
+            raise InvalidInput(f"generators must be positive integers, got {g!r}")
+    return gens
+
+
 def reachable_up_to(gens: tuple[int, ...], bound: int) -> list[bool]:
     """reachable[v] iff v is a non-negative combination of gens, v <= bound."""
+    gens = _check_generators(gens)
     _check_bound(bound, "bound")
     reach = bytearray(bound + 1)
     reach[0] = 1
@@ -51,8 +62,8 @@ def factorization_buckets(
     stores integer codes (see congruence_closure_check), cached per
     (gens, bound); each call returns a fresh dict decoded from them.
     """
+    gens = _check_generators(gens)
     _check_bound(bound, "bound")
-    gens = tuple(gens)
     radices = _radices(gens, bound)
     return {
         a: [_decode(code, radices) for code in codes]

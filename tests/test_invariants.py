@@ -71,6 +71,18 @@ def test_monotone_equal_catenary():
         monotone_equal_catenary(M, 7)
 
 
+def test_per_element_equal_degree_counts_connected_length_classes():
+    # the windowed sweep skips a length class connected under shared atoms,
+    # as some smaller element already bounds it; an element on its own has
+    # no smaller elements, so its degree must still count such a class.
+    # Z(13) in <3,5,7> is the one class {(2,0,1), (1,2,0)}, joined through
+    # atom 3 and at distance 2
+    assert monotone_equal_catenary(NumericalMonoid((3, 5, 7)), 13) == (2, 2)
+    # every class of Z(132) in <6,9,20> is a singleton but length 15,
+    # {(12,0,3), (1,14,0)}, joined through atom 6 and at distance 14
+    assert monotone_equal_catenary(M, 132) == (14, 14)
+
+
 def test_monoid_catenary_report_windowed():
     rep = monoid_catenary_report(M, window=200)
     assert rep == CatenaryReport(
@@ -198,3 +210,5 @@ def test_deadline_is_enforced():
         delta_set(M, window=200, deadline=past)
     with pytest.raises(BudgetExceeded):
         tame_degree_windowed(M, window=200, deadline=past)
+    with pytest.raises(BudgetExceeded):
+        monoid_catenary_report(M, window=200, deadline=past)

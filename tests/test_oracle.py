@@ -97,6 +97,25 @@ def test_oracle_refuses_a_bound_that_is_not_a_non_negative_int(call, bad):
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda: factorization_buckets((6.5, 9, 20), 20),
+        lambda: factorization_buckets((0, 3), 5),
+        lambda: reachable_up_to((6.5, 9), 20),
+        lambda: reachable_up_to((-3, 5), 6),
+        lambda: reachable_up_to((True, 5), 6),
+    ],
+    ids=["buckets-float", "buckets-zero", "reachable-float", "reachable-negative",
+         "reachable-bool"],
+)
+def test_oracle_refuses_generators_that_are_not_positive_ints(call):
+    # these gave float keys, a bare ZeroDivisionError, a TypeError, an
+    # IndexError and a table for (1, 5)
+    with pytest.raises(InvalidInput):
+        call()
+
+
+@pytest.mark.parametrize(
     "gens,bound,expected",
     [
         ((6, 9, 20), 200, [18, 60]),

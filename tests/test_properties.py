@@ -612,6 +612,29 @@ small_monoids = (
 )
 
 
+@st.composite
+def stream_monoids(draw):
+    """A small monoid, half the time with a redundant generator added: the
+    sum of two of its generators."""
+    M = draw(small_monoids)
+    if draw(st.booleans()):
+        pick = st.sampled_from(M.generators)
+        extra = draw(pick) + draw(pick)
+        M = NumericalMonoid(tuple(sorted(set(M.generators) | {extra})))
+    return M
+
+
+@settings(deadline=None, max_examples=40)
+@given(M=stream_monoids(), last=st.integers(0, 150))
+def test_window_stream_yields_every_member_with_its_factorizations(M, last):
+    streamed = list(factorizations_module._stream(M.generators, last))
+    members = [a for a in range(last + 1) if factorizations(M, a)]
+    assert [a for a, _ in streamed] == members
+    for a, zs in streamed:
+        assert len(set(zs)) == len(zs)
+        assert set(zs) == set(factorizations(M, a))
+
+
 def _oracle_window(gens: tuple[int, ...], most: int) -> int:
     # about the largest window whose oracle sweep, over every vector of
     # value <= window (about window^t / (t! prod m_i) of them), stays cheap

@@ -140,7 +140,8 @@ def _cmd_factorizations(args, out) -> int:
 
 def _cmd_betti(args, out) -> int:
     M = NumericalMonoid(_int_list(args.gens))
-    for graph in _betti_graphs(M, None):
+    deadline = time.monotonic() + args.timeout_secs
+    for graph in _betti_graphs(M, deadline):
         out.write(f"{graph.element}\n")
     return 0
 
@@ -246,10 +247,13 @@ def _survey_rows(family, n: int, which: str) -> list[tuple[int, str, int]]:
         if which == "delta":
             ds = delta_set(member.monoid)
             return [(n, which, v) for v in sorted(ds.values)]
-        pres = accelerated_minimal_presentation(family, n)
+        # every graph has at least two components, so its element is a
+        # Betti value, and a minimal presentation has one relation fewer
+        # than components per graph
+        graphs = _betti_graphs(member.monoid, None)
         if which == "minpres-size":
-            return [(n, which, len(pres.relations))]
-        return [(n, which, beta) for beta in pres.betti_values()]
+            return [(n, which, sum(len(g.components) - 1 for g in graphs))]
+        return [(n, which, g.element) for g in graphs]
     except VerificationFailed:
         raise
     except MonoidError as exc:
@@ -402,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="Betti elements")
     p.add_argument("--gens", required=True)
+    _add_timeout(p)
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("minpres", help="minimal presentation")

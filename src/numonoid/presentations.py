@@ -109,12 +109,6 @@ class Presentation:
     def betti_values(self) -> list[int]:
         return sorted({r.betti for r in self.relations})
 
-    def by_betti(self) -> dict[int, list[Relation]]:
-        out: dict[int, list[Relation]] = {}
-        for r in self.relations:
-            out.setdefault(r.betti, []).append(r)
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "generators": list(self.monoid.generators),

@@ -19,6 +19,15 @@ _betti_graphs, the factorization graphs of the Betti elements, is the one
 place that chooses between the lift and the direct scan, and every path that
 may lift reads it.  minimal_presentation and betti_elements always scan, so
 that the two paths can be checked against each other.
+
+The lift is verified at the target M, not trusted.  Each base relation is
+moved to M and filed under the value beta of its left side; for each beta
+the factorization set Z(beta) is enumerated at M, both sides of every moved
+pair must be members of it, and the pairs must join the components of its
+factorization graph in a spanning tree.  Membership in the enumerated
+Z(beta) is what proves that a moved pair is a relation of M, so the right
+side is never evaluated, and no lifted Presentation is built on the way
+(lift_presentation builds one for callers who want it).
 """
 
 from __future__ import annotations
@@ -26,7 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import NumericalMonoid, _natural, default_window, normalize_generators
+from .core import (
+    NumericalMonoid,
+    _check_deadline,
+    _natural,
+    default_window,
+    normalize_generators,
+)
 from .errors import (
     InvalidInput,
     NotARelation,
@@ -235,10 +250,19 @@ def _betti_graphs(
     """The factorization graphs of the Betti elements of M, in increasing
     order.  When M = M_n with n > r_k^2 + r_k, the direct scan runs at the
     base shift n0, the smallest integer above r_k^2 congruent to n mod r_k,
-    and its presentation is lifted (n - n0)/r_k steps; the graph of each
-    lifted Betti element is built at M, and the lifted relations must join
-    its components in a spanning tree (the structural verification).
-    Otherwise the graphs come from the memoized direct scan."""
+    and each of its relations is moved (n - n0)/r_k steps by _shift; the
+    moved pairs are grouped by the value beta of their left side at M, the
+    graph of each beta is built at M, and the pairs must join its
+    components in a spanning tree (the structural verification).
+    Otherwise the graphs come from the memoized direct scan.
+
+    Only the left side of a pair is evaluated, to file it, and no
+    Presentation is built: both sides lying in the enumerated Z(beta) is
+    what proves that the pair is a relation of M, and the spanning check
+    needs that membership anyway, so a right side of another value is
+    refused there as not factoring beta.  lift_presentation gives the
+    lifted presentation itself, for callers who want it.  The deadline is
+    checked before each beta, so a memoized base scan cannot outlive it."""
     F, n = family_from_generators(M.generators)
     if F is None or n <= F.threshold + F.step:
         return _scan(M, deadline)[0]
@@ -246,18 +270,24 @@ def _betti_graphs(
     n0 = F.threshold + 1 + (n - F.threshold - 1) % F.step
     steps = (n - n0) // F.step
     base = minimal_presentation(monoid_at(F, n0).monoid, deadline=deadline)
-    lifted = lift_presentation(F, n0, base, steps)
+    moved: dict[int, list] = {}
+    for rel in base.relations:
+        left, right = _shift(F, rel.left, rel.right, steps)
+        moved.setdefault(M.evaluate(left), []).append((left, right))
     graphs = []
-    for beta, beta_rels in sorted(lifted.by_betti().items()):
+    for beta, pairs in sorted(moved.items()):
+        _check_deadline(deadline)
         graph = factorization_graph(M, beta, deadline=deadline)
         comp_of = {z: ci for ci, comp in enumerate(graph.components) for z in comp}
-        # label[ci]: the class of component ci under the relations so far
+        # label[ci]: the class of component ci under the pairs so far
         label = list(range(len(graph.components)))
-        for rel in beta_rels:
-            if rel.left not in comp_of or rel.right not in comp_of:
-                raise VerificationFailed(f"lifted side of {rel} does not factor {beta}")
-            keep, gone = label[comp_of[rel.left]], label[comp_of[rel.right]]
-            # a connected graph fails here too, at its first relation
+        for left, right in pairs:
+            if left not in comp_of or right not in comp_of:
+                raise VerificationFailed(
+                    f"lifted side of {left} ~ {right} does not factor {beta}"
+                )
+            keep, gone = label[comp_of[left]], label[comp_of[right]]
+            # a connected graph fails here too, at its first pair
             if keep == gone:
                 raise VerificationFailed(
                     f"lifted relations at {beta} do not join distinct components"

@@ -19,6 +19,7 @@ from numonoid import (
     clear_caches,
     delta_set_of_element,
     make_presentation,
+    minimal_presentation,
     monoid_at,
     monotone_equal_catenary,
     tame_degree,
@@ -304,26 +305,24 @@ def test_survey_rows_match_each_member(cli):
 
 
 def test_survey_failures_are_named_or_raised(cli, monkeypatch):
-    real = cli_module.accelerated_minimal_presentation
+    real = cli_module._betti_graphs
 
     def failing(exc):
-        def accelerated(family, n):
-            if n == 402:
+        def graphs(M, deadline):
+            if M.generators[0] == 402:
                 raise exc("injected")
-            return real(family, n)
-        return accelerated
+            return real(M, deadline)
+        return graphs
 
     argv = ("survey", "--r", "6,9,20", "--n-from", "401", "--n-to", "403",
             "--which", "betti", "--out", "-")
-    monkeypatch.setattr(cli_module, "accelerated_minimal_presentation",
-                        failing(BudgetExceeded))
+    monkeypatch.setattr(cli_module, "_betti_graphs", failing(BudgetExceeded))
     code, out = cli(*argv)
     assert code == 0
     assert "402,error:BudgetExceeded,0" in out.splitlines()
     assert {line.split(",")[0] for line in out.splitlines()[1:]} == {"401", "402", "403"}
     # a failed verification is a bug, not a row
-    monkeypatch.setattr(cli_module, "accelerated_minimal_presentation",
-                        failing(VerificationFailed))
+    monkeypatch.setattr(cli_module, "_betti_graphs", failing(VerificationFailed))
     assert cli(*argv) == (3, "")
 
 
@@ -338,6 +337,61 @@ def test_survey_minpres_size(cli):
         for line in out.splitlines()[1:]
     )
     assert rows[417] == 8 and rows[420] == 4
+
+
+@pytest.mark.parametrize(
+    "r, n_from, n_to",
+    [((3, 5), 24, 60), ((4, 7, 11, 13), 176, 200)],
+    ids=["3,5", "4,7,11,13"],
+)
+def test_survey_rows_past_the_lift_threshold_match_the_scan(
+    cli, monkeypatch, r, n_from, n_to
+):
+    # past r_k^2 + r_k the betti and minpres-size rows read the router's
+    # lifted graphs; each row must equal the direct scan at its shift
+    family = ShiftedFamily(r)
+    assert n_from <= family.threshold + family.step < n_to
+    scanned = []
+    real = presentations._betti_impl
+
+    def counting(M, deadline):
+        scanned.append(M.generators[0])
+        return real(M, deadline)
+
+    rows = {}
+    clear_caches()
+    with monkeypatch.context() as patched:
+        patched.setattr(presentations, "_betti_impl", counting)
+        for which in ("betti", "minpres-size"):
+            code, out = cli(
+                "survey", "--r", ",".join(map(str, r)), "--n-from", str(n_from),
+                "--n-to", str(n_to), "--which", which, "--out", "-",
+            )
+            assert code == 0
+            for line in out.splitlines()[1:]:
+                n, metric, value = line.split(",")
+                rows.setdefault((metric, int(n)), []).append(int(value))
+    # the shifts past the threshold scanned nothing at the target
+    assert max(scanned) <= family.threshold + family.step
+    shifts = range(n_from, n_to + 1)
+    assert len(rows) == 2 * len(shifts)
+    for n in shifts:
+        M = monoid_at(family, n).monoid
+        assert rows[("betti", n)] == betti_elements(M), n
+        assert rows[("minpres-size", n)] == [len(minimal_presentation(M).relations)], n
+
+
+def test_betti_timeout_is_exit_2(cli):
+    # a zero budget runs out in the scan at a small shift, in the base scan
+    # of a lift, and, with that base memoized, in the lift's verification
+    clear_caches()
+    assert cli("betti", "--gens", "6,9,20", "--timeout-secs", "0") == (2, "")
+    gens = "1000001,1000007,1000010,1000021"
+    assert cli("betti", "--gens", gens, "--timeout-secs", "0") == (2, "")
+    assert cli("betti", "--gens", gens)[0] == 0
+    assert cli("betti", "--gens", gens, "--timeout-secs", "0") == (2, "")
+    for timeout in ("-5", "nan"):
+        assert cli("betti", "--gens", gens, "--timeout-secs", timeout) == (1, "")
 
 
 def test_survey_file_output_and_jobs_determinism(cli, tmp_path):

@@ -251,36 +251,34 @@ def test_family_from_generators():
     assert fam is None and n == 7
 
 
-def _swap_relation_at_11280(monkeypatch, make):
-    # the lift hands back its presentation with the relation at 11280 of
-    # M_450 replaced by make(target)
+def _swap_pair_at_11280(monkeypatch, make):
+    # the router moves each base relation to M_450 with _shift; the pair it
+    # moves to 11280 is replaced by make(left, right)
     import numonoid.shifted as shifted_mod
 
-    real = lift_presentation
+    real = shifted_mod._shift
+    target = monoid_at(F, 450).monoid
 
-    def tampered(F_, n0, pres, steps):
-        lifted = real(F_, n0, pres, steps)
-        target = lifted.monoid
-        rels = [make(target) if r.betti == 11280 else r for r in lifted.relations]
-        return make_presentation(target, rels)
+    def tampered(F_, left, right, steps):
+        left, right = real(F_, left, right, steps)
+        if target.evaluate(left) == 11280:
+            return make(left, right)
+        return left, right
 
-    monkeypatch.setattr(shifted_mod, "lift_presentation", tampered)
+    monkeypatch.setattr(shifted_mod, "_shift", tampered)
 
 
 def _tamper_join(monkeypatch):
     # sides that share support, hence sit in the same component
     assert 20 * 450 + 5 * 456 == 21 * 450 + 2 * 456 + 2 * 459 == 11280
-    _swap_relation_at_11280(
-        monkeypatch, lambda M: make_relation(M, (21, 2, 2, 0), (20, 5, 0, 0))
-    )
+    _swap_pair_at_11280(monkeypatch, lambda l, r: ((21, 2, 2, 0), (20, 5, 0, 0)))
 
 
 def _tamper_factor(monkeypatch):
-    # a true relation of M_450, at 1368, tagged 11280
+    # the right side swapped for a factorization of 1368, so the pair is
+    # not a relation of M_450: its sides are not both in Z(11280)
     assert 3 * 456 == 450 + 2 * 459 == 1368
-    _swap_relation_at_11280(
-        monkeypatch, lambda M: Relation((0, 3, 0, 0), (1, 0, 2, 0), 11280)
-    )
+    _swap_pair_at_11280(monkeypatch, lambda l, r: (l, (1, 0, 2, 0)))
 
 
 def _tamper_span(monkeypatch):

@@ -169,12 +169,7 @@ def _cmd_minpres(args, out) -> int:
                 out.write("\n")
                 _print_presentation(p, "text", out)
         return 0
-    if args.strategy == "direct":
-        pres = minimal_presentation(M)
-    elif args.strategy == "shift" and M.t == 1:
-        raise InvalidInput("a single generator has no shifted family")
-    else:
-        pres = _canonical_presentation(M, _betti_graphs(M, None))
+    pres = _canonical_presentation(M, _betti_graphs(M, None))
     if args.paranoid:
         _closure_check(pres.monoid, pres.relations, None, out)
     _print_presentation(pres, args.format, out)
@@ -411,9 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minpres", help="minimal presentation")
     p.add_argument("--gens", required=True)
-    p.add_argument(
-        "--strategy", choices=("direct", "shift", "auto"), default="auto"
-    )
     p.add_argument("--all", action="store_true", help="enumerate all of them")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument(

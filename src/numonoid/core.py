@@ -140,9 +140,9 @@ class NumericalMonoid:
 
 @dataclass(frozen=True)
 class AperyTable:
-    """entries[rho] = least element of M congruent to rho mod the modulus."""
+    """entries[rho] = least element of M congruent to rho mod m_1, the
+    multiplicity, which is len(entries)."""
 
-    modulus: int
     entries: tuple[int, ...]
 
 
@@ -176,8 +176,8 @@ def _redundant(M: NumericalMonoid) -> list[int]:
     smaller generators, as all are positive, and some m_j with j < i; taking
     that m_j away leaves m_i - m_j in M.
     """
-    table = apery(M)
-    ap, m1 = table.entries, table.modulus
+    ap = apery(M).entries
+    m1 = len(ap)
     gens = M.generators
     return [
         m
@@ -263,21 +263,21 @@ def apery(M: NumericalMonoid, *, deadline: float | None = None) -> AperyTable:
                     val = old
                 else:
                     dist[cur] = val
-    table = _apery_memo[M] = AperyTable(m1, tuple(dist))
+    table = _apery_memo[M] = AperyTable(tuple(dist))
     return table
 
 
 def contains(M: NumericalMonoid, a: int) -> bool:
     """Membership test via the Apery table; requires M primitive."""
     a = _natural(a, "element")
-    table = apery(M)
-    return a >= table.entries[a % table.modulus]
+    ap = apery(M).entries
+    return a >= ap[a % len(ap)]
 
 
 def frobenius(M: NumericalMonoid) -> int:
     """Largest integer not in M; -1 when M is all of the naturals."""
-    table = apery(M)
-    return max(table.entries) - table.modulus
+    ap = apery(M).entries
+    return max(ap) - len(ap)
 
 
 def default_window(M: NumericalMonoid) -> int:

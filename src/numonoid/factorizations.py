@@ -237,9 +237,13 @@ def _enumerate_sliced(
             counts[i] = c
             rec(i - 1, v - c * ri, left - c)
 
+    d = gcd(*r[1:])
     try:
         for length in range(-(-a // gens[-1]), a // m0 + 1):
-            rec(t - 1, a - m0 * length, length)
+            # a factorization of length l has sum w_i r_i = a - m0 l, a
+            # multiple of d, so a slice where d does not divide it is empty
+            if (a - m0 * length) % d == 0:
+                rec(t - 1, a - m0 * length, length)
     finally:
         del rec  # as in _enumerate_generic
     out.sort(key=lambda z: z[::-1], reverse=True)

@@ -12,13 +12,13 @@ generators: M = <m_1, ..., m_t> is the member n = m_1 of the family with
 offsets r_i = m_{i+1} - m_1, and is inside it when m_1 > r_k^2.  There the
 monotone and equal catenary degrees collapse onto the ordinary one and the
 delta set is the singleton {gcd of the offsets}; those paths are exact.
-The delta set's is cross-checked against the Betti elements' delta sets
-before it is returned; monoid_catenary_report's returns the ordinary
-degree three times, with no check of its own.  Every
-Betti element comes from shifted._betti_graphs, which takes the lift well
-above the threshold and the direct scan otherwise, and its factorizations
-are read off the graph's vertices rather than enumerated again.  An
-explicit window always forces the windowed sweep.
+The delta set's family path checks that singleton against the Betti
+elements' delta sets before returning it; monoid_catenary_report's family
+path returns the ordinary degree three times, with no check of its own.
+Every Betti element comes from shifted._betti_graphs, which takes the lift
+well above the threshold and the direct scan otherwise, and its
+factorizations are read off the graph's vertices rather than enumerated
+again.  An explicit window always forces the windowed sweep.
 
 The windowed sweeps run no per-element search:
 
@@ -89,8 +89,9 @@ class CatenaryReport:
 
     exact=True means all three values are certified (theorem-backed family
     path); exact=False means monotone and equal are sups over elements up to
-    window and are only lower bounds.  element is None for monoid-level
-    reports.
+    window and are only lower bounds.  element is always None: every
+    report is monoid-level, and the field stays only because the
+    benchmark's sweep digests hash the report's fields.
     """
 
     ordinary: int

@@ -139,9 +139,6 @@ class FactorizationGraph:
     vertices: tuple[tuple[int, ...], ...]
     components: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def component_sets(self) -> list[frozenset]:
-        return [frozenset(comp) for comp in self.components]
-
 
 def _atom_union(t: int, zs: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
     # the components as lists, each with the disjoint mask of the atoms its

@@ -14,6 +14,8 @@ two take about 5 ms at n = 10^4, 60 ms at 10^5 and 0.8 s at 10^6 for
 r = (6,9,20).  The re-verification at the target enumerates each lifted
 Betti element's factorizations by length slices, whose cost hardly depends
 on n, so a verified lift at n = 10^6 or 10^9 takes a few milliseconds.
+That holds when d > 1 too: only the slices where d divides a - n l can
+hold a factorization, and the others are skipped.
 
 _betti_graphs, the factorization graphs of the Betti elements, is the one
 place that chooses between the lift and the direct scan, and every path that
@@ -106,8 +108,6 @@ class ShiftedFamily:
 class FamilyMember:
     """M_n together with the flags the standing assumptions depend on."""
 
-    family: ShiftedFamily
-    n: int
     monoid: NumericalMonoid
     minimal: bool
     primitive: bool
@@ -129,7 +129,7 @@ def monoid_at(F: ShiftedFamily, n: int) -> FamilyMember:
     monoid = NumericalMonoid(gens)
     primitive = gcd(n, F.d) == 1
     minimal = True if n > F.step else normalize_generators(gens).generators == gens
-    return FamilyMember(F, n, monoid, minimal, primitive)
+    return FamilyMember(monoid, minimal, primitive)
 
 
 def _shift(F: ShiftedFamily, left, right, steps: int):
@@ -219,29 +219,26 @@ def lift_presentation(
 
     The length gap of a relation is invariant along the orbit, so steps
     applications collapse to a single vector adjustment of steps * gap per
-    relation.  Betti tags are recomputed at the target shift, where both
-    sides are evaluated and a mismatch raises NotARelation.
+    relation (_shift).  Each moved relation goes through make_relation at
+    the target shift, which evaluates both sides, raises NotARelation on a
+    mismatch and recomputes the Betti tag.
 
-    Each lifted Relation is built directly, not through make_relation: the
-    shift keeps the canonical side order that make_relation gave pres (the
-    longer side first, ties broken lexicographically).  A relation with a length gap adds the same
-    steps * gap to the length of each side, so the longer side stays
-    longer, and an equal-length relation does not move.  The sides also
-    stay distinct, since their lengths or their vectors still differ.
+    No library path calls this: _betti_graphs moves the base relations with
+    _shift and verifies them by membership instead.  It stays as the
+    paper's map in presentation form: callers who want the lifted
+    presentation itself use it, the tests check the router against it, and
+    the benchmark's per-layer trace wraps it.
     """
     _require_member_presentation(F, n, pres, "lifting")
     steps = _natural(steps, "steps")
     target = NumericalMonoid(F.generators_at(n + steps * F.step))
-    rels = []
-    for rel in pres.relations:
-        left, right = _shift(F, rel.left, rel.right, steps)
-        lval, rval = target.evaluate(left), target.evaluate(right)
-        if lval != rval:
-            raise NotARelation(
-                f"sides evaluate to {lval} and {rval} under {target!r}"
-            )
-        rels.append(Relation(left, right, lval))
-    return make_presentation(target, rels)
+    return make_presentation(
+        target,
+        [
+            make_relation(target, *_shift(F, rel.left, rel.right, steps))
+            for rel in pres.relations
+        ],
+    )
 
 
 def _betti_graphs(

@@ -125,15 +125,15 @@ def test_minpres_text_format(cli):
 
 
 def test_minpres_strategies_agree_byte_for_byte(cli):
+    # 450 > 20^2 + 20, so the CLI lifts from the base shift; its bytes are
+    # those of the direct scan's presentation
     gens = "450,456,459,470"
-    runs = [
-        cli("minpres", "--gens", gens, "--strategy", strat)
-        for strat in ("direct", "shift", "auto")
-    ]
-    assert all(code == 0 for code, _ in runs)
-    assert len({out for _, out in runs}) == 1
+    clear_caches()
+    run = cli("minpres", "--gens", gens)
+    direct = minimal_presentation(NumericalMonoid((450, 456, 459, 470)))
+    assert run == (0, json.dumps(direct.to_json_dict(), indent=2) + "\n")
     # and a repeat run is byte-identical
-    assert cli("minpres", "--gens", gens, "--strategy", "auto") == runs[2]
+    assert cli("minpres", "--gens", gens) == run
 
 
 def test_minpres_paranoid(cli):
@@ -184,8 +184,12 @@ def test_minpres_all_paranoid_checks_each_presentation(cli, monkeypatch):
 
 
 def test_minpres_shift_needs_a_family(cli):
-    code, _ = cli("minpres", "--gens", "7", "--strategy", "shift")
+    # a single generator other than 1 is not a numerical monoid
+    code, _ = cli("minpres", "--gens", "7")
     assert code == 1
+    # the lift-or-scan choice is the router's, not an option
+    code, out = cli("minpres", "--gens", "6,9,20", "--strategy", "direct")
+    assert (code, out) == (1, "")
 
 
 def test_invariant_element_payloads(cli):

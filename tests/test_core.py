@@ -145,7 +145,7 @@ def test_the_scan_refuses_a_redundant_tuple_without_enumerating(
 def test_apery_fixtures():
     table = apery(NumericalMonoid((6, 9, 20)))
     assert isinstance(table, AperyTable)
-    assert table.modulus == 6
+    assert len(table.entries) == 6
     # smallest element in each residue class mod 6
     assert table.entries == (0, 49, 20, 9, 40, 29)
     assert apery(NumericalMonoid((3, 14))).entries == (0, 28, 14)

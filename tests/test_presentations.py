@@ -54,10 +54,7 @@ def test_make_relation_validates():
 def test_factorization_graph_components():
     g = factorization_graph(M6920, 18)
     assert g.vertices == ((0, 2, 0), (3, 0, 0))
-    assert g.component_sets() == [
-        frozenset({(0, 2, 0)}),
-        frozenset({(3, 0, 0)}),
-    ]
+    assert g.components == (((0, 2, 0),), ((3, 0, 0),))
     assert len(factorization_graph(M6920, 126).components) == 1
     assert len(factorization_graph(M6920, 6).components) == 1
     with pytest.raises(NotAnElement):
@@ -66,11 +63,6 @@ def test_factorization_graph_components():
 
 def test_graph_components_sorted_by_lexmin_member():
     g = factorization_graph(M6920, 60)
-    sets = g.component_sets()
-    assert sets[0] == frozenset({(0, 0, 3)})
-    assert sets[1] == frozenset(
-        {(1, 6, 0), (4, 4, 0), (7, 2, 0), (10, 0, 0)}
-    )
     # components hold the factorizations themselves, each sorted
     assert g.components == (
         ((0, 0, 3),),

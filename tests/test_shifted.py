@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from numonoid import (
@@ -26,6 +28,7 @@ from numonoid import (
     minimal_presentation,
     monoid_at,
 )
+from numonoid.shifted import _betti_graphs
 
 F = ShiftedFamily((6, 9, 20))
 
@@ -189,6 +192,22 @@ def test_accelerated_equals_direct(n):
     direct = minimal_presentation(monoid_at(F, n).monoid)
     accel = accelerated_minimal_presentation(F, n)
     assert accel.relations == direct.relations
+
+
+def test_router_lifts_a_shared_factor_family_in_time():
+    # d = gcd(2, 4, 14, 16) = 2: the length slices of a lifted Betti
+    # element where d does not divide a - n l hold no factorization and are
+    # skipped; visiting them took over 5 s at this shift
+    G = ShiftedFamily((2, 4, 14, 16))
+    n = 10**6 + 1
+    n0 = G.threshold + 1 + (n - G.threshold - 1) % G.step
+    steps = (n - n0) // G.step
+    M = monoid_at(G, n).monoid
+    graphs = _betti_graphs(M, time.monotonic() + 5)
+    base = minimal_presentation(monoid_at(G, n0).monoid)
+    assert [g.element for g in graphs] == (
+        lift_presentation(G, n0, base, steps).betti_values()
+    )
 
 
 def test_accelerated_small_shift_falls_back_to_direct():

@@ -7,7 +7,7 @@ print("generators:", M.generators)
 
 # smallest element of M in each residue class mod 6
 table = apery(M)
-print("apery entries by residue:", table.entries)
+print("apery entries by residue:", table)
 
 # the largest integer that is NOT in the monoid
 print("frobenius number:", frobenius(M))

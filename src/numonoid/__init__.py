@@ -7,7 +7,6 @@ from . import oracle as _oracle
 from . import presentations as _presentations
 from .core import (
     DEFAULT_CAP,
-    AperyTable,
     NumericalMonoid,
     apery,
     contains,
@@ -91,7 +90,6 @@ def clear_caches():
 
 
 __all__ = [
-    "AperyTable",
     "BudgetExceeded",
     "CatenaryReport",
     "ClosureReport",

@@ -121,7 +121,7 @@ def _closure_check(M: NumericalMonoid, relations, bound, out) -> int:
 
 def _cmd_apery(args, out) -> int:
     M = NumericalMonoid(_int_list(args.gens))
-    out.write(" ".join(str(v) for v in apery(M).entries) + "\n")
+    out.write(" ".join(str(v) for v in apery(M)) + "\n")
     return 0
 
 
@@ -287,37 +287,30 @@ def _cmd_bench(args, out) -> int:
         raise InvalidInput("--repeats must be positive")
     member = monoid_at(family, args.n)
 
-    accel_times = []
-    accel_pres = None
-    for _ in range(args.repeats):
-        clear_caches()
-        t0 = time.perf_counter()
-        accel_pres = accelerated_minimal_presentation(family, args.n)
-        accel_times.append(time.perf_counter() - t0)
+    def timed(compute):
+        # the median of --repeats cold runs in ms, each under its own
+        # deadline, and the last run's output
+        times = []
+        for _ in range(args.repeats):
+            clear_caches()
+            t0 = time.perf_counter()
+            pres = compute(deadline=time.monotonic() + args.timeout_secs)
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times) * 1000.0, pres
 
-    direct_times = []
-    direct_pres = None
-    timed_out = False
-    for _ in range(args.repeats):
-        clear_caches()
-        t0 = time.perf_counter()
-        try:
-            direct_pres = minimal_presentation(
-                member.monoid, deadline=time.monotonic() + args.timeout_secs
-            )
-        except BudgetExceeded:
-            timed_out = True
-            break
-        direct_times.append(time.perf_counter() - t0)
-
-    accel_ms = statistics.median(accel_times) * 1000.0
+    accel_ms, accel_pres = timed(
+        functools.partial(accelerated_minimal_presentation, family, args.n)
+    )
     out.write(f"accelerated_ms {accel_ms:.1f}\n")
-    if timed_out:
+    try:
+        direct_ms, direct_pres = timed(
+            functools.partial(minimal_presentation, member.monoid)
+        )
+    except BudgetExceeded:
         out.write(f"direct_ms timeout(>{args.timeout_secs:g}s)\n")
         out.write("speedup n/a\n")
         out.write("equal n/a\n")
         return 0
-    direct_ms = statistics.median(direct_times) * 1000.0
     out.write(f"direct_ms {direct_ms:.1f}\n")
     speedup = direct_ms / accel_ms if accel_ms > 0 else float("inf")
     out.write(f"speedup {speedup:.2f}\n")

@@ -16,7 +16,6 @@ needed for membership, even when m_1 is on the order of 10^6.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import gcd
 from operator import ge, index
 
@@ -138,14 +137,6 @@ class NumericalMonoid:
         return f"NumericalMonoid({self.generators!r})"
 
 
-@dataclass(frozen=True)
-class AperyTable:
-    """entries[rho] = least element of M congruent to rho mod m_1, the
-    multiplicity, which is len(entries)."""
-
-    entries: tuple[int, ...]
-
-
 def normalize_generators(raw) -> NumericalMonoid:
     """Sort, deduplicate, and drop redundant generators.
 
@@ -176,7 +167,7 @@ def _redundant(M: NumericalMonoid) -> list[int]:
     smaller generators, as all are positive, and some m_j with j < i; taking
     that m_j away leaves m_i - m_j in M.
     """
-    ap = apery(M).entries
+    ap = apery(M)
     m1 = len(ap)
     gens = M.generators
     return [
@@ -189,11 +180,13 @@ def _redundant(M: NumericalMonoid) -> list[int]:
 # The memo of apery, keyed by the monoid alone: a table is exact whatever
 # deadline it was computed under.  Only completed tables are stored;
 # clear_caches() empties it.
-_apery_memo: dict[NumericalMonoid, AperyTable] = {}
+_apery_memo: dict[NumericalMonoid, tuple[int, ...]] = {}
 
 
-def apery(M: NumericalMonoid, *, deadline: float | None = None) -> AperyTable:
-    """Apery table of M with respect to its multiplicity m_1.
+def apery(M: NumericalMonoid, *, deadline: float | None = None) -> tuple[int, ...]:
+    """Apery table of M with respect to its multiplicity m_1: entry rho is
+    the least element of M congruent to rho mod m_1, so the table has m_1
+    entries.
 
     Round robin over the residues mod m_1 (Boecker and Liptak, "A fast and
     simple algorithm for the money changing problem", Algorithmica 48,
@@ -223,8 +216,8 @@ def apery(M: NumericalMonoid, *, deadline: float | None = None) -> AperyTable:
 
     Raises NotPrimitive when gcd(M) > 1, then BudgetExceeded, before
     allocating anything, when m_1 > DEFAULT_CAP, and before any pass once
-    deadline has passed; a refused call stores nothing.  A memoized table is returned whatever the
-    deadline.
+    deadline has passed; a refused call stores nothing.  A memoized table
+    is returned whatever the deadline.
     """
     table = _apery_memo.get(M)
     if table is not None:
@@ -263,20 +256,20 @@ def apery(M: NumericalMonoid, *, deadline: float | None = None) -> AperyTable:
                     val = old
                 else:
                     dist[cur] = val
-    table = _apery_memo[M] = AperyTable(tuple(dist))
+    table = _apery_memo[M] = tuple(dist)
     return table
 
 
 def contains(M: NumericalMonoid, a: int) -> bool:
     """Membership test via the Apery table; requires M primitive."""
     a = _natural(a, "element")
-    ap = apery(M).entries
+    ap = apery(M)
     return a >= ap[a % len(ap)]
 
 
 def frobenius(M: NumericalMonoid) -> int:
     """Largest integer not in M; -1 when M is all of the naturals."""
-    ap = apery(M).entries
+    ap = apery(M)
     return max(ap) - len(ap)
 
 

@@ -228,11 +228,12 @@ def _monotone_equal(
     element's own degrees.
 
     gated also skips every length class that is connected under shared
-    atoms (a member uses every atom, or _atom_union gives one component).  That is sound only for a
-    sweep over every element from 0 up, with equal its running max: such
-    a class has bottleneck at most the equal degree of some smaller
-    element, so only the classes that are disconnected, the Betti elements
-    of the length-graded monoid <(m_i, 1)>, can raise the max.
+    atoms (a member uses every atom, or _atom_union gives one component).
+    That is sound only for a sweep over every element from 0 up, with
+    equal its running max: such a class has bottleneck at most the equal
+    degree of some smaller element, so only the classes that are
+    disconnected, the Betti elements of the length-graded monoid
+    <(m_i, 1)>, can raise the max.
 
     Proof, by induction on a (after Chapman, Garcia-Sanchez, Llena,
     Ponomarenko and Rosales, Manuscripta Math. 2006, whose argument puts

@@ -277,7 +277,7 @@ def _betti_impl(
     # the factorization graphs of the Betti elements, in increasing order;
     # apery raises NotPrimitive, and its deadline is checked before the
     # minimality test reads the table
-    ap = apery(M, deadline=deadline).entries
+    ap = apery(M, deadline=deadline)
     _require_minimal(M)
     # Candidate set {m_i + w : i >= 2, w in Ap(M, m_1), w != 0}.  Every Betti
     # element b lies in it: the factorizations of b using the atom m_1
@@ -360,10 +360,9 @@ def betti_elements(M: NumericalMonoid, *, deadline: float | None = None) -> list
 
 
 def _labeled_trees(c: int):
-    """All labeled trees on c nodes as sorted edge lists, by Prufer code."""
-    if c == 1:
-        yield []
-        return
+    """All labeled trees on c >= 2 nodes as sorted edge lists, by Prufer
+    code.  _beta_choices passes the component count of a Betti element's
+    graph, which is at least two."""
     for seq in itertools.product(range(c), repeat=c - 2):
         degree = [1] * c
         for x in seq:
@@ -381,12 +380,10 @@ def _labeled_trees(c: int):
 
 
 def _spanning_tree_count(sizes: list[int]) -> int:
-    """Spanning trees of the complete multigraph with |C_i||C_j| parallel
-    edges, by the weighted Cayley formula prod |C_i| * (sum |C_i|)^(c-2)."""
-    c = len(sizes)
-    if c == 1:
-        return 1
-    return math.prod(sizes) * sum(sizes) ** (c - 2)
+    """Spanning trees of the complete multigraph on c = len(sizes) >= 2
+    components with |C_i||C_j| parallel edges, by the weighted Cayley
+    formula prod |C_i| * (sum |C_i|)^(c-2)."""
+    return math.prod(sizes) * sum(sizes) ** (len(sizes) - 2)
 
 
 def _beta_choices(

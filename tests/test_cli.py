@@ -481,13 +481,37 @@ def test_bench_agreement(cli):
     assert "accelerated_ms" in out and "equal yes" in out
 
 
-def test_bench_timeout_marker(cli):
-    code, out = cli(
-        "bench", "--r", "6,9,20", "--n", "450", "--repeats", "1",
-        "--timeout-secs", "1e-06",
-    )
+def test_bench_timeout_marker(cli, monkeypatch):
+    # a direct leg out of budget is reported, not an error
+    def out_of_budget(M, *, deadline):
+        raise BudgetExceeded("wall-clock deadline exceeded")
+
+    monkeypatch.setattr(cli_module, "minimal_presentation", out_of_budget)
+    code, out = cli("bench", "--r", "6,9,20", "--n", "450", "--repeats", "1")
     assert code == 0
     assert "direct_ms timeout" in out and "equal n/a" in out
+
+
+@pytest.mark.parametrize("n", [450, 410])
+def test_bench_budget_bounds_the_accelerated_leg(cli, n):
+    # the router lifts at 450 and scans at 410; both honour the budget
+    assert cli(
+        "bench", "--r", "6,9,20", "--n", str(n), "--repeats", "1",
+        "--timeout-secs", "1e-06",
+    ) == (2, "")
+
+
+def test_bench_disagreement_is_exit_3(cli, monkeypatch):
+    accelerated = cli_module.accelerated_minimal_presentation
+
+    def dropping(F, n, *, deadline):
+        pres = accelerated(F, n, deadline=deadline)
+        return make_presentation(pres.monoid, pres.relations[1:])
+
+    monkeypatch.setattr(cli_module, "accelerated_minimal_presentation", dropping)
+    code, out = cli("bench", "--r", "6,9,20", "--n", "450", "--repeats", "1")
+    assert code == 3
+    assert out.endswith("equal no\n")
 
 
 def test_verify_round_trip(cli, tmp_path):

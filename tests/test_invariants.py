@@ -2,16 +2,19 @@ import time
 
 import pytest
 
+from numonoid import invariants
 from numonoid import (
     BudgetExceeded,
     CatenaryReport,
     DeltaSet,
     InvalidInput,
+    LengthProfile,
     NotAnElement,
     NotPrimitive,
     NumericalMonoid,
     ShiftedFamily,
     TameReport,
+    VerificationFailed,
     catenary_of_element,
     catenary_of_monoid,
     default_window,
@@ -152,6 +155,17 @@ def test_delta_set_family_exact():
     H = ShiftedFamily((3, 5))
     assert not delta_set(monoid_at(H, 25).monoid).exact
     assert delta_set(monoid_at(H, 26).monoid).exact
+
+
+def test_delta_set_family_path_checks_the_betti_delta_sets(monkeypatch):
+    # a Betti delta set other than {d} would be a bug, and is raised
+    monkeypatch.setattr(
+        invariants, "_profile", lambda a, zs: LengthProfile(a, (1, 3), (2,))
+    )
+    with pytest.raises(
+        VerificationFailed, match=r"^Betti delta sets give \[2\], expected \{1\}$"
+    ):
+        delta_set(monoid_at(F, 450).monoid)
 
 
 def test_tame_degree():

@@ -2,7 +2,9 @@ import time
 
 import pytest
 
+from numonoid import shifted
 from numonoid import (
+    ClosureReport,
     FactorizationGraph,
     InvalidInput,
     NotARelation,
@@ -253,6 +255,18 @@ def test_equal_length_projection_fixture():
     assert congruence_closure_check(S, tau, 220).ok
     smaller = [r for r in tau if frozenset(r.pair()) != frozenset({(0, 8, 0), (2, 0, 3)})]
     assert congruence_closure_check(S, smaller, 220).ok
+
+
+def test_equal_length_projection_raises_a_closure_gap(monkeypatch):
+    # a projection the oracle cannot close would be a bug, and is raised
+    def failing(S, relations, bound):
+        return ClosureReport(bound, ((42, ((7, 0, 0), (0, 0, 2))),))
+
+    monkeypatch.setattr(shifted, "congruence_closure_check", failing)
+    with pytest.raises(
+        VerificationFailed, match="^projected relations fail closure at 42$"
+    ):
+        equal_length_projection(F, 450, _canonical(450, BLOCK_450))
 
 
 def test_equal_length_projection_single_offset_family():

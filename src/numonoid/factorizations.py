@@ -262,8 +262,9 @@ def _stream(gens: tuple[int, ...], last: int, deadline: float | None = None):
     from its largest used atom i.  Each row is kept ordered by largest used
     atom, with ends[i] the number of its vectors using no atom above i, so
     the vectors extended by e_i are a prefix of row a - m_i: every vector
-    is built once and no search is wasted.  Only the rows of the last m_t
-    values are held.  The deadline is checked once per a, and
+    is built once and no search is wasted; an empty prefix, as of every
+    non-member a - m_i, is skipped without a slice.  Only the rows of the
+    last m_t values are held.  The deadline is checked once per a, and
     BudgetExceeded is raised once the rows held exceed DEFAULT_CAP vectors
     (read at call time).
 
@@ -282,7 +283,9 @@ def _stream(gens: tuple[int, ...], last: int, deadline: float | None = None):
             zs, ends = [], []
             for i, m in enumerate(gens):
                 prev, prev_ends = rows[(a - m) % top]
-                zs += [z[:i] + (z[i] + 1,) + z[i + 1 :] for z in prev[: prev_ends[i]]]
+                end = prev_ends[i]
+                if end:
+                    zs += [z[:i] + (z[i] + 1,) + z[i + 1 :] for z in prev[:end]]
                 ends.append(len(zs))
         else:
             zs, ends = [(0,) * t], (1,) * t

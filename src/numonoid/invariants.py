@@ -41,8 +41,12 @@ The windowed sweeps run no per-element search:
   every pair of classes too short to raise its running max (d(u, v) <=
   max(|u|, |v|)), stops a closest-pair scan at the first pair within it,
   and takes a class's O(|class|^2) bottleneck only when the class is
-  disconnected under shared atoms; a connected class cannot raise the
-  running max (proof in _monotone_equal).
+  disconnected under shared atoms.  It scans two consecutive classes
+  s < l only when they are new at a: when no a - m_i has both s - 1 and
+  l - 1 in its length set, read off the length-set bitmasks of the last
+  m_t elements, kept as in the delta-set sweep.  Neither a connected
+  class nor an inherited pair of classes can raise the running max
+  (proofs in _monotone_equal).
 - Tame degree: O(|Z(a)|^2) distances per atom at most, cut short for a
   factorization as soon as one user of the atom lies within the running
   max, for the elements up to min(window, F + 2 m_t) only.
@@ -51,7 +55,9 @@ The windowed sweeps run no per-element search:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
 
 from .core import NumericalMonoid, _check_deadline, _natural, default_window, frobenius
 from .errors import NotPrimitive, VerificationFailed
@@ -205,7 +211,7 @@ def monotone_equal_catenary(
     factorization of every shorter class.  So N is feasible.
     """
     zs = _factorizations_of(M, a, deadline)
-    return _monotone_equal(zs, M.t, 0, 0, False, deadline)
+    return _monotone_equal(zs, M.t, 0, 0, None, deadline)
 
 
 def _monotone_equal(
@@ -213,7 +219,7 @@ def _monotone_equal(
     t: int,
     monotone: int,
     equal: int,
-    gated: bool,
+    below: list[int] | None,
     deadline: float | None,
 ) -> tuple[int, int]:
     """(max(monotone, monotone degree of a), max(equal, equal degree of a))
@@ -224,51 +230,74 @@ def _monotone_equal(
     most equal, a consecutive pair of classes whose longer length is
     <= monotone has least distance at most monotone, and the scan for a
     closest pair can stop at the first pair within monotone.  With zero
-    floors and gated False nothing is skipped and the result is the
+    floors and below None nothing is skipped and the result is the
     element's own degrees.
 
-    gated also skips every length class that is connected under shared
-    atoms (a member uses every atom, or _atom_union gives one component).
-    That is sound only for a sweep over every element from 0 up, with
-    equal its running max: such a class has bottleneck at most the equal
-    degree of some smaller element, so only the classes that are
-    disconnected, the Betti elements of the length-graded monoid
-    <(m_i, 1)>, can raise the max.
+    below, when given, holds the length sets of the elements a - m_i as
+    int bitmasks (bit l set when l is in L(a - m_i); 0 when a - m_i is not
+    in M), and two more gates apply.  Both are sound only for a sweep over
+    every element from 0 up, with monotone and equal its running maxes;
+    the per-element monotone_equal_catenary has no smaller elements to lean
+    on and is never gated.
 
-    Proof, by induction on a (after Chapman, Garcia-Sanchez, Llena,
-    Ponomarenko and Rosales, Manuscripta Math. 2006, whose argument puts
-    the catenary degree at the Betti elements).  Let the class of (a, l) be
-    connected under shared atoms, and let u, v be two of its factorizations
-    adjacent in that graph, so sharing an atom i.  Then u - e_i and v - e_i
-    lie in the class of (a - m_i, l - 1), and are joined there by a chain
-    with steps at most the equal degree of a - m_i < a.  Adding e_i to each
+    Connected classes.  A length class connected under shared atoms (a
+    member uses every atom, or _atom_union gives one component) is
+    skipped: its bottleneck is at most the equal degree of some smaller
+    element, so only the classes that are disconnected, the Betti elements
+    of the length-graded monoid <(m_i, 1)>, can raise the max.  Proof, by
+    induction on a (after Chapman, Garcia-Sanchez, Llena, Ponomarenko and
+    Rosales, Manuscripta Math. 2006, whose argument puts the catenary
+    degree at the Betti elements).  Let the class of (a, l) be connected
+    under shared atoms, and let u, v be two of its factorizations adjacent
+    in that graph, so sharing an atom i.  Then u - e_i and v - e_i lie in
+    the class of (a - m_i, l - 1), and are joined there by a chain with
+    steps at most the equal degree of a - m_i < a.  Adding e_i to each
     step keeps it in the class of (a, l) and keeps its distance, as
     d(u + e, v + e) = d(u, v).  Chaining along a path of the atom-sharing
     graph then joins any two factorizations of the class with steps at
     most the sup of the equal degrees of the elements below a, which the
-    sweep's running max holds by induction.  So the gated running max
-    equals the ungated one after every element.  The per-element
-    monotone_equal_catenary has no smaller elements to lean on and is
-    never gated.
+    sweep's running max holds by induction.
+
+    Inherited pairs.  Two consecutive lengths s < l of L(a) are skipped
+    when some a - m_i has both s - 1 and l - 1 in its length set.  Proof.
+    s - 1 and l - 1 are then consecutive in L(a - m_i), since a length
+    strictly between them would give, after + e_i, a length of a strictly
+    between s and l.  Take a closest pair (u', v') of those two classes of
+    a - m_i; then (u' + e_i, v' + e_i) is a pair of the classes l and s of
+    a at the same distance.  That distance is at most the monotone degree
+    of a - m_i, which the running max holds by induction, so the least
+    distance between the classes l and s of a cannot raise it.  So the
+    gated running maxes equal the ungated ones after every element, and
+    only the pairs of length classes that are new at a are scanned.
+
+    The deadline is read only before the work the gates leave: a
+    bottleneck or a closest-pair scan.
     """
     classes: dict[int, list[tuple[int, ...]]] = {}
     for z in zs:
         classes.setdefault(sum(z), []).append(z)
     for ell, cls in classes.items():
-        _check_deadline(deadline)
         if ell <= equal:
             continue
         # a class with a member using every atom is connected, as every
         # other member shares an atom with it; the test is C-level per vector
-        if gated and (any(map(all, cls)) or len(_atom_union(t, cls)) == 1):
+        if below is not None and (
+            any(map(all, cls)) or len(_atom_union(t, cls)) == 1
+        ):
             continue
+        _check_deadline(deadline)
         equal = max(equal, _bottleneck([(z, ell) for z in cls]))
     monotone = max(monotone, equal)
     lengths = sorted(classes)
     for shorter, longer in zip(lengths, lengths[1:]):
-        _check_deadline(deadline)
         if longer <= monotone:
             continue
+        if below is not None:
+            # shorter >= 1: only a = 0 has a factorization of length 0
+            pair = (1 << (shorter - 1)) | (1 << (longer - 1))
+            if any(mask & pair == pair for mask in below):
+                continue
+        _check_deadline(deadline)
         # the least distance between the classes raises monotone only if
         # no pair lies within it; every distance is at most longer
         nearest = longer
@@ -300,11 +329,23 @@ def monoid_catenary_report(
         return CatenaryReport(ordinary, ordinary, ordinary, True, None)
     w = _window(M, window)
     ordinary = catenary_of_monoid(M, deadline=deadline)
+    gens = M.generators
+    top = gens[-1]
+    # masks[b % top] is the length-set mask of b for the last top elements
+    # b, as in delta_set; a slot not yet written holds 0, the empty L(b) of
+    # every b < 0, and the slot of each non-member is zeroed when it passes
+    masks = [0] * top
     monotone = equal = 0
-    # the stream starts at 0, as the gate needs (_monotone_equal); its rows
+    last = -1
+    # the stream starts at 0, as the gates need (_monotone_equal); its rows
     # are not in the documented order, and no degree depends on the order
-    for _, zs in _stream(M.generators, w, deadline):
-        monotone, equal = _monotone_equal(zs, M.t, monotone, equal, True, deadline)
+    for a, zs in _stream(gens, w, deadline):
+        for b in range(last + 1, a):
+            masks[b % top] = 0
+        last = a
+        below = [masks[(a - g) % top] for g in gens]
+        monotone, equal = _monotone_equal(zs, M.t, monotone, equal, below, deadline)
+        masks[a % top] = reduce(or_, below) << 1 if a else 1
     return CatenaryReport(ordinary, monotone, equal, False, w)
 
 

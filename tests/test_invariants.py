@@ -108,6 +108,26 @@ def test_monoid_catenary_report_windowed():
     )
 
 
+def test_monoid_catenary_report_scans_only_new_pairs_of_classes(monkeypatch):
+    # the sweep skips two consecutive length classes s < l of a when some
+    # a - m_i has both s - 1 and l - 1 in its length set: that pair of
+    # classes, moved up by e_i, is no farther apart, and the running max
+    # already holds it.  Scanning every such pair took 73267 distances at
+    # the default window (506) of <11,17,20,23>
+    real = invariants._distance
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(invariants, "_distance", counting)
+    rep = monoid_catenary_report(NumericalMonoid((11, 17, 20, 23)))
+    assert (rep.monotone, rep.equal, rep.window) == (7, 2, 506)
+    assert calls <= 50
+
+
 def test_monoid_catenary_report_family_exact():
     # the family regime is read off the generators: m_1 = 450 > 20^2
     M450 = monoid_at(F, 450).monoid

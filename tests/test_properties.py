@@ -653,6 +653,19 @@ def _oracle_window(gens: tuple[int, ...], most: int) -> int:
     return min(most, int((20000 * math.factorial(t) * math.prod(gens)) ** (1 / t)))
 
 
+def _quadratic_window(gens: tuple[int, ...], most: int, budget: int) -> int:
+    # the largest window up to most whose sum of |Z(a)|^2, read off the
+    # oracle's buckets, stays within budget: a reference that compares
+    # every two factorizations of each element takes time that grows with
+    # that sum, not with the vector count that _oracle_window bounds
+    total = 0
+    for a, zs in sorted(factorization_buckets(gens, most).items()):
+        total += len(zs) ** 2
+        if total > budget:
+            return a - 1
+    return most
+
+
 @settings(deadline=None, max_examples=60)
 @given(M=small_monoids, data=st.data())
 def test_windowed_delta_set_matches_the_oracle(M, data):
@@ -715,7 +728,9 @@ def _monotone_equal_by_search(zs):
 @settings(deadline=None, max_examples=30)
 @given(M=small_monoids, data=st.data())
 def test_monotone_equal_catenary_matches_the_definition(M, data):
-    w = data.draw(st.integers(0, _oracle_window(M.generators, 120)))
+    # bounded like the windowed report below, whose reference this shares
+    most = _oracle_window(M.generators, 120)
+    w = data.draw(st.integers(0, _quadratic_window(M.generators, most, 20000)))
     for a, zs in sorted(factorization_buckets(M.generators, w).items()):
         assert monotone_equal_catenary(M, a) == _monotone_equal_by_search(zs), a
 
@@ -724,8 +739,12 @@ def test_monotone_equal_catenary_matches_the_definition(M, data):
 @given(M=small_monoids, data=st.data())
 def test_windowed_catenary_report_matches_the_definition(M, data):
     # the sweep skips the length classes and pairs of classes that cannot
-    # raise its running max; the sup over the window must not move
-    w = data.draw(st.integers(0, _oracle_window(M.generators, 120)))
+    # raise its running max; the sup over the window must not move.  The
+    # reference compares every two factorizations of each element, so the
+    # window is bounded by the sum of |Z(a)|^2 too, which caps the densest
+    # draw, <6, 7, 8, 9>, at 74 where its whole range of 120 took 5 s
+    most = _oracle_window(M.generators, 120)
+    w = data.draw(st.integers(0, _quadratic_window(M.generators, most, 20000)))
     by_search = [
         _monotone_equal_by_search(zs)
         for zs in factorization_buckets(M.generators, w).values()
@@ -760,19 +779,6 @@ def _tame_by_definition(gens, w):
         if ta > best:
             best, attained = ta, a
     return best, attained
-
-
-def _quadratic_window(gens: tuple[int, ...], most: int, budget: int) -> int:
-    # the largest window up to most whose sum of |Z(a)|^2, read off the
-    # oracle's buckets, stays within budget: _tame_by_definition compares
-    # every two factorizations of each element, so its time grows with that
-    # sum, not with the vector count that _oracle_window bounds
-    total = 0
-    for a, zs in sorted(factorization_buckets(gens, most).items()):
-        total += len(zs) ** 2
-        if total > budget:
-            return a - 1
-    return most
 
 
 @settings(deadline=None, max_examples=60)

@@ -55,9 +55,7 @@ The windowed sweeps run no per-element search:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
-from operator import or_
 
 from .core import NumericalMonoid, _check_deadline, _natural, default_window, frobenius
 from .errors import NotPrimitive, VerificationFailed
@@ -345,7 +343,10 @@ def monoid_catenary_report(
         last = a
         below = [masks[(a - g) % top] for g in gens]
         monotone, equal = _monotone_equal(zs, M.t, monotone, equal, below, deadline)
-        masks[a % top] = reduce(or_, below) << 1 if a else 1
+        union = 0
+        for mask in below:
+            union |= mask
+        masks[a % top] = union << 1 if a else 1
     return CatenaryReport(ordinary, monotone, equal, False, w)
 
 

@@ -41,6 +41,7 @@ from numonoid.factorizations import (
     _enumerate_sliced,
     distance,
 )
+from numonoid.invariants import _shares_atom
 from numonoid.oracle import (
     ClosureReport,
     factorization_buckets,
@@ -751,6 +752,30 @@ def test_windowed_catenary_report_matches_the_definition(M, data):
     assert report.monotone == max(mon for mon, _ in by_search)
     assert report.equal == max(eq for _, eq in by_search)
     assert (report.exact, report.window) == (False, w)
+
+
+@settings(deadline=None, max_examples=60)
+@given(M=small_monoids, data=st.data())
+def test_shared_atom_gate_matches_the_length_sets_below(M, data):
+    # the windowed catenary report skips two consecutive length classes
+    # s < l of a when some atom is used in both; that is the same as some
+    # L(a - m_i) holding both s - 1 and l - 1.  Z(a) and every L(a - m_i)
+    # come from the oracle's buckets, not from the window stream
+    w = data.draw(st.integers(0, _oracle_window(M.generators, 300)))
+    buckets = factorization_buckets(M.generators, w)
+    for a, zs in buckets.items():
+        classes = {}
+        for z in zs:
+            classes.setdefault(sum(z), []).append(z)
+        below = [
+            {sum(z) for z in buckets.get(a - g, [])} for g in M.generators
+        ]
+        lengths = sorted(classes)
+        for s, l in zip(lengths, lengths[1:]):
+            inherited = any({s - 1, l - 1} <= ls for ls in below)
+            shared = _shares_atom(M.t, classes[l], classes[s])
+            event("inherited" if inherited else "new")
+            assert shared == inherited, (a, s, l)
 
 
 def _tame_by_definition(gens, w):

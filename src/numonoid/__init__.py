@@ -5,6 +5,7 @@ algorithm for shifted families."""
 from . import core as _core
 from . import oracle as _oracle
 from . import presentations as _presentations
+from . import shifted as _shifted
 from .core import (
     DEFAULT_CAP,
     NumericalMonoid,
@@ -82,10 +83,13 @@ __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Drop all memoized Apery sets, presentations, and oracle factorization
-    tables.  Used for honest benchmark timings."""
+    """Drop every memo: the Apery tables, the direct scans' Betti graphs and
+    presentations, the router's verified lifts, and the oracle's
+    factorization tables, so that the next call computes from scratch, as
+    `bench` and the benchmark's cold runs need."""
     _core._apery_memo.clear()
     _presentations._minpres_memo.clear()
+    _shifted._lifted_memo.clear()
     _oracle._buckets.cache_clear()
 
 

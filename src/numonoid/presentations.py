@@ -330,6 +330,21 @@ def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> _Scan:
     return graphs, _canonical_presentation(M, graphs)
 
 
+# The most entries a result memo keyed by the monoid holds: this one, and
+# shifted's memo of verified lifts.  Past it the oldest entry is dropped
+# (a dict keeps insertion order).  An entry holds Betti graphs and
+# relations, no table of m_1 entries as core's Apery memo does.
+_MEMO_ENTRIES = 128
+
+
+def _remember(memo: dict, key, value):
+    """Store value under key in one of the bounded memos and return it."""
+    memo[key] = value
+    if len(memo) > _MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    return value
+
+
 # One memo keyed by the monoid alone, holding the scan's Betti graphs next
 # to the canonical presentation built from them.  An exact result is exact
 # whatever budget it was computed under, so calls with and without a
@@ -340,9 +355,10 @@ _minpres_memo: dict[NumericalMonoid, _Scan] = {}
 
 def _scan(M: NumericalMonoid, deadline: float | None) -> _Scan:
     """The memoized direct scan of M: its Betti graphs and presentation."""
-    if M not in _minpres_memo:
-        _minpres_memo[M] = _minpres_impl(M, deadline)
-    return _minpres_memo[M]
+    scan = _minpres_memo.get(M)
+    if scan is None:
+        scan = _remember(_minpres_memo, M, _minpres_impl(M, deadline))
+    return scan
 
 
 def minimal_presentation(

@@ -19,8 +19,12 @@ hold a factorization, and the others are skipped.
 
 _betti_graphs, the factorization graphs of the Betti elements, is the one
 place that chooses between the lift and the direct scan, and every path that
-may lift reads it.  minimal_presentation and betti_elements always scan, so
-that the two paths can be checked against each other.
+may lift reads it.  It memoizes each lifted M once its verification has
+passed, as the direct scan memoizes each scanned M, so a survey that meets
+the same M_n again verifies it once; both memos keep at most the same
+number of entries and drop the oldest first.  minimal_presentation and
+betti_elements always scan, and never read the lifted memo, so that the two
+paths can be checked against each other.
 
 The lift is verified at the target M, not trusted.  Each base relation is
 moved to M and filed under the value beta of its left side; for each beta
@@ -57,6 +61,7 @@ from .presentations import (
     Presentation,
     Relation,
     _canonical_presentation,
+    _remember,
     _scan,
     factorization_graph,
     make_presentation,
@@ -241,6 +246,13 @@ def lift_presentation(
     )
 
 
+# The router's verified graphs of each lifted M, kept beside the direct
+# scan's memo and bounded the same way (presentations._remember).  An entry
+# is stored only once every Betti element's check has passed.
+# clear_caches() empties it.
+_lifted_memo: dict[NumericalMonoid, tuple[FactorizationGraph, ...]] = {}
+
+
 def _betti_graphs(
     M: NumericalMonoid, deadline: float | None
 ) -> tuple[FactorizationGraph, ...]:
@@ -258,11 +270,20 @@ def _betti_graphs(
     what proves that the pair is a relation of M, and the spanning check
     needs that membership anyway, so a right side of another value is
     refused there as not factoring beta.  lift_presentation gives the
-    lifted presentation itself, for callers who want it.  The deadline is
-    checked before each beta, so a memoized base scan cannot outlive it."""
+    lifted presentation itself, for callers who want it.
+
+    The graphs of a fully verified lift are memoized by M (_lifted_memo),
+    and a memoized lift, like a memoized scan, is returned whatever the
+    deadline.  A lift not yet verified checks the deadline before each
+    beta, so a memoized base scan cannot carry it past the deadline.
+    minimal_presentation and betti_elements never read this memo: they
+    scan at M, so the two paths still check each other."""
     F, n = family_from_generators(M.generators)
     if F is None or n <= F.threshold + F.step:
         return _scan(M, deadline)[0]
+    verified = _lifted_memo.get(M)
+    if verified is not None:
+        return verified
     # n0 has the same gcd(n, d), so the scan there raises NotPrimitive for M
     n0 = F.threshold + 1 + (n - F.threshold - 1) % F.step
     steps = (n - n0) // F.step
@@ -293,7 +314,7 @@ def _betti_graphs(
         if len(set(label)) != 1:
             raise VerificationFailed(f"relations lifted to {beta} do not span")
         graphs.append(graph)
-    return tuple(graphs)
+    return _remember(_lifted_memo, M, tuple(graphs))
 
 
 def accelerated_minimal_presentation(

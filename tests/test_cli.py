@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from numonoid import cli as cli_module
-from numonoid import core, presentations
+from numonoid import core, presentations, shifted
 from numonoid import (
     BudgetExceeded,
     NumericalMonoid,
@@ -387,13 +387,18 @@ def test_survey_rows_past_the_lift_threshold_match_the_scan(
 
 def test_betti_timeout_is_exit_2(cli):
     # a zero budget runs out in the scan at a small shift, in the base scan
-    # of a lift, and, with that base memoized, in the lift's verification
+    # of a lift, and, with that base memoized, in the verification of a
+    # target not yet verified in the same residue class; a verified lift is
+    # memoized, and answers whatever the budget
     clear_caches()
     assert cli("betti", "--gens", "6,9,20", "--timeout-secs", "0") == (2, "")
     gens = "1000001,1000007,1000010,1000021"
     assert cli("betti", "--gens", gens, "--timeout-secs", "0") == (2, "")
-    assert cli("betti", "--gens", gens)[0] == 0
-    assert cli("betti", "--gens", gens, "--timeout-secs", "0") == (2, "")
+    code, out = cli("betti", "--gens", gens)
+    assert code == 0 and out.startswith("3000021\n")
+    unverified = "1000021,1000027,1000030,1000041"
+    assert cli("betti", "--gens", unverified, "--timeout-secs", "0") == (2, "")
+    assert cli("betti", "--gens", gens, "--timeout-secs", "0") == (0, out)
     for timeout in ("-5", "nan"):
         assert cli("betti", "--gens", gens, "--timeout-secs", timeout) == (1, "")
 
@@ -479,6 +484,23 @@ def test_bench_agreement(cli):
     code, out = cli("bench", "--r", "6,9,20", "--n", "450", "--repeats", "1")
     assert code == 0
     assert "accelerated_ms" in out and "equal yes" in out
+
+
+def test_bench_verifies_the_lift_on_every_repeat(cli, monkeypatch):
+    # each timed run starts from cleared caches, so none of the three reads
+    # a lift verified by the one before
+    built = []
+    real = shifted.factorization_graph
+
+    def counted(M, a, **kwargs):
+        built.append(a)
+        return real(M, a, **kwargs)
+
+    monkeypatch.setattr(shifted, "factorization_graph", counted)
+    code, out = cli("bench", "--r", "6,9,20", "--n", "1000", "--repeats", "3")
+    assert code == 0 and out.endswith("equal yes\n")
+    betti = betti_elements(monoid_at(ShiftedFamily((6, 9, 20)), 1000).monoid)
+    assert built == 3 * betti
 
 
 def test_bench_timeout_marker(cli, monkeypatch):

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from numonoid import shifted
+from numonoid import presentations, shifted
 from numonoid import (
     ClosureReport,
     FactorizationGraph,
@@ -18,7 +18,10 @@ from numonoid import (
     VerificationFailed,
     accelerated_minimal_presentation,
     betti_elements,
+    catenary_of_monoid,
+    clear_caches,
     congruence_closure_check,
+    delta_set,
     equal_length_projection,
     family_from_generators,
     frobenius,
@@ -344,7 +347,85 @@ def _tamper_span(monkeypatch):
 )
 def test_tampered_lift_is_caught(monkeypatch, tamper, message):
     # the spanning verification inside the accelerated path must reject
-    # each tampered lift, with the message of the check that fired
+    # each tampered lift, with the message of the check that fired; the
+    # caches are cleared first, so that no memoized lift of M_450 skips it
+    clear_caches()
     tamper(monkeypatch)
     with pytest.raises(VerificationFailed, match=message):
         accelerated_minimal_presentation(F, 450)
+
+
+def _count_graphs(monkeypatch):
+    # every Z(beta) the router enumerates at a lifted target, by element
+    built = []
+    real = shifted.factorization_graph
+
+    def counted(M, a, **kwargs):
+        built.append(a)
+        return real(M, a, **kwargs)
+
+    monkeypatch.setattr(shifted, "factorization_graph", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        pytest.param(lambda M: catenary_of_monoid(M), id="catenary"),
+        pytest.param(lambda M: delta_set(M), id="delta"),
+        pytest.param(
+            lambda M: accelerated_minimal_presentation(F, M.multiplicity),
+            id="accelerated",
+        ),
+    ],
+)
+def test_a_verified_lift_is_memoized(monkeypatch, compute):
+    # the first call verifies every lifted Betti element of M_1000; a
+    # second call on the same monoid reads the memo and builds no graph
+    M = monoid_at(F, 1000).monoid
+    clear_caches()
+    built = _count_graphs(monkeypatch)
+    first = compute(M)
+    assert built == betti_elements(M)
+    built.clear()
+    assert compute(M) == first
+    assert built == []
+
+
+def test_the_direct_scan_ignores_the_lifted_memo(monkeypatch):
+    # minimal_presentation scans at the target even after the router has
+    # memoized the lift there, so the two paths still check each other
+    M = monoid_at(F, 1000).monoid
+    clear_caches()
+    lifted = accelerated_minimal_presentation(F, 1000)
+    assert M in shifted._lifted_memo
+    scanned = []
+    real = presentations._betti_impl
+
+    def logged(M, deadline):
+        scanned.append(M.generators)
+        return real(M, deadline)
+
+    monkeypatch.setattr(presentations, "_betti_impl", logged)
+    assert minimal_presentation(M).relations == lifted.relations
+    assert scanned == [M.generators]
+
+
+def test_the_memos_drop_their_oldest_entry(monkeypatch):
+    # with room for two entries, a third lift evicts the first, which is
+    # then verified again; the direct scan's memo is bounded the same way
+    monkeypatch.setattr(presentations, "_MEMO_ENTRIES", 2)
+    clear_caches()
+    shifts = (1000, 1001, 1002)
+    monoids = [monoid_at(F, n).monoid for n in shifts]
+    # their bases are the shifts 420, 401 and 402
+    bases = [monoid_at(F, n0).monoid for n0 in (420, 401, 402)]
+    for M in monoids:
+        _betti_graphs(M, None)
+    assert list(shifted._lifted_memo) == monoids[1:]
+    assert list(presentations._minpres_memo) == bases[1:]
+    built = _count_graphs(monkeypatch)
+    _betti_graphs(monoids[0], None)
+    assert list(shifted._lifted_memo) == [monoids[2], monoids[0]]
+    assert list(presentations._minpres_memo) == [bases[2], bases[0]]
+    assert built == betti_elements(monoids[0])

@@ -24,8 +24,9 @@ progression and are emitted in closed form, cut at the slice's atom count
 in the sliced search.  _enumerate is the one entry for a single element: it
 picks one of the two from an O(t) estimate of each one's work, computed
 from the generators and a alone, and every per-element enumeration,
-factorizations() and _factorizations_of included, goes through it.  The
-windowed sweeps, which need Z(a) for every a of a window, read it from the
+factorizations(), _factorizations_of and the few elements the windowed
+catenary sweep enumerates included, goes through it.  Only the windowed
+tame sweep, which needs Z(a) for every a up to its stop, reads it from the
 window stream (_stream) instead, which builds each Z(a) from the rows
 below it and bypasses _enumerate.
 """

@@ -20,53 +20,54 @@ well above the threshold and the direct scan otherwise, and its
 factorizations are read off the graph's vertices rather than enumerated
 again.  An explicit window always forces the windowed sweep.
 
-The windowed sweeps run no per-element search:
+The windowed delta set and monotone/equal catenary degrees share one pass
+over packed length rows (_length_rows): bit a of the int R_l is set when l
+is in L(a), for every a of the window.  The rows obey R_0 = 1 and
+R_l = OR_i (R_{l-1} << m_i), the length-set recurrence
+L(a) = union over m_i <= a of (L(a - m_i) + 1) of Barron, O'Neill and
+Pelayo (Math. Comp. 2017) read one length at a time, so a window w takes
+about w / m_1 rows of w + 1 bits, each a few big-int operations, and the
+pass enumerates no factorization.
 
-- Delta set: the length sets obey L(0) = {0} and
-  L(a) = union over m_i <= a of (L(a - m_i) + 1) (Barron, O'Neill and
-  Pelayo, Math. Comp. 2017).  Each L(a) is kept as an int bitmask over
-  lengths, so the sweep is about t big-int ORs per element of the window
-  and enumerates no factorization; a is in M exactly when its mask is
-  non-zero, and the gaps of L(a) are the runs of zeros between its ones.
-  A mask is shifted down to its lowest one before its runs are read, which
-  moves no run, so each distinct shifted mask is decoded once.
-- Monotone and equal catenary and tame degree read every Z(a) of the
-  window from one stream (factorizations._stream), which builds Z(a) from
-  the rows of a - m_i and holds the last m_t rows only.  Its rows are not
-  in the documented order; no sweep result depends on that order.
+- Delta set: each row gives, per gap g, the elements whose next shorter
+  length is l - g; the delta set of the window is the set of gaps seen.
 - Monotone and equal catenary: Z(a) is grouped by length.  Equal is the
   largest bottleneck of a length class; monotone is the larger of equal
   and the least distance between each two consecutive length classes
-  (proof in monotone_equal_catenary).  The sweep skips every class and
-  every pair of classes too short to raise its running max (d(u, v) <=
-  max(|u|, |v|)), stops a closest-pair scan at the first pair within it,
-  and takes a class's O(|class|^2) bottleneck only when the class is
-  disconnected under shared atoms.  It scans two consecutive classes
-  only when no atom is used in both, as only such a pair is new at a.
-  Neither a connected class nor an inherited pair of classes can raise
-  the running max (proofs in _monotone_equal); both gates read Z(a)
-  alone.
-- Tame degree: O(|Z(a)|^2) distances per atom at most, cut short for a
+  (proof in monotone_equal_catenary).  Over the elements from 0 up, only
+  an element with a length class disconnected under shared atoms, or with
+  two consecutive classes that no atom joins, can raise either running
+  max; the rows decide both for every element at once (_flagged, with the
+  proofs), and only those few elements are enumerated
+  (factorizations._enumerate), in increasing order.  Each is scanned
+  against the running maxes (_monotone_equal), which skips every class
+  and pair of classes too short to raise them (d(u, v) <= max(|u|, |v|))
+  and stops a closest-pair scan at the first pair within them.
+- Tame degree: reads every Z(a) up to min(window, F + 2 m_t) from one
+  stream (factorizations._stream), which builds Z(a) from the rows of
+  a - m_i and holds the last m_t rows only; its rows are not in the
+  documented order, and the degree does not depend on it.  Each element
+  takes O(|Z(a)|^2) distances per atom at most, cut short for a
   factorization as soon as one user of the atom lies within the running
-  max, for the elements up to min(window, F + 2 m_t) only.
+  max.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter, mul
+from itertools import combinations, product
 
 from .core import NumericalMonoid, _check_deadline, _natural, default_window, frobenius
 from .errors import NotPrimitive, VerificationFailed
 from .factorizations import (
     _distance,
+    _enumerate,
     _factorizations_of,
     _profile,
     _stream,
     length_profile,
 )
-from .presentations import _atom_union
+from .presentations import _reach
 from .shifted import _betti_graphs, family_from_generators
 
 
@@ -209,15 +210,13 @@ def monotone_equal_catenary(
     factorization of every shorter class.  So N is feasible.
     """
     zs = _factorizations_of(M, a, deadline)
-    return _monotone_equal(zs, M.t, 0, 0, False, deadline)
+    return _monotone_equal(zs, 0, 0, deadline)
 
 
 def _monotone_equal(
     zs: list[tuple[int, ...]],
-    t: int,
     monotone: int,
     equal: int,
-    gated: bool,
     deadline: float | None,
 ) -> tuple[int, int]:
     """(max(monotone, monotone degree of a), max(equal, equal degree of a))
@@ -228,44 +227,12 @@ def _monotone_equal(
     most equal, a consecutive pair of classes whose longer length is
     <= monotone has least distance at most monotone, and the scan for a
     closest pair can stop at the first pair within monotone.  With zero
-    floors and gated False nothing is skipped and the result is the
-    element's own degrees.
+    floors nothing is skipped and the result is the element's own
+    degrees.  Nothing else is skipped: the windowed sweep calls this only
+    at the elements that _flagged finds able to raise its running maxes.
 
-    gated adds two gates, both read off zs alone.  Both are sound only for
-    a sweep over every element from 0 up, with monotone and equal its
-    running maxes; the per-element monotone_equal_catenary has no smaller
-    elements to lean on and is never gated.  Both rest on one identity:
-    the factorizations of a using atom i are those of a - m_i plus e_i,
-    and d(u + e_i, v + e_i) = d(u, v).
-
-    Connected classes.  A length class connected under shared atoms (a
-    member uses every atom, or _atom_union gives one component) is
-    skipped: its bottleneck is at most the equal degree of some smaller
-    element, so only the classes that are disconnected, the Betti elements
-    of the length-graded monoid <(m_i, 1)>, can raise the max.  Proof, by
-    induction on a (after Chapman, Garcia-Sanchez, Llena, Ponomarenko and
-    Rosales, Manuscripta Math. 2006, whose argument puts the catenary
-    degree at the Betti elements).  Two factorizations u, v of the class
-    of (a, l) sharing an atom i are u' + e_i and v' + e_i for u', v' in
-    the class of (a - m_i, l - 1), joined there with steps at most the
-    equal degree of a - m_i < a; adding e_i to each step joins u and v in
-    the class of (a, l).  Chaining along a path of the atom-sharing graph
-    joins any two members with steps at most the running max.
-
-    Inherited pairs.  Two consecutive lengths s < l of L(a) are skipped
-    when some atom i is used by a factorization of length s and by one of
-    length l (_shares_atom).  Proof.  Z(a - m_i) + e_i holds both, so
-    s - 1 and l - 1 are lengths of a - m_i, and consecutive ones, since a
-    length between them would give, after + e_i, one of a between s and
-    l.  A closest pair (u', v') of those two classes of a - m_i gives the
-    pair (u' + e_i, v' + e_i) of the classes l and s of a at the same
-    distance, at most the monotone degree of a - m_i, which the running
-    max holds by induction.  So the gated running maxes equal the ungated
-    ones after every element, and only the pairs of length classes that
-    are new at a are scanned.
-
-    The deadline is read only before the work the gates leave: a
-    bottleneck or a closest-pair scan.
+    The deadline is read before each bottleneck and each closest-pair
+    scan.
     """
     classes: dict[int, list[tuple[int, ...]]] = {}
     for z in zs:
@@ -273,18 +240,12 @@ def _monotone_equal(
     for ell, cls in classes.items():
         if ell <= equal:
             continue
-        # a class with a member using every atom is connected, as every
-        # other member shares an atom with it; the test is C-level per vector
-        if gated and (any(map(all, cls)) or len(_atom_union(t, cls)) == 1):
-            continue
         _check_deadline(deadline)
         equal = max(equal, _bottleneck([(z, ell) for z in cls]))
     monotone = max(monotone, equal)
     lengths = sorted(classes)
     for shorter, longer in zip(lengths, lengths[1:]):
         if longer <= monotone:
-            continue
-        if gated and _shares_atom(t, classes[longer], classes[shorter]):
             continue
         _check_deadline(deadline)
         # the least distance between the classes raises monotone only if
@@ -300,19 +261,143 @@ def _monotone_equal(
     return monotone, equal
 
 
-def _shares_atom(
-    t: int, us: list[tuple[int, ...]], vs: list[tuple[int, ...]]
-) -> bool:
-    """Whether some atom is used by a vector of us and by one of vs.  For
-    two length classes s < l of a, consecutive in L(a), it holds exactly
-    when some L(a - m_i) has both s - 1 and l - 1, as the factorizations of
-    a using atom i are those of a - m_i plus e_i.  The first vectors of the
-    two classes settle nearly every call a sweep makes, at C speed; past
-    them, each atom's test stops at its first user."""
-    return any(map(mul, us[0], vs[0])) or any(
-        any(map(itemgetter(i), us)) and any(map(itemgetter(i), vs))
-        for i in range(t)
-    )
+def _length_rows(gens: tuple[int, ...], w: int, deadline: float | None):
+    """Yield (R_l, gaps) for l = 1, 2, ... while R_l is not empty.  Bit a
+    of the int R_l is set when l is in L(a), for every a <= w, and gaps
+    maps each g >= 1 that occurs to the mask of the elements whose next
+    length below l is l - g.
+
+    Rows.  R_0 = 1 and R_l = OR_i (R_{l-1} << m_i) cut to the w + 1 bits
+    of the window: the length-set recurrence L(0) = {0},
+    L(a) = union over m_i <= a of (L(a - m_i) + 1) (Barron, O'Neill and
+    Pelayo, Math. Comp. 2017), one length at a time.  Every length of a is
+    at most a / m_1, so R_l is empty once l m_1 > w.
+
+    Gaps.  latest[j] holds the elements whose longest length below l is j.
+    The elements of R_l with a shorter length are those of R_l & seen,
+    seen the union of the earlier rows; for g = 1, 2, ... those of them in
+    latest[l - g] have l - g as their next length below l.  So each gap of
+    each L(a), a <= w, is found once, at the row of its longer length.  An
+    element a < (l + 1) m_1 has no length beyond l, so the oldest
+    latest[j] is dropped once it has no bit at or above (l + 1) m_1: an
+    element of a later row reaches no dropped mask.  The masks kept are
+    those of the few lengths that the elements near the last row's bottom
+    reach last, so the pass holds a handful of w-bit ints, not all w / m_1
+    rows.
+
+    The deadline is checked once per row.
+    """
+    # the w + 1 bits of the window, built only once a row reaches past
+    # them: a row grows by at most m_t bits, so a huge window costs memory
+    # only as fast as the deadline lets the rows grow
+    full = 0
+    m1 = live = gens[0]  # live is (l + 1) m_1 once row l is read
+    row = seen = 1
+    latest = [row]  # the masks latest[j] kept, oldest first
+    while True:
+        _check_deadline(deadline)
+        below, row = row, 0
+        for m in gens:
+            row |= below << m
+        if row.bit_length() > w + 1:
+            full = full or (1 << (w + 1)) - 1
+            row &= full
+        if not row:
+            return
+        pending = row & seen
+        seen |= row
+        gaps = {}
+        k = n = len(latest)  # the k-th mask kept is that of length l - (n - k)
+        while pending:
+            k -= 1
+            here = pending & latest[k]
+            if here:
+                gaps[n - k] = here
+                pending ^= here
+                latest[k] ^= here
+        latest.append(row)
+        live += m1
+        while latest and latest[0].bit_length() <= live:
+            del latest[0]
+        yield row, gaps
+
+
+def _flagged(gens: tuple[int, ...], w: int, deadline: float | None) -> int:
+    """The mask of the elements a <= w with a length class of Z(a) that is
+    disconnected under shared atoms, or with two consecutive length
+    classes of which no atom is used in both: the only elements that can
+    raise a sweep's running monotone or equal catenary degree.  Decided on
+    the length rows (_length_rows), with no factorization enumerated.
+
+    New pairs.  Take consecutive lengths s = l - g < l of L(a).  The
+    factorizations of a using atom i are those of a - m_i plus e_i, so
+    some atom is used at both lengths exactly when some L(a - m_i) holds
+    s - 1 and l - 1; these are then consecutive in L(a - m_i), as a length
+    between them would give, after + e_i, one of a between s and l.  So
+    the pair is new at a unless a - m_i is in the previous row's gap mask
+    for g, for some i.
+
+    Disconnected classes.  The class of length l of a is the set of
+    factorizations of (a, l) in the graded monoid <(m_i, 1)>, and by
+    Rosales' theorem, as for M in presentations._betti_impl, it has as
+    many components under shared atoms as its atom graph: the vertices
+    are the atoms i with l - 1 in L(a - m_i), bit a of R_{l-1} << m_i,
+    and i ~ j when l - 2 is in L(a - m_i - m_j), bit a of
+    R_{l-2} << (m_i + m_j).  Proof: send each vertex i to the component of
+    the class's factorizations using atom i; there is one, a factorization
+    of (a - m_i, l - 1) plus e_i, and they pairwise share i.  Every
+    component is reached, as l >= 1 and each member uses some atom.  An
+    edge i ~ j extends to a member using both, so adjacent atoms go to
+    one component.  Conversely the support of a member is a clique of the
+    atom graph, and two members sharing an atom have connected supports,
+    so the atoms used in one component are connected in the atom graph.
+    _reach closes the edges of every a at once, and the class is
+    disconnected where two vertices are not joined.
+
+    Nothing else can raise the max, over a sweep of every element from 0
+    up in increasing order with monotone and equal its running maxes
+    (after Chapman, Garcia-Sanchez, Llena, Ponomarenko and Rosales,
+    Manuscripta Math. 2006, whose argument puts the catenary degree at the
+    Betti elements).  Both proofs rest on one identity: the factorizations
+    of a using atom i are those of a - m_i plus e_i, and
+    d(u + e_i, v + e_i) = d(u, v).
+
+    Connected classes.  Two factorizations u, v of the class of (a, l)
+    sharing an atom i are u' + e_i and v' + e_i for u', v' in the class of
+    (a - m_i, l - 1), joined there with steps at most the equal degree of
+    a - m_i < a; adding e_i to each step joins u and v in the class of
+    (a, l).  Chaining along a path of the atom-sharing graph joins any two
+    members with steps at most the running equal max.
+
+    Inherited pairs.  When some atom i is used at both lengths s < l, a
+    closest pair (u', v') of the classes l - 1 and s - 1 of a - m_i, which
+    are consecutive, gives the pair (u' + e_i, v' + e_i) of the classes l
+    and s of a at the same distance, at most the monotone degree of
+    a - m_i, which the running max holds by induction.
+
+    So an element that is not flagged has both degrees at most the
+    largest of the smaller elements', and by induction on a, a sweep that
+    visits only the flagged elements, in increasing order, ends with the
+    same running maxes as one that visits every element.
+
+    The deadline is checked once per row.
+    """
+    t = len(gens)
+    pairs = list(combinations(range(t), 2))
+    flagged = 0
+    two, one, before = 0, 1, {}  # R_{l-2}, R_{l-1} and the gaps of R_{l-1}
+    for row, gaps in _length_rows(gens, w, deadline):
+        for g, here in gaps.items():
+            pair, inherited = before.get(g, 0), 0
+            for m in gens:
+                inherited |= pair << m
+            flagged |= here & ~inherited
+        vertex = [one << m & row for m in gens]
+        reach = _reach(t, lambda i, j: two << (gens[i] + gens[j]))
+        for i, j in pairs:
+            flagged |= vertex[i] & vertex[j] & ~reach[i][j]
+        two, one, before = one, row, gaps
+    return flagged
 
 
 def monoid_catenary_report(
@@ -326,18 +411,26 @@ def monoid_catenary_report(
     Ordinary is always exact.  With no window and M above its family's
     threshold the monotone and equal degrees equal the ordinary one and the
     report is exact; otherwise they are sups over elements up to window
-    (default default_window) and flagged as lower bounds.
+    (default default_window) and flagged as lower bounds.  The sweep
+    enumerates Z(a) only at the elements _flagged finds able to raise
+    either degree, in increasing order, and scans each against the running
+    maxes (_monotone_equal); the deadline is checked once per row of the
+    length pass and once per element enumerated.
     """
     if window is None and _regime_family(M) is not None:
         ordinary = catenary_of_monoid(M, deadline=deadline)
         return CatenaryReport(ordinary, ordinary, ordinary, True, None)
     w = _window(M, window)
     ordinary = catenary_of_monoid(M, deadline=deadline)
+    gens = M.generators
+    flagged = _flagged(gens, w, deadline)
     monotone = equal = 0
-    # the stream starts at 0, as the gates need (_monotone_equal); its rows
-    # are not in the documented order, and no degree depends on the order
-    for _, zs in _stream(M.generators, w, deadline):
-        monotone, equal = _monotone_equal(zs, M.t, monotone, equal, True, deadline)
+    while flagged:
+        low = flagged & -flagged
+        flagged ^= low
+        _check_deadline(deadline)
+        zs = _enumerate(gens, low.bit_length() - 1, deadline=deadline)
+        monotone, equal = _monotone_equal(zs, monotone, equal, deadline)
     return CatenaryReport(ordinary, monotone, equal, False, w)
 
 
@@ -356,13 +449,23 @@ def delta_set(
     """Delta set of the monoid.
 
     Family path (no window, M above its family's threshold): the delta set
-    is exactly {d} with d the gcd of the offsets; the Betti-element delta
-    sets are checked to confirm it (their union realizes the max of the
-    delta set) and a mismatch raises VerificationFailed.  Otherwise: union
-    of element delta sets up to window, flagged window-limited.  The sweep
-    enumerates no factorization: it runs the length-set recurrence
-    L(a) = union over m_i <= a of (L(a - m_i) + 1), L(0) = {0}, on int
-    bitmasks (bit l set when l is in L(a)), keeping the last m_t masks.
+    is exactly {d}, d the gcd of the offsets r_i = m_{i+1} - m_1, once the
+    Betti elements' delta sets are checked to give {d}; a mismatch raises
+    VerificationFailed.  Proof.  Write n = m_1.  Every generator is
+    n + r_i with d | r_i, so two factorizations z, z' of a give
+    |z| n = a = |z'| n (mod d), that is (|z| - |z'|) n = 0 (mod d).  A
+    common divisor of n and d divides every generator, and M is primitive
+    (the Betti elements come from its Apery table), so gcd(n, d) = 1, d
+    divides every difference of two lengths of an element, and every
+    value of the delta set is a multiple of d.  Its maximum is attained at
+    a Betti element (Chapman, Garcia-Sanchez, Llena, Malyshev and
+    Steinberg, Arab. J. Math. 2012), so a Betti union of {d} makes that
+    maximum d, and the delta set is {d}.
+
+    Otherwise: the union of the element delta sets up to window, flagged
+    window-limited, read off the length rows (_length_rows) with no
+    factorization enumerated: each gap g of each L(a), a <= window, occurs
+    at the row of its longer length.
     """
     family = _regime_family(M) if window is None else None
     if family is not None:
@@ -376,27 +479,10 @@ def delta_set(
             )
         return DeltaSet(frozenset({d}), True, None)
     w = _window(M, window)
-    gens = M.generators
-    top = gens[-1]
-    # masks[b % top] is the mask of L(b) for the last top elements b; a
-    # slot not yet written holds 0, the empty L(b) of every b < 0
-    masks = [0] * top
-    # the masks of L(a) - 1 shifted down to their lowest one, whose zero
-    # runs have been read: a shift moves no run, and few masks are distinct
-    seen = set()
-    runs = set()  # lengths of the zero runs between two ones of some L(a)
-    for a in range(w + 1):
-        _check_deadline(deadline)
-        below = 0  # the mask of L(a) - 1, zero exactly when a is not in M
-        for g in gens:
-            below |= masks[(a - g) % top]
-        masks[a % top] = below << 1 if a else 1
-        if below:
-            key = below >> ((below & -below).bit_length() - 1)
-            if key not in seen:
-                seen.add(key)
-                runs.update(map(len, bin(key).split("1")[1:-1]))
-    return DeltaSet(frozenset(r + 1 for r in runs), False, w)
+    values = set()
+    for _, gaps in _length_rows(M.generators, w, deadline):
+        values.update(gaps)
+    return DeltaSet(frozenset(values), False, w)
 
 
 def tame_degree(

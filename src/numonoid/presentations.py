@@ -46,10 +46,10 @@ residues at once.  Let C hold the candidates, L a vector l_s and G the top
 bit of every field, which lies above every value, so it is clear in C and
 L.  Then (C | G) - L borrows only inside a field, and keeps the guard bit
 of a field exactly when that field of C is at least that of L.
-A bitwise Floyd-Warshall over the t atoms then closes every candidate's
-edge relation in t rounds, and the candidates with a vertex that m_i does
-not reach are read off the set guard bits.  That is a few hundred big-int
-operations for the whole scan, each linear in m_1.
+A bitwise Floyd-Warshall over the t atoms (_reach) then closes every
+candidate's edge relation in t rounds, and the candidates with a vertex
+that m_i does not reach are read off the set guard bits.  That is a few
+hundred big-int operations for the whole scan, each linear in m_1.
 """
 
 from __future__ import annotations
@@ -212,6 +212,28 @@ def _pack(values: tuple[int, ...], size: int) -> int:
     return int.from_bytes(out, "little")
 
 
+def _reach(t: int, edge) -> list[list[int]]:
+    """reach[j][l], for j != l: the bits at which atoms j and l are joined
+    by a path, in a family of graphs on the t atoms packed one graph per
+    bit, whose edge j ~ l is set at the bits of edge(j, l).
+
+    A bitwise Floyd-Warshall: round k lets paths pass through atom k, so
+    after t rounds every path is closed, in O(t^3) big-int operations for
+    the whole family.  An edge must join two vertices of its graph; a path
+    then passes only through vertices.
+    """
+    pairs = list(itertools.combinations(range(t), 2))
+    reach = [[0] * t for _ in range(t)]
+    for j, l in pairs:
+        reach[j][l] = reach[l][j] = edge(j, l)
+    for k in range(t):
+        via = reach[k]
+        for j, l in pairs:
+            if k != j and k != l:
+                reach[j][l] = reach[l][j] = reach[j][l] | via[j] & via[l]
+    return reach
+
+
 def _split_candidates(
     gens: tuple[int, ...], ap: tuple[int, ...], deadline: float | None
 ) -> set[int]:
@@ -247,15 +269,8 @@ def _split_candidates(
         mi = gens[i]
         c = lows[mi] | guard
         # reach[j][l]: guard bits of the candidates whose atom graph joins
-        # m_j and m_l, first by an edge, then by a path (Floyd-Warshall)
-        reach = [[0] * t for _ in range(t)]
-        for j, l in pairs:
-            reach[j][l] = reach[l][j] = (c - lows[gens[j] + gens[l]]) & guard
-        for k in range(t):
-            via = reach[k]
-            for j, l in pairs:
-                if k != j and k != l:
-                    reach[j][l] = reach[l][j] = reach[j][l] | via[j] & via[l]
+        # m_j and m_l by a path
+        reach = _reach(t, lambda j, l: (c - lows[gens[j] + gens[l]]) & guard)
         # a vertex m_j that m_i does not reach; every path from m_i ends at
         # a vertex, so reach[i][j] is inside the vertex bits and ^ removes it
         apart = 0

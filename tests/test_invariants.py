@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 
@@ -109,10 +110,11 @@ def test_monoid_catenary_report_windowed():
 
 
 def test_monoid_catenary_report_scans_only_new_pairs_of_classes(monkeypatch):
-    # the sweep skips two consecutive length classes s < l of a when some
-    # a - m_i has both s - 1 and l - 1 in its length set: that pair of
-    # classes, moved up by e_i, is no farther apart, and the running max
-    # already holds it.  Scanning every such pair took 73267 distances at
+    # the sweep enumerates only the elements whose length rows show a
+    # disconnected length class or a pair of consecutive classes that is
+    # new at a: no a - m_i has both s - 1 and l - 1 in its length set.  An
+    # inherited pair, moved up by e_i, is no farther apart, and the running
+    # max already holds it.  Scanning every pair took 73267 distances at
     # the default window (506) of <11,17,20,23>
     real = invariants._distance
     calls = 0
@@ -126,6 +128,26 @@ def test_monoid_catenary_report_scans_only_new_pairs_of_classes(monkeypatch):
     rep = monoid_catenary_report(NumericalMonoid((11, 17, 20, 23)))
     assert (rep.monotone, rep.equal, rep.window) == (7, 2, 506)
     assert calls <= 50
+
+
+@pytest.mark.parametrize("sweep", [delta_set, monoid_catenary_report])
+def test_length_rows_hold_memory_linear_in_the_window(sweep):
+    # the length pass holds a few rows of w + 1 bits; all 10^4 rows of
+    # <2,3> at window 2 * 10^4 would take 25 MB.  A row grows by at most
+    # m_t bits, so at window 10^8 the deadline stops the pass long before
+    # a row, or the window's mask, nears its 12.5 MB
+    tracemalloc.start()
+    try:
+        sweep(NumericalMonoid((2, 3)), window=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(BudgetExceeded):
+            sweep(M, window=10**8, deadline=time.monotonic() + 0.2)
+        huge = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert huge < 2**20
 
 
 def test_monoid_catenary_report_family_exact():

@@ -41,7 +41,7 @@ from numonoid.factorizations import (
     _enumerate_sliced,
     distance,
 )
-from numonoid.invariants import _shares_atom
+from numonoid.invariants import _flagged
 from numonoid.oracle import (
     ClosureReport,
     factorization_buckets,
@@ -757,28 +757,57 @@ def test_windowed_catenary_report_matches_the_definition(M, data):
     assert (report.exact, report.window) == (False, w)
 
 
+def _split(supports: list[set]) -> bool:
+    """Whether the sets fall apart under sharing a member: a flood from the
+    first, as naive_betti_scan floods the supports of Z(a)."""
+    frontier, unreached = supports[:1], supports[1:]
+    while frontier and unreached:
+        s = frontier.pop()
+        frontier += [t for t in unreached if s & t]
+        unreached = [t for t in unreached if not s & t]
+    return bool(unreached)
+
+
 @settings(deadline=None, max_examples=60)
 @given(M=small_monoids, data=st.data())
-def test_shared_atom_gate_matches_the_length_sets_below(M, data):
-    # the windowed catenary report skips two consecutive length classes
-    # s < l of a when some atom is used in both; that is the same as some
-    # L(a - m_i) holding both s - 1 and l - 1.  Z(a) and every L(a - m_i)
-    # come from the oracle's buckets, not from the window stream
+def test_length_rows_flag_the_elements_that_can_raise_the_catenary(M, data):
+    # the windowed catenary report enumerates only the elements that the
+    # length rows flag: those with a length class disconnected under shared
+    # atoms, or with two consecutive classes that no atom joins.  Both are
+    # decided here on Z(a) from the oracle's buckets, not on the rows
     w = data.draw(st.integers(0, _oracle_window(M.generators, 300)))
-    buckets = factorization_buckets(M.generators, w)
-    for a, zs in buckets.items():
+    flagged = _flagged(M.generators, w, None)
+    expected = set()
+    for a, zs in factorization_buckets(M.generators, w).items():
         classes = {}
         for z in zs:
-            classes.setdefault(sum(z), []).append(z)
-        below = [
-            {sum(z) for z in buckets.get(a - g, [])} for g in M.generators
-        ]
+            support = {i for i, c in enumerate(z) if c}
+            classes.setdefault(sum(z), []).append(support)
+        atoms = {ell: set().union(*cls) for ell, cls in classes.items()}
         lengths = sorted(classes)
-        for s, l in zip(lengths, lengths[1:]):
-            inherited = any({s - 1, l - 1} <= ls for ls in below)
-            shared = _shares_atom(M.t, classes[l], classes[s])
-            event("inherited" if inherited else "new")
-            assert shared == inherited, (a, s, l)
+        disconnected = any(_split(cls) for cls in classes.values())
+        new = any(not atoms[s] & atoms[l] for s, l in zip(lengths, lengths[1:]))
+        event(f"disconnected {disconnected}, new pair {new}")
+        if disconnected or new:
+            expected.add(a)
+    assert {a for a in range(flagged.bit_length()) if flagged >> a & 1} == expected
+
+
+@settings(deadline=None, max_examples=30)
+@given(M=small_monoids, data=st.data())
+def test_windowed_catenary_report_is_the_max_of_the_element_degrees(M, data):
+    # the report enumerates the flagged elements only; its sup must still
+    # be the max of every element's own degrees, each from the per-element
+    # monotone_equal_catenary, which skips nothing.  The window runs up to
+    # default_window capped at 600, cut where the oracle's vectors or the
+    # sum of |Z(a)|^2 grow past what the per-element sweep affords
+    most = _oracle_window(M.generators, min(default_window(M), 600))
+    w = data.draw(st.integers(0, _quadratic_window(M.generators, most, 500000)))
+    degrees = [
+        monotone_equal_catenary(M, a) for a in range(w + 1) if contains(M, a)
+    ]
+    report = monoid_catenary_report(M, window=w)
+    assert (report.monotone, report.equal) == tuple(map(max, zip(*degrees)))
 
 
 def _tame_by_definition(gens, w):

@@ -182,6 +182,8 @@ def _cmd_invariant(args, out) -> int:
     which = args.which
     deadline = time.monotonic() + args.timeout_secs
     if args.element is not None:
+        if args.window is not None:
+            raise InvalidInput("--window bounds the monoid-level sweeps only")
         a = args.element
         if which == "delta":
             values = sorted(delta_set_of_element(M, a, deadline=deadline))

@@ -21,14 +21,12 @@ vectors sorted by (z_t, z_{t-1}, ..., z_1) descending.
 Neither recurses over its last two coordinates (the two smallest
 generators, or the two smallest offsets): their solutions form an arithmetic
 progression and are emitted in closed form, cut at the slice's atom count
-in the sliced search.  _enumerate is the one entry for a single element: it
-picks one of the two from an O(t) estimate of each one's work, computed
-from the generators and a alone, and every per-element enumeration,
-factorizations(), _factorizations_of and the few elements the windowed
-catenary sweep enumerates included, goes through it.  Only the windowed
-tame sweep, which needs Z(a) for every a up to its stop, reads it from the
-window stream (_stream) instead, which builds each Z(a) from the rows
-below it and bypasses _enumerate.
+in the sliced search.  _enumerate is the one entry for Z(a): it picks one
+of the two from an O(t) estimate of each one's work, computed from the
+generators and a alone, and every factorization set the library builds
+outside the independent oracle (numonoid.oracle) comes through it:
+factorizations(), _factorizations_of, the Betti scan and the few elements
+the windowed catenary and tame sweeps enumerate.
 """
 
 from __future__ import annotations
@@ -249,57 +247,6 @@ def _enumerate_sliced(
         del rec  # as in _enumerate_generic
     out.sort(key=lambda z: z[::-1], reverse=True)
     return out
-
-
-def _stream(gens: tuple[int, ...], last: int, deadline: float | None = None):
-    """Yield (a, Z(a)) for every a <= last with Z(a) non-empty, in
-    increasing order of a.
-
-    Recurrence: Z(0) = {0} and, for a > 0,
-
-        Z(a) = union over i of {z + e_i : z in Z(a - m_i), z_j = 0 for j > i},
-
-    a disjoint union, since each non-zero z in Z(a) arises exactly once,
-    from its largest used atom i.  Each row is kept ordered by largest used
-    atom, with ends[i] the number of its vectors using no atom above i, so
-    the vectors extended by e_i are a prefix of row a - m_i: every vector
-    is built once and no search is wasted; an empty prefix, as of every
-    non-member a - m_i, is skipped without a slice.  Only the rows of the
-    last m_t values are held.  The deadline is checked once per a, and
-    BudgetExceeded is raised once the rows held exceed DEFAULT_CAP vectors
-    (read at call time).
-
-    The order inside a row is not the documented order of factorizations();
-    callers must not depend on it.  Works for non-minimal and non-primitive
-    tuples alike.
-    """
-    t, top = len(gens), gens[-1]
-    # rows[b % top] is (Z(b), ends) for the last top values b; a slot not
-    # yet written holds the empty row, the Z(b) of every b < 0
-    rows = [([], (0,) * t)] * top
-    held = 0
-    for a in range(last + 1):
-        _check_deadline(deadline)
-        if a:
-            zs, ends = [], []
-            for i, m in enumerate(gens):
-                prev, prev_ends = rows[(a - m) % top]
-                end = prev_ends[i]
-                if end:
-                    zs += [z[:i] + (z[i] + 1,) + z[i + 1 :] for z in prev[:end]]
-                ends.append(len(zs))
-        else:
-            zs, ends = [(0,) * t], (1,) * t
-        slot = a % top
-        held += len(zs) - len(rows[slot][0])
-        rows[slot] = (zs, ends)
-        if held > DEFAULT_CAP:
-            raise BudgetExceeded(
-                f"more than {DEFAULT_CAP} factorizations held by the window "
-                "stream; narrow the window to continue"
-            )
-        if zs:
-            yield a, zs
 
 
 def length_profile(

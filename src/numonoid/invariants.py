@@ -43,13 +43,17 @@ pass enumerates no factorization.
   against the running maxes (_monotone_equal), which skips every class
   and pair of classes too short to raise them (d(u, v) <= max(|u|, |v|))
   and stops a closest-pair scan at the first pair within them.
-- Tame degree: reads every Z(a) up to min(window, F + 2 m_t) from one
-  stream (factorizations._stream), which builds Z(a) from the rows of
-  a - m_i and holds the last m_t rows only; its rows are not in the
-  documented order, and the degree does not depend on it.  Each element
+- Tame degree: only an element up to min(window, F + 2 m_t) whose atom
+  graph is not complete can raise the running max (proof in
+  tame_degree_windowed).  One packed membership mask of that range
+  decides the atom graphs of all its elements at once (_incomplete), and
+  only the elements it flags are enumerated, in increasing order.  Each
   takes O(|Z(a)|^2) distances per atom at most, cut short for a
   factorization as soon as one user of the atom lies within the running
   max.
+
+Both catenary and tame sweeps walk their flagged elements through one
+loop (_factorized), which reads each Z(a) from factorizations._enumerate.
 """
 
 from __future__ import annotations
@@ -57,14 +61,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .core import NumericalMonoid, _check_deadline, _natural, default_window, frobenius
-from .errors import NotPrimitive, VerificationFailed
+from .core import (
+    DEFAULT_CAP,
+    NumericalMonoid,
+    _check_deadline,
+    _natural,
+    default_window,
+    frobenius,
+)
+from .errors import BudgetExceeded, NotPrimitive, VerificationFailed
 from .factorizations import (
     _distance,
     _enumerate,
     _factorizations_of,
     _profile,
-    _stream,
     length_profile,
 )
 from .presentations import _reach
@@ -285,12 +295,14 @@ def _length_rows(gens: tuple[int, ...], w: int, deadline: float | None):
     reach last, so the pass holds a handful of w-bit ints, not all w / m_1
     rows.
 
+    A generator above w adds nothing to the window and is dropped before
+    any shift; when m_1 > w the window holds only 0 and there is no row.
+
     The deadline is checked once per row.
     """
-    # the w + 1 bits of the window, built only once a row reaches past
-    # them: a row grows by at most m_t bits, so a huge window costs memory
-    # only as fast as the deadline lets the rows grow
-    full = 0
+    gens = [m for m in gens if m <= w]
+    if not gens:
+        return
     m1 = live = gens[0]  # live is (l + 1) m_1 once row l is read
     row = seen = 1
     latest = [row]  # the masks latest[j] kept, oldest first
@@ -299,9 +311,10 @@ def _length_rows(gens: tuple[int, ...], w: int, deadline: float | None):
         below, row = row, 0
         for m in gens:
             row |= below << m
-        if row.bit_length() > w + 1:
-            full = full or (1 << (w + 1)) - 1
-            row &= full
+        # cut to the window with no mask of its w + 1 bits: a row grows by
+        # at most m_t bits, so a huge window costs memory only as fast as
+        # the deadline lets the rows grow
+        row ^= row >> (w + 1) << (w + 1)
         if not row:
             return
         pending = row & seen
@@ -382,6 +395,7 @@ def _flagged(gens: tuple[int, ...], w: int, deadline: float | None) -> int:
 
     The deadline is checked once per row.
     """
+    gens = [m for m in gens if m <= w]  # the others add nothing (_length_rows)
     t = len(gens)
     pairs = list(combinations(range(t), 2))
     flagged = 0
@@ -398,6 +412,16 @@ def _flagged(gens: tuple[int, ...], w: int, deadline: float | None) -> int:
             flagged |= vertex[i] & vertex[j] & ~reach[i][j]
         two, one, before = one, row, gaps
     return flagged
+
+
+def _factorized(gens: tuple[int, ...], mask: int, deadline: float | None):
+    """Yield (a, Z(a)) for each set bit a of mask, in increasing order,
+    each Z(a) from _enumerate; the deadline is checked before each."""
+    while mask:
+        a = (mask & -mask).bit_length() - 1
+        mask ^= 1 << a
+        _check_deadline(deadline)
+        yield a, _enumerate(gens, a, deadline=deadline)
 
 
 def monoid_catenary_report(
@@ -423,13 +447,8 @@ def monoid_catenary_report(
     w = _window(M, window)
     ordinary = catenary_of_monoid(M, deadline=deadline)
     gens = M.generators
-    flagged = _flagged(gens, w, deadline)
     monotone = equal = 0
-    while flagged:
-        low = flagged & -flagged
-        flagged ^= low
-        _check_deadline(deadline)
-        zs = _enumerate(gens, low.bit_length() - 1, deadline=deadline)
+    for _, zs in _factorized(gens, _flagged(gens, w, deadline), deadline):
         monotone, equal = _monotone_equal(zs, monotone, equal, deadline)
     return CatenaryReport(ordinary, monotone, equal, False, w)
 
@@ -528,6 +547,34 @@ def _tame(
     return best
 
 
+def _incomplete(gens: tuple[int, ...], last: int, deadline: float | None) -> int:
+    """The mask of the elements a <= last whose atom graph is not
+    complete: some atoms i != j with a - m_i and a - m_j in M and
+    a - m_i - m_j not in M.
+
+    mem, bit b set when b is in M, is built by shift-or doubling: for each
+    generator m <= last, mem |= mem << k for k = m, 2m, 4m, ... up to
+    last; after k = 2^e m it has added 0 to 2^(e+1) - 1 copies of m, so
+    every multiple of m that fits.  Atom i is then a vertex of a where
+    bit a of mem << m_i is set, and i ~ j where bit a of
+    mem << (m_i + m_j) is.  A generator above last is no vertex of any
+    a <= last and is dropped.  The deadline is checked once per shift and
+    once per pair.
+    """
+    gens = [m for m in gens if m <= last]
+    full = (1 << (last + 1)) - 1
+    mem = 1
+    for k in (m << e for m in gens for e in range((last // m).bit_length())):
+        _check_deadline(deadline)
+        mem |= mem << k & full
+    gate = 0
+    for mi, mj in combinations(gens, 2):
+        _check_deadline(deadline)
+        edge = mem << (mi + mj) if mi + mj <= last else 0
+        gate |= mem << mi & mem << mj & ~edge
+    return gate & full
+
+
 def tame_degree_windowed(
     M: NumericalMonoid,
     *,
@@ -537,12 +584,13 @@ def tame_degree_windowed(
     """Sup of the element tame degrees over the elements up to window
     (default default_window), and the first element attaining it.
 
-    Only the elements up to min(window, F + 2 m_t), F the Frobenius number,
-    are searched: for every element a, some element at most both a and
-    F + 2 m_t has a tame degree at least that of a.  So the sup, and the
-    first element attaining it, are those of the whole window, and once
-    window >= F + 2 m_t (always true at default_window, by Schur's bound
-    F <= (m_1 - 1)(m_t - 1) - 1) the value is the exact tame degree of M.
+    Only the elements up to last = min(window, F + 2 m_t), F the Frobenius
+    number, are searched: for every element a, some element at most both a
+    and F + 2 m_t has a tame degree at least that of a.  So the sup, and
+    the first element attaining it, are those of the whole window, and
+    once window >= F + 2 m_t (always true at default_window, by Schur's
+    bound F <= (m_1 - 1)(m_t - 1) - 1) the value is the exact tame degree
+    of M.
 
     Proof (after Chapman, Garcia-Sanchez, Llena, Ponomarenko and Rosales,
     Manuscripta Math. 2006).  Let z in Z(a) and an atom i with a - m_i in M
@@ -554,16 +602,35 @@ def tame_degree_windowed(
     at least T.  z0 is not zero, since pi(z0) >= m_i, and
     for j in its support minimality gives pi(z0) - m_j - m_i not in M, so
     pi(z0) <= F + m_i + m_j <= F + 2 m_t.  Minimal generation is not used.
+
+    Gate.  When T > 0, z uses no atom i (else it would be its own user at
+    distance 0), so z0_i = 0.  With b = pi(z0) and j in the support of
+    z0, the atoms i and j are both vertices of b's atom graph (b - m_i in
+    M by the choice of z0, b - m_j in M as z0 uses j), they differ
+    (z0_i = 0), and they are not adjacent (b - m_i - m_j not in M by
+    minimality).  Take a the first element attaining a positive max:
+    b <= a attains it too, so b = a, and a's atom graph is not complete.
+    So only the elements _incomplete flags are enumerated, in increasing
+    order, from the value 0 at the element 0, which is never flagged; the
+    max and the first element attaining it are unchanged.
+
+    Memory: BudgetExceeded is raised, before any mask is built, when last
+    exceeds 8 DEFAULT_CAP, a mask of 10 MB; the gate holds a few such
+    masks at once.  The deadline is checked before the masks are built and
+    before each element is enumerated.
     """
     w = _window(M, window)
     last = min(w, frobenius(M) + 2 * M.generators[-1])
-    # 0 is in M and last >= 0, so a = 0 (tame degree 0) is always searched;
-    # _tame exceeds the floor value only with the exact tame degree of a,
-    # which does not depend on the order of the stream's rows; attained_at
-    # depends on a alone
-    value, attained = -1, None
-    for a, zs in _stream(M.generators, last, deadline):
-        ta = _tame(zs, M.t, max(value, 0), deadline)
+    if last > 8 * DEFAULT_CAP:
+        raise BudgetExceeded(
+            f"the tame sweep's masks of {last + 1} bits exceed "
+            f"8 * {DEFAULT_CAP}; narrow the window to continue"
+        )
+    _check_deadline(deadline)
+    value, attained = 0, 0
+    gate = _incomplete(M.generators, last, deadline)
+    for a, zs in _factorized(M.generators, gate, deadline):
+        ta = _tame(zs, M.t, value, deadline)
         if ta > value:
             value, attained = ta, a
     return TameReport(value, attained, w)

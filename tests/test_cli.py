@@ -649,6 +649,10 @@ def test_bad_usage_is_exit_1(cli, tmp_path):
                "--bound", "-5") == (1, "")
     assert cli("invariant", "--gens", "6,9,20", "--which", "tame",
                "--window", "-3") == (1, "")
+    # a window bounds the monoid-level sweeps only; with --element it is
+    # refused rather than ignored
+    assert cli("invariant", "--gens", "6,9,20", "--which", "tame",
+               "--element", "18", "--window", "5") == (1, "")
     assert cli("factorizations", "--gens", "6,9,20", "--element", "60",
                "--cap", "-1") == (1, "")
     assert cli("survey", "--r", "6,9,20", "--n-from", "401", "--n-to", "402",
@@ -659,6 +663,17 @@ def test_bad_usage_is_exit_1(cli, tmp_path):
                    "--timeout-secs", timeout) == (1, "")
         assert cli("invariant", "--gens", "11,17,20,23", "--which",
                    "mon-catenary", "--timeout-secs", timeout) == (1, "")
+
+
+def test_invariant_generator_above_the_window(cli):
+    # the sweeps drop a generator above the window; with no window the tame
+    # sweep stops at F + 2 m_t, about 3 * 10^16, and is refused with exit 2
+    gens = "2,10000000000000001"
+    assert cli("invariant", "--gens", gens, "--which", "tame") == (2, "")
+    for which in ("delta", "eq-catenary", "tame"):
+        code, out = cli("invariant", "--gens", gens, "--which", which,
+                        "--window", "10")
+        assert code == 0 and json.loads(out)["window"] == 10
 
 
 def test_invariant_timeout_is_exit_2(cli):

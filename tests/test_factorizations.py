@@ -1,5 +1,4 @@
 import gc
-import importlib
 import time
 
 import pytest
@@ -16,7 +15,7 @@ from numonoid import (
     length_profile,
 )
 from numonoid.core import DEFAULT_CAP
-from numonoid.factorizations import _enumerate_generic, _sliced_is_cheaper, _stream
+from numonoid.factorizations import _enumerate_generic, _sliced_is_cheaper
 from numonoid.oracle import factorization_buckets
 
 M6920 = NumericalMonoid((6, 9, 20))
@@ -92,21 +91,6 @@ def test_generic_search_honours_the_deadline():
     assert _enumerate_generic(gens, a) == [(100, 0, 0, 0)]
     with pytest.raises(BudgetExceeded, match="deadline"):
         _enumerate_generic(gens, a, DEFAULT_CAP, time.monotonic() - 1)
-
-
-def test_window_stream_honours_the_deadline():
-    with pytest.raises(BudgetExceeded, match="deadline"):
-        next(_stream((6, 9, 20), 100, time.monotonic() - 1))
-
-
-def test_window_stream_honours_the_cap(monkeypatch):
-    # the rows of the last 20 values of <6,9,20> hold more than 10 vectors
-    # well before 200; the stream reads the cap from its own module
-    module = importlib.import_module("numonoid.factorizations")
-    monkeypatch.setattr(module, "DEFAULT_CAP", 10)
-    with pytest.raises(BudgetExceeded, match="more than 10"):
-        list(_stream((6, 9, 20), 200))
-    assert [a for a, _ in _stream((6, 9, 20), 20)] == [0, 6, 9, 12, 15, 18, 20]
 
 
 def test_length_profile_fixtures():

@@ -230,6 +230,40 @@ def test_tame_degree_windowed():
         tame_degree_windowed(M, window=-3)
 
 
+def test_tame_sweep_refuses_masks_past_its_bound(monkeypatch):
+    # the sweep's masks span last + 1 bits, last = min(window, F + 2 m_t),
+    # and are refused past 8 DEFAULT_CAP bits before any is built; on M
+    # the sweep stops at 43 + 40 = 83, so window 80 is the largest allowed
+    # under a cap of 10
+    with monkeypatch.context() as patched:
+        patched.setattr(invariants, "DEFAULT_CAP", 10)
+        assert tame_degree_windowed(M, window=80) == TameReport(10, 60, 80)
+        with pytest.raises(BudgetExceeded, match="narrow the window"):
+            tame_degree_windowed(M, window=81)
+    # F + 2 m_t is about 3 * 10^16 here: refused, with nothing allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            tame_degree_windowed(NumericalMonoid((2, 10**16 + 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_generators_above_the_window_add_nothing():
+    # a shift by 10^16 + 1 would take petabytes; the sweeps drop the
+    # generator, and each even element up to 10 has one factorization.
+    # The ordinary degree is exact, from the Betti element 2 (10^16 + 1)
+    B = NumericalMonoid((2, 10**16 + 1))
+    for w in (10, 1, 0):  # at window 1 < m_1 only 0 is in the window
+        assert delta_set(B, window=w) == DeltaSet(frozenset(), False, w)
+        assert monoid_catenary_report(B, window=w) == CatenaryReport(
+            10**16 + 1, 0, 0, False, w
+        )
+        assert tame_degree_windowed(B, window=w) == TameReport(0, 0, w)
+
+
 def test_tame_degree_windowed_matches_brute_force():
     from numonoid import factorization_buckets
     from numonoid.core import contains

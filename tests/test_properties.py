@@ -33,6 +33,7 @@ from numonoid import (
     monotone_equal_catenary,
     naive_betti_scan,
     normalize_generators,
+    tame_degree,
     tame_degree_windowed,
 )
 from numonoid.factorizations import (
@@ -41,7 +42,7 @@ from numonoid.factorizations import (
     _enumerate_sliced,
     distance,
 )
-from numonoid.invariants import _flagged
+from numonoid.invariants import _flagged, _incomplete
 from numonoid.oracle import (
     ClosureReport,
     factorization_buckets,
@@ -625,7 +626,7 @@ small_monoids = (
 
 
 @st.composite
-def stream_monoids(draw):
+def redundant_monoids(draw):
     """A small monoid, half the time with a redundant generator added: the
     sum of two of its generators."""
     M = draw(small_monoids)
@@ -634,17 +635,6 @@ def stream_monoids(draw):
         extra = draw(pick) + draw(pick)
         M = NumericalMonoid(tuple(sorted(set(M.generators) | {extra})))
     return M
-
-
-@settings(deadline=None, max_examples=40)
-@given(M=stream_monoids(), last=st.integers(0, 150))
-def test_window_stream_yields_every_member_with_its_factorizations(M, last):
-    streamed = list(factorizations_module._stream(M.generators, last))
-    members = [a for a in range(last + 1) if factorizations(M, a)]
-    assert [a for a, _ in streamed] == members
-    for a, zs in streamed:
-        assert len(set(zs)) == len(zs)
-        assert set(zs) == set(factorizations(M, a))
 
 
 def _oracle_window(gens: tuple[int, ...], most: int) -> int:
@@ -853,6 +843,40 @@ def test_windowed_tame_degree_matches_the_definition(M, data):
         M.generators, w
     )
     assert report.window == w
+
+
+@settings(deadline=None, max_examples=40)
+@given(M=redundant_monoids(), data=st.data())
+def test_incomplete_atom_graphs_carry_the_tame_sweep(M, data):
+    # the gate's induction, element by element: the tame degree of every
+    # member up to last is at most the largest at a flagged element not
+    # above it.  The mask is also read against membership: a member is
+    # flagged when two of its atoms are vertices and not adjacent
+    gens = M.generators
+    stop = _oracle_window(gens, frobenius(M) + 2 * gens[-1])
+    most = _quadratic_window(gens, stop, 40000)
+    last = data.draw(st.just(most) | st.integers(0, most))
+    gate = _incomplete(gens, last, None)
+    event("some element flagged" if gate else "no element flagged")
+
+    def member(b):
+        return b >= 0 and contains(M, b)
+
+    best = 0
+    for a in range(last + 1):
+        flagged = bool(gate >> a & 1)
+        if not member(a):
+            assert not flagged
+            continue
+        assert flagged == any(
+            member(a - mi) and member(a - mj) and not member(a - mi - mj)
+            for mi, mj in itertools.combinations(gens, 2)
+        )
+        degree = tame_degree(M, a)
+        if flagged:
+            best = max(best, degree)
+        assert degree <= best
+    assert gate >> (last + 1) == 0
 
 
 def _closure_by_move_graph(M, relations, window):

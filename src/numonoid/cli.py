@@ -201,6 +201,8 @@ def _cmd_invariant(args, out) -> int:
         return 0
 
     # monoid level; explicit --window forces the windowed path
+    if which == "catenary" and args.window is not None:
+        raise InvalidInput("the catenary degree is exact; it takes no --window")
     if which == "delta":
         ds = delta_set(M, window=args.window, deadline=deadline)
         payload = {

@@ -1,32 +1,34 @@
 """Factorization sets Z(a), length profiles, and the factorization distance.
 
 A factorization of a is an exponent vector z with pi(z) = sum z_i m_i = a.
-Two exact enumerators produce Z(a); both return it in one documented order,
-vectors sorted by (z_t, z_{t-1}, ..., z_1) descending.
+One search (_search) produces Z(a), in one documented order: vectors
+sorted by (z_t, z_{t-1}, ..., z_1) descending.  It takes a basis and a
+list of slices (v, left), and emits every z whose coordinates from first
+on have value v in the basis and at most left atoms.  It recurses over
+the coordinates from the top down, each from its largest value to its
+least, and bounds each below so that what is left still fits into the
+atoms left; its two lowest coordinates form an arithmetic progression and
+are emitted in closed form, cut at the atom count.  Two slicings drive it:
 
-- Generic (_enumerate_generic): recurse over the generators from the
-  largest down, running each coordinate from its maximum to zero, which
-  emits the documented order directly.  Its work grows like the product
-  of a/m_i over the recursed generators.
+- Generic (_enumerate_generic): one slice over the generators, the value
+  a with a budget of a // m_1 atoms, which no factorization exceeds.  The
+  search emits the documented order directly.  Its work grows like the product of a/m_i
+  over the recursed generators.
 - Length-sliced (_enumerate_sliced): view M as <n, n + r_1, ..., n + r_k>
   with n = m_1 and r_i = m_{i+1} - m_1.  A factorization of length l is
   then a vector w over the offsets with sum w_i r_i = a - n*l and
-  sum w_i <= l, the rest of the length going to the first coordinate.  The
-  lengths l run over [ceil(a/m_t), floor(a/m_1)]; inside one slice each
-  coordinate is bounded below so that what is left still fits into the
-  atoms left at the next smaller offset.  The output is sorted once at the
-  end.  When m_t/m_1 is close to 1, as for shifted families at large n,
-  there are few slices and the search is nearly output-sensitive.
+  sum w_i <= l, the rest of the length going to the first coordinate, so
+  there is one slice per length l in [ceil(a/m_t), floor(a/m_1)].  The
+  output is sorted once at the end.  When m_t/m_1 is close to 1, as for
+  shifted families at large n, there are few slices and the search is
+  nearly output-sensitive.
 
-Neither recurses over its last two coordinates (the two smallest
-generators, or the two smallest offsets): their solutions form an arithmetic
-progression and are emitted in closed form, cut at the slice's atom count
-in the sliced search.  _enumerate is the one entry for Z(a): it picks one
-of the two from an O(t) estimate of each one's work, computed from the
-generators and a alone, and every factorization set the library builds
-outside the independent oracle (numonoid.oracle) comes through it:
-factorizations(), _factorizations_of, the Betti scan and the few elements
-the windowed catenary and tame sweeps enumerate.
+_enumerate is the one entry for Z(a): it picks the slicing from an O(t)
+estimate of each one's work, computed from the generators and a alone,
+and every factorization set the library builds outside the independent
+oracle (numonoid.oracle) comes through it: factorizations(),
+_factorizations_of, the Betti scan and the few elements the windowed
+catenary and tame sweeps enumerate.
 """
 
 from __future__ import annotations
@@ -91,9 +93,9 @@ def _sliced_is_cheaper(gens: tuple[int, ...], a: int) -> bool:
     generic = a // gens[2] + 1
     sliced = top - a // gens[-1] + 1
     if t == 3:
-        # both searches then reach their closed-form tail straight from the
+        # both slicings then reach the closed-form tail straight from the
         # outer loop, and a sliced tail costs about three generic ones: the
-        # generic tail mostly exits on its first test (v % g01), while every
+        # generic tail mostly exits on its first test (v % g), while every
         # sliced slice pays for its length bound and its atom bound first
         return 3 * sliced < generic
     for m in gens[3:]:
@@ -108,7 +110,7 @@ def _enumerate(
     cap: int = DEFAULT_CAP,
     deadline: float | None = None,
 ) -> list[tuple[int, ...]]:
-    """Z(a) in the documented order, by whichever search is estimated
+    """Z(a) in the documented order, by whichever slicing is estimated
     cheaper; both are exact and honour cap and deadline alike."""
     search = (
         _enumerate_sliced if _sliced_is_cheaper(gens, a) else _enumerate_generic
@@ -122,58 +124,12 @@ def _enumerate_generic(
     cap: int = DEFAULT_CAP,
     deadline: float | None = None,
 ) -> list[tuple[int, ...]]:
-    t = len(gens)
-    if t == 1:
+    """Z(a) by one slice over the generators, already in the documented
+    order: every generator is at least m_1, so no factorization has more
+    than a // m_1 atoms."""
+    if len(gens) == 1:
         return [(a // gens[0],)] if a % gens[0] == 0 else []
-
-    m0, m1 = gens[0], gens[1]
-    g01 = gcd(m0, m1)
-    q0 = m0 // g01  # solutions to x*m0 + y*m1 = v have y in one class mod q0
-    q1 = m1 // g01
-    inv = pow(q1, -1, q0) if q0 > 1 else 0
-
-    out: list[tuple[int, ...]] = []
-    counts = [0] * t
-    ticks = 0
-
-    def tail(v: int) -> None:
-        nonlocal ticks
-        ticks += 1
-        if deadline is not None and ticks % _TICK == 0:
-            _check_deadline(deadline)
-        if v % g01:
-            return
-        y0 = ((v // g01) * inv) % q0 if q0 > 1 else 0
-        ymax = v // m1
-        if ymax < y0:
-            return
-        y = ymax - (ymax - y0) % q0
-        x = (v - y * m1) // m0
-        while y >= y0:
-            counts[1] = y
-            counts[0] = x
-            out.append(tuple(counts))
-            if len(out) > cap:
-                raise BudgetExceeded(
-                    f"more than {cap} factorizations; raise the cap to continue"
-                )
-            y -= q0
-            x += q1
-
-    def rec(i: int, v: int) -> None:
-        if i == 1:
-            tail(v)
-            return
-        m = gens[i]
-        for c in range(v // m, -1, -1):
-            counts[i] = c
-            rec(i - 1, v - c * m)
-
-    try:
-        rec(t - 1, a)
-    finally:
-        del rec  # rec's closure refers to rec; without this, out lives until gc
-    return out
+    return _search(gens, 0, [(a, a // gens[0])], cap, deadline)
 
 
 def _enumerate_sliced(
@@ -182,70 +138,108 @@ def _enumerate_sliced(
     cap: int = DEFAULT_CAP,
     deadline: float | None = None,
 ) -> list[tuple[int, ...]]:
-    # needs t >= 3; r[i] is the offset m_i - m_0 (r[0] = 0)
-    t = len(gens)
+    """Z(a) by one slice per length l over the basis (0, r_1, ..., r_k),
+    r_i = m_{i+1} - m_1, then sorted; needs t >= 3.  A factorization of
+    length l has sum w_i r_i = a - m_1 l, a multiple of d = gcd of the
+    offsets, so a slice where d does not divide it is empty and skipped."""
     m0 = gens[0]
-    r = [m - m0 for m in gens]
-    r1, r2 = r[1], r[2]
-    g12 = gcd(r1, r2)
-    q1 = r1 // g12  # solutions to x*r1 + y*r2 = v have y in one class mod q1
-    q2 = r2 // g12
-    inv = pow(q2, -1, q1) if q1 > 1 else 0
+    offsets = tuple(m - m0 for m in gens)
+    d = gcd(*offsets)
+    slices = (
+        (a - m0 * length, length)
+        for length in range(-(-a // gens[-1]), a // m0 + 1)
+        if (a - m0 * length) % d == 0
+    )
+    out = _search(offsets, 1, slices, cap, deadline)
+    out.sort(key=lambda z: z[::-1], reverse=True)
+    return out
+
+
+def _search(
+    basis: tuple[int, ...],
+    first: int,
+    slices,
+    cap: int,
+    deadline: float | None,
+) -> list[tuple[int, ...]]:
+    """For each (v, left) in slices, every z with
+    sum_{i >= first} z_i basis_i = v and at most left atoms at those
+    coordinates, slice after slice, each slice in the documented order.
+    first is 0 or 1, and basis is strictly increasing from index first on;
+    with first = 1, coordinate 0 takes the atoms left over, so |z| = left.
+
+    The coordinates above first + 1 are recursed from the top down, each
+    from v // basis_i down to its least value: what is left after c copies
+    of basis_i must fit into left - c atoms of at most basis_{i-1} each.
+    The two lowest, x b + y b' = v, are a progression in closed form: y
+    runs over one class mod b / gcd(b, b') from v // b' down, and as x + y
+    grows when y falls, x + y <= left bounds y below.  These lower bounds
+    skip only branches that hold no solution, and they make an upper
+    bound of left redundant: a coordinate above it leaves a negative
+    budget, under which the next lower bound exceeds the next upper one.
+    Both slicings start every slice with v // basis_{t-1} <= left, and
+    each lower bound passes that on down, so no such branch is entered.
+    One cap counts the vectors of every slice, and the deadline is read
+    once per _TICK tails across them.
+    """
+    t = len(basis)
+    high = first + 1
+    b0, b1 = basis[first], basis[high]
+    g = gcd(b0, b1)
+    q0 = b0 // g  # solutions to x*b0 + y*b1 = v have y in one class mod q0
+    q1 = b1 // g
+    inv = pow(q1, -1, q0) if q0 > 1 else 0
 
     out: list[tuple[int, ...]] = []
     counts = [0] * t
     ticks = 0
 
-    def tail(v: int, left: int) -> None:
-        # x*r1 + y*r2 = v with x + y <= left; x + y grows as y falls, so the
-        # atom bound is a lower bound on y
+    # a comparison, not a max call, and no division on a slack budget
+    # (room >= 0): both cost more than the rest of a tail or a level
+    def tail(i: int, v: int, left: int) -> None:
+        # i is high; it lets rec call tail and itself alike
         nonlocal ticks
         ticks += 1
         if deadline is not None and ticks % _TICK == 0:
             _check_deadline(deadline)
-        if v % g12:
+        if v % g:
             return
-        y0 = ((v // g12) * inv) % q1 if q1 > 1 else 0
-        ymax = min(v // r2, left)
+        y0 = ((v // g) * inv) % q0 if q0 > 1 else 0
+        ymax = v // b1
         if ymax < y0:
             return
-        ymin = max(0, -((left * r1 - v) // (r2 - r1)))
-        y = ymax - (ymax - y0) % q1
-        x = (v - y * r2) // r1
+        room = left * b0 - v
+        ymin = 0 if room >= 0 else -(room // (b1 - b0))
+        y = ymax - (ymax - y0) % q0
+        x = (v - y * b1) // b0
         while y >= ymin:
-            counts[0] = left - x - y
-            counts[1] = x
-            counts[2] = y
+            counts[first] = x
+            counts[high] = y
+            if first:
+                counts[0] = left - x - y
             out.append(tuple(counts))
             if len(out) > cap:
                 raise BudgetExceeded(
                     f"more than {cap} factorizations; raise the cap to continue"
                 )
-            y -= q1
-            x += q2
+            y -= q0
+            x += q1
 
     def rec(i: int, v: int, left: int) -> None:
-        # what is left after c copies of r[i] must fit into left - c atoms
-        # of at most r[i - 1] each
-        if i == 2:
-            tail(v, left)
-            return
-        ri, below = r[i], r[i - 1]
-        lo = max(0, -((left * below - v) // (ri - below)))
-        for c in range(min(v // ri, left), lo - 1, -1):
+        deeper = tail if i == high + 1 else rec
+        bi, below = basis[i], basis[i - 1]
+        room = left * below - v
+        lo = 0 if room >= 0 else -(room // (bi - below))
+        for c in range(v // bi, lo - 1, -1):
             counts[i] = c
-            rec(i - 1, v - c * ri, left - c)
+            deeper(i - 1, v - c * bi, left - c)
 
-    d = gcd(*r[1:])
+    search = rec if t > high + 1 else tail
     try:
-        for length in range(-(-a // gens[-1]), a // m0 + 1):
-            # a factorization of length l has sum w_i r_i = a - m0 l, a
-            # multiple of d, so a slice where d does not divide it is empty
-            if (a - m0 * length) % d == 0:
-                rec(t - 1, a - m0 * length, length)
+        for v, left in slices:
+            search(t - 1, v, left)
     finally:
-        del rec  # as in _enumerate_generic
-    out.sort(key=lambda z: z[::-1], reverse=True)
+        del rec  # rec's closure refers to rec; without this, out lives until gc
     return out
 
 

@@ -10,11 +10,19 @@ outside the shifted-family regime they are reported as sups over a stated
 window and flagged as lower bounds.  The regime is read off the
 generators: M = <m_1, ..., m_t> is the member n = m_1 of the family with
 offsets r_i = m_{i+1} - m_1, and is inside it when m_1 > r_k^2.  There the
-monotone and equal catenary degrees collapse onto the ordinary one and the
-delta set is the singleton {gcd of the offsets}; those paths are exact.
-The delta set's family path checks that singleton against the Betti
-elements' delta sets before returning it; monoid_catenary_report's family
-path returns the ordinary degree three times, with no check of its own.
+paths are exact, on these grounds:
+
+- Delta set: the singleton {gcd of the offsets}, proven in delta_set and
+  checked against the Betti elements' delta sets before it is returned.
+- Equal catenary: the catenary degree c(T) of the graded monoid of the
+  offsets, the same at every member of the family, computed by a windowed
+  sweep of one fixed member at a window that a cited bound makes
+  conclusive (proof in _family_equal_catenary).
+- Monotone catenary: reported equal to the ordinary degree.  This is
+  measured, not proven: no counterexample is known and monotone >=
+  ordinary always holds, but no proof or citation stands behind the
+  equality here.
+
 Every Betti element comes from shifted._betti_graphs, which takes the lift
 well above the threshold and the direct scan otherwise, and its
 factorizations are read off the graph's vertices rather than enumerated
@@ -102,11 +110,13 @@ def _window(M: NumericalMonoid, window: int | None) -> int:
 class CatenaryReport:
     """Ordinary/monotone/equal catenary values with exactness metadata.
 
-    exact=True means all three values are certified (theorem-backed family
-    path); exact=False means monotone and equal are sups over elements up to
-    window and are only lower bounds.  element is always None: every
-    report is monoid-level, and the field stays only because the
-    benchmark's sweep digests hash the report's fields.
+    exact=True is the family path: ordinary is exact, equal is c(T) by a
+    proof (_family_equal_catenary), and monotone is the ordinary degree on
+    a measured claim that is not proven here.  exact=False means monotone
+    and equal are sups over elements up to window and are only lower
+    bounds.  element is always None: every report is monoid-level, and the
+    field stays only because the benchmark's sweep digests hash the
+    report's fields.
     """
 
     ordinary: int
@@ -433,24 +443,74 @@ def monoid_catenary_report(
     """Monoid-level catenary report.
 
     Ordinary is always exact.  With no window and M above its family's
-    threshold the monotone and equal degrees equal the ordinary one and the
-    report is exact; otherwise they are sups over elements up to window
-    (default default_window) and flagged as lower bounds.  The sweep
-    enumerates Z(a) only at the elements _flagged finds able to raise
+    threshold the report is the family path's and flagged exact: equal is
+    the proven c(T) of _family_equal_catenary, and monotone is the ordinary
+    degree, a measured claim that is not proven here (monotone >= ordinary
+    always holds).  Otherwise monotone and equal are sups over elements up
+    to window (default default_window) and flagged as lower bounds.  The
+    sweep enumerates Z(a) only at the elements _flagged finds able to raise
     either degree, in increasing order, and scans each against the running
     maxes (_monotone_equal); the deadline is checked once per row of the
     length pass and once per element enumerated.
     """
-    if window is None and _regime_family(M) is not None:
+    family = _regime_family(M) if window is None else None
+    if family is not None:
         ordinary = catenary_of_monoid(M, deadline=deadline)
-        return CatenaryReport(ordinary, ordinary, ordinary, True, None)
+        equal = _family_equal_catenary(family, deadline)
+        return CatenaryReport(ordinary, ordinary, equal, True, None)
     w = _window(M, window)
     ordinary = catenary_of_monoid(M, deadline=deadline)
-    gens = M.generators
+    monotone, equal = _catenary_sweep(M.generators, w, deadline)
+    return CatenaryReport(ordinary, monotone, equal, False, w)
+
+
+def _catenary_sweep(
+    gens: tuple[int, ...], w: int, deadline: float | None
+) -> tuple[int, int]:
+    """(monotone, equal): the largest element degrees over the elements
+    a <= w of the monoid gens generate.  gens need not be minimal: nothing
+    here uses minimality."""
     monotone = equal = 0
     for _, zs in _factorized(gens, _flagged(gens, w, deadline), deadline):
         monotone, equal = _monotone_equal(zs, monotone, equal, deadline)
-    return CatenaryReport(ordinary, monotone, equal, False, w)
+    return monotone, equal
+
+
+def _family_equal_catenary(family, deadline: float | None) -> int:
+    """The equal catenary degree of every member M_n, n >= 1, of the
+    family with offsets r_1 < ... < r_k and d = gcd of the offsets: the
+    windowed sweep of M_N at window L (N + r_k), with L = r_k/d - k + 2
+    and N = L r_k + 1, whatever the member asked about.
+
+    Proof.  Let T = <(1, 0), (1, r_1), ..., (1, r_k)> in N^2.
+    1. A factorization z of a in M_n with |z| = l has
+       sum_{i>=1} z_i r_i = a - n l, so the length-l class of a in M_n is
+       the factorization set of (l, a - n l) in T, with the same vectors
+       and distances, for every n >= 1.  So the equal catenary degree of
+       every M_n is c(T), the catenary degree of T.
+    2. c(T) is attained at a Betti element of T (Chapman, Garcia-Sanchez,
+       Llena, Ponomarenko and Rosales, Manuscripta Math. 2006).
+    3. k[T] is the coordinate ring of a projective monomial curve of degree
+       r_k/d in P^k (dividing the offsets by d changes no class), whose
+       ideal is generated in degrees at most r_k/d - k + 2 (Gruson,
+       Lazarsfeld and Peskine, Invent. Math. 72, 1983).  So every Betti
+       element (l, s) of T has l <= L, and s <= l r_k; in M_n it is the
+       class of length l of a = n l + s <= L (n + r_k).
+    So the sweep of any M_n up to L (n + r_k) meets every Betti element of
+    T, meets only length classes of T, and its equal degree is c(T).
+
+    Why N.  An element a <= L (N + r_k) < (L + 1) N has its lengths in
+    [a / (N + r_k), a / N], an interval shorter than L r_k / N < 1: each
+    element of the window is one length class of T, and the sweep
+    enumerates only the classes it flags.  At n = 1 the window's elements
+    hold up to L (1 + r_k) lengths each, and offsets such as (6,16,33,34)
+    took seconds where N takes milliseconds.  The window, and so the cost,
+    does not depend on the shift asked about.
+    """
+    rk = family.r[-1]
+    bound = rk // family.d - family.k + 2
+    n = bound * rk + 1
+    return _catenary_sweep(family.generators_at(n), bound * (n + rk), deadline)[1]
 
 
 def delta_set_of_element(

@@ -171,7 +171,10 @@ def test_c08_catenary_grows_by_one_per_shift_step():
 
 def test_c09_monotone_and_equal_catenary_collapse_above_threshold():
     rep = monoid_catenary_report(monoid_at(F, 450).monoid)
-    assert rep.exact and rep.ordinary == rep.monotone == rep.equal
+    assert rep.exact and rep.ordinary == rep.monotone
+    # the equal degree does not collapse: it is c(T) of the offsets, 8 at
+    # every shift, while the ordinary degree grows with n
+    assert rep.ordinary == 26 and rep.equal == 8
     # below the threshold the collapse can fail: this element needs a detour
     # through longer factorizations
     G = ShiftedFamily((3, 14))

@@ -237,7 +237,7 @@ def test_invariant_monoid_payloads(cli):
     )
     assert (code, json.loads(out)) == (
         0,
-        {"which": "eq-catenary", "value": 26, "exact": True, "window": None},
+        {"which": "eq-catenary", "value": 8, "exact": True, "window": None},
     )
     code, out = cli(
         "invariant", "--gens", "6,9,20", "--which", "mon-catenary", "--window", "200"
@@ -653,6 +653,9 @@ def test_bad_usage_is_exit_1(cli, tmp_path):
     # refused rather than ignored
     assert cli("invariant", "--gens", "6,9,20", "--which", "tame",
                "--element", "18", "--window", "5") == (1, "")
+    # the monoid-level catenary degree is exact and has no sweep to bound
+    assert cli("invariant", "--gens", "6,9,20", "--which", "catenary",
+               "--window", "5") == (1, "")
     assert cli("factorizations", "--gens", "6,9,20", "--element", "60",
                "--cap", "-1") == (1, "")
     assert cli("survey", "--r", "6,9,20", "--n-from", "401", "--n-to", "402",

@@ -155,13 +155,37 @@ def test_monoid_catenary_report_family_exact():
     M450 = monoid_at(F, 450).monoid
     rep = monoid_catenary_report(M450)
     # bottleneck sits at the largest Betti element 11706, whose two
-    # factorizations (25,1,0,0) and (0,0,4,21) are distance 26 apart
+    # factorizations (25,1,0,0) and (0,0,4,21) are distance 26 apart; the
+    # equal degree is that of the offsets' graded monoid, 8 at every shift
     assert rep == CatenaryReport(
-        ordinary=26, monotone=26, equal=26, exact=True, window=None
+        ordinary=26, monotone=26, equal=8, exact=True, window=None
     )
     # an explicit window still forces the windowed sweep
     rep = monoid_catenary_report(M450, window=900)
     assert not rep.exact and rep.window == 900 and rep.ordinary == 26
+
+
+@pytest.mark.parametrize(
+    "gens, equal",
+    [
+        # (1,-3,2) generates the equal-length kernel: 36 has the length-3
+        # factorizations (1,0,2) and (0,3,0), 3 apart
+        ((10, 12, 13), 3),
+        # one factorization of each length
+        ((5, 6), 0),
+        # the offsets (6,9,20) give 8 at every shift
+        ((1000000001, 1000000007, 1000000010, 1000000021), 8),
+    ],
+)
+def test_family_equal_catenary_is_that_of_the_offsets(gens, equal):
+    M = NumericalMonoid(gens)
+    t0 = time.perf_counter()
+    rep = monoid_catenary_report(M)
+    assert time.perf_counter() - t0 < 5.0
+    assert (rep.equal, rep.exact, rep.window) == (equal, True, None)
+    if gens[0] < 100:
+        # the windowed sweep at a wide window agrees, as a lower bound
+        assert monoid_catenary_report(M, window=2000).equal == equal
 
 
 def test_delta_set_of_element():

@@ -42,7 +42,7 @@ from numonoid.factorizations import (
     _enumerate_sliced,
     distance,
 )
-from numonoid.invariants import _flagged, _incomplete
+from numonoid.invariants import _family_equal_catenary, _flagged, _incomplete
 from numonoid.oracle import (
     ClosureReport,
     factorization_buckets,
@@ -745,6 +745,27 @@ def test_windowed_catenary_report_matches_the_definition(M, data):
     assert report.monotone == max(mon for mon, _ in by_search)
     assert report.equal == max(eq for _, eq in by_search)
     assert (report.exact, report.window) == (False, w)
+
+
+# primitive monoids on 2..5 generators below 60
+wider_monoids = (
+    st.lists(st.integers(2, 59), min_size=2, max_size=5, unique=True)
+    .map(normalize_generators)
+    .filter(lambda M: M.is_primitive and M.t >= 2)
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(M=wider_monoids)
+def test_family_equal_catenary_matches_the_sweep_of_the_monoid(M):
+    # M is the member n = m_1 of its family, so its equal degree is the one
+    # read off the offsets, and its own sweep is conclusive at the same
+    # length bound: a Betti element (l, s) of T is the class of
+    # m_1 l + s <= l m_t
+    family, _ = shifted.family_from_generators(M.generators)
+    bound = family.r[-1] // family.d - family.k + 2
+    report = monoid_catenary_report(M, window=bound * M.generators[-1])
+    assert _family_equal_catenary(family, None) == report.equal
 
 
 def _split(supports: list[set]) -> bool:

@@ -23,7 +23,7 @@ print("ordinary/monotone/equal:", rep.ordinary, rep.monotone, rep.equal,
       "(exact)" if rep.exact else f"(window {rep.window})")
 
 # family member above the threshold (450 > 20^2, read off the generators):
-# everything collapses, exactly
+# ordinary and monotone are 26, and equal is c(T) = 8 at every shift
 member = monoid_at(ShiftedFamily((6, 9, 20)), 450)
 rep = monoid_catenary_report(member.monoid)
 print("at n=450:", rep.ordinary, rep.monotone, rep.equal,

@@ -215,8 +215,11 @@ def _cmd_invariant(args, out) -> int:
         value = catenary_of_monoid(M, deadline=deadline)
         payload = {"which": which, "value": value, "exact": True}
     elif which in ("mon-catenary", "eq-catenary"):
-        report = monoid_catenary_report(M, window=args.window, deadline=deadline)
-        value = report.monotone if which == "mon-catenary" else report.equal
+        monotone = which == "mon-catenary"
+        report = monoid_catenary_report(
+            M, window=args.window, deadline=deadline, equal=not monotone
+        )
+        value = report.monotone if monotone else report.equal
         payload = {
             "which": which,
             "value": value,

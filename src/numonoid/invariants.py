@@ -17,7 +17,8 @@ paths are exact, on these grounds:
 - Equal catenary: the catenary degree c(T) of the graded monoid of the
   offsets, the same at every member of the family, computed by a windowed
   sweep of one fixed member at a window that a cited bound makes
-  conclusive (proof in _family_equal_catenary).
+  conclusive (proof in _family_equal_catenary).  The window grows as
+  about (r_k/d)^3 bits and is refused (BudgetExceeded) past 8 DEFAULT_CAP.
 - Monotone catenary: reported equal to the ordinary degree.  This is
   measured, not proven: no counterexample is known and monotone >=
   ordinary always holds, but no proof or citation stands behind the
@@ -111,17 +112,17 @@ class CatenaryReport:
     """Ordinary/monotone/equal catenary values with exactness metadata.
 
     exact=True is the family path: ordinary is exact, equal is c(T) by a
-    proof (_family_equal_catenary), and monotone is the ordinary degree on
-    a measured claim that is not proven here.  exact=False means monotone
-    and equal are sups over elements up to window and are only lower
-    bounds.  element is always None: every report is monoid-level, and the
-    field stays only because the benchmark's sweep digests hash the
-    report's fields.
+    proof (_family_equal_catenary), or None when it was not asked for, and
+    monotone is the ordinary degree on a measured claim that is not proven
+    here.  exact=False means monotone and equal are sups over elements up
+    to window and are only lower bounds.  element is always None: every
+    report is monoid-level, and the field stays only because the
+    benchmark's sweep digests hash the report's fields.
     """
 
     ordinary: int
     monotone: int
-    equal: int
+    equal: int | None
     exact: bool
     window: int | None
     element: int | None = None
@@ -439,6 +440,7 @@ def monoid_catenary_report(
     *,
     window: int | None = None,
     deadline: float | None = None,
+    equal: bool = True,
 ) -> CatenaryReport:
     """Monoid-level catenary report.
 
@@ -446,7 +448,10 @@ def monoid_catenary_report(
     threshold the report is the family path's and flagged exact: equal is
     the proven c(T) of _family_equal_catenary, and monotone is the ordinary
     degree, a measured claim that is not proven here (monotone >= ordinary
-    always holds).  Otherwise monotone and equal are sups over elements up
+    always holds).  The equal degree's sweep grows as about (r_k/d)^3 bits
+    and is refused past 8 DEFAULT_CAP (BudgetExceeded), before the
+    ordinary degree is computed; with equal=False it is skipped and the
+    report's equal is None.  Otherwise monotone and equal are sups over elements up
     to window (default default_window) and flagged as lower bounds.  The
     sweep enumerates Z(a) only at the elements _flagged finds able to raise
     either degree, in increasing order, and scans each against the running
@@ -455,13 +460,13 @@ def monoid_catenary_report(
     """
     family = _regime_family(M) if window is None else None
     if family is not None:
+        value = _family_equal_catenary(family, deadline) if equal else None
         ordinary = catenary_of_monoid(M, deadline=deadline)
-        equal = _family_equal_catenary(family, deadline)
-        return CatenaryReport(ordinary, ordinary, equal, True, None)
+        return CatenaryReport(ordinary, ordinary, value, True, None)
     w = _window(M, window)
     ordinary = catenary_of_monoid(M, deadline=deadline)
-    monotone, equal = _catenary_sweep(M.generators, w, deadline)
-    return CatenaryReport(ordinary, monotone, equal, False, w)
+    monotone, value = _catenary_sweep(M.generators, w, deadline)
+    return CatenaryReport(ordinary, monotone, value, False, w)
 
 
 def _catenary_sweep(
@@ -506,11 +511,24 @@ def _family_equal_catenary(family, deadline: float | None) -> int:
     hold up to L (1 + r_k) lengths each, and offsets such as (6,16,33,34)
     took seconds where N takes milliseconds.  The window, and so the cost,
     does not depend on the shift asked about.
+
+    Cost.  The window L (N + r_k) is about (r_k/d)^3 bits, and the sweep
+    holds a few ints of that size for each of its L length rows.  So
+    BudgetExceeded is raised, before any of them is built, when the window
+    exceeds 8 DEFAULT_CAP, the tame sweep's bound: offsets (1, 300) have a
+    window of 2.7 * 10^7 and take about 5 s, and (1, 1000) would need
+    10^9 bits a row.
     """
     rk = family.r[-1]
     bound = rk // family.d - family.k + 2
     n = bound * rk + 1
-    return _catenary_sweep(family.generators_at(n), bound * (n + rk), deadline)[1]
+    window = bound * (n + rk)
+    if window > 8 * DEFAULT_CAP:
+        raise BudgetExceeded(
+            f"the equal catenary sweep of the offsets {family.r} spans "
+            f"{window + 1} bits, over 8 * {DEFAULT_CAP}"
+        )
+    return _catenary_sweep(family.generators_at(n), window, deadline)[1]
 
 
 def delta_set_of_element(

@@ -679,6 +679,18 @@ def test_invariant_generator_above_the_window(cli):
         assert code == 0 and json.loads(out)["window"] == 10
 
 
+def test_invariant_family_equal_catenary_past_its_bound(cli):
+    # offsets (1, 1000): the equal degree's sweep would span about 10^9
+    # bits and is refused with exit 2; the monotone value skips it
+    gens = "1000001,1000002,1001001"
+    assert cli("invariant", "--gens", gens, "--which", "eq-catenary") == (2, "")
+    code, out = cli("invariant", "--gens", gens, "--which", "mon-catenary")
+    assert (code, json.loads(out)) == (
+        0,
+        {"which": "mon-catenary", "value": 1002, "exact": True, "window": None},
+    )
+
+
 def test_invariant_timeout_is_exit_2(cli):
     # the windowed sweep honours the budget and prints nothing
     assert cli("invariant", "--gens", "11,17,20,23", "--which",

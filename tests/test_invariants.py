@@ -188,6 +188,34 @@ def test_family_equal_catenary_is_that_of_the_offsets(gens, equal):
         assert monoid_catenary_report(M, window=2000).equal == equal
 
 
+def test_family_equal_catenary_refuses_a_window_past_its_bound(monkeypatch):
+    # the offsets (6,9,20) are swept at M_381 up to 7619, under the bound
+    # 8 DEFAULT_CAP when the cap is 953 and over it when the cap is 952
+    M450 = monoid_at(F, 450).monoid
+    with monkeypatch.context() as patched:
+        patched.setattr(invariants, "DEFAULT_CAP", 953)
+        assert monoid_catenary_report(M450).equal == 8
+        patched.setattr(invariants, "DEFAULT_CAP", 952)
+        with pytest.raises(BudgetExceeded, match="equal catenary"):
+            monoid_catenary_report(M450)
+        # the monotone value does not pay for the equal degree
+        assert monoid_catenary_report(M450, equal=False) == CatenaryReport(
+            26, 26, None, True, None
+        )
+    # offsets (1, 1000) at n = 10^6 + 1: a window of about 10^9 bits,
+    # refused before any row or the lift is built
+    big = NumericalMonoid((10**6 + 1, 10**6 + 2, 10**6 + 1001))
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="equal catenary"):
+            monoid_catenary_report(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0 and peak < 2**20
+
+
 def test_delta_set_of_element():
     assert delta_set_of_element(M, 60) == frozenset({1, 4})
     assert delta_set_of_element(M, 18) == frozenset({1})

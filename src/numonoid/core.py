@@ -177,10 +177,40 @@ def _redundant(M: NumericalMonoid) -> list[int]:
     ]
 
 
+class _SizedMemo(dict):
+    """A memo bounded by what it holds rather than by how many entries:
+    the values' lengths sum to at most limit.  remember stores a value and
+    then drops the oldest entries (a dict keeps insertion order) until the
+    sum fits again; a value longer than limit on its own is returned and
+    not stored.  Callers remember only keys they did not find.  clear()
+    empties it."""
+
+    __slots__ = ("limit", "held")
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+        self.held = 0
+
+    def remember(self, key, value):
+        if len(value) <= self.limit:
+            self[key] = value
+            self.held += len(value)
+            while self.held > self.limit:
+                self.held -= len(self.pop(next(iter(self))))
+        return value
+
+    def clear(self):
+        super().clear()
+        self.held = 0
+
+
 # The memo of apery, keyed by the monoid alone: a table is exact whatever
-# deadline it was computed under.  Only completed tables are stored;
-# clear_caches() empties it.
-_apery_memo: dict[NumericalMonoid, tuple[int, ...]] = {}
+# deadline it was computed under.  It holds at most DEFAULT_CAP table
+# entries in all, the size of the largest table apery builds, so a new
+# table drops the oldest ones until it fits.  Only completed tables are
+# stored; clear_caches() empties it.
+_apery_memo: _SizedMemo = _SizedMemo(DEFAULT_CAP)
 
 
 def apery(M: NumericalMonoid, *, deadline: float | None = None) -> tuple[int, ...]:
@@ -217,7 +247,9 @@ def apery(M: NumericalMonoid, *, deadline: float | None = None) -> tuple[int, ..
     Raises NotPrimitive when gcd(M) > 1, then BudgetExceeded, before
     allocating anything, when m_1 > DEFAULT_CAP, and before any pass once
     deadline has passed; a refused call stores nothing.  A memoized table
-    is returned whatever the deadline.
+    is returned whatever the deadline.  The memo is bounded by the table
+    entries it holds (_apery_memo); a table longer than that bound, which
+    only a bound set below DEFAULT_CAP allows, is returned and not stored.
     """
     table = _apery_memo.get(M)
     if table is not None:
@@ -256,8 +288,7 @@ def apery(M: NumericalMonoid, *, deadline: float | None = None) -> tuple[int, ..
                     val = old
                 else:
                     dist[cur] = val
-    table = _apery_memo[M] = tuple(dist)
-    return table
+    return _apery_memo.remember(M, tuple(dist))
 
 
 def contains(M: NumericalMonoid, a: int) -> bool:

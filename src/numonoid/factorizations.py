@@ -23,12 +23,17 @@ are emitted in closed form, cut at the atom count.  Two slicings drive it:
   shifted families at large n, there are few slices and the search is
   nearly output-sensitive.
 
-_enumerate is the one entry for Z(a): it picks the slicing from an O(t)
+_enumerate is the entry for Z(a): it picks the slicing from an O(t)
 estimate of each one's work, computed from the generators and a alone,
-and every factorization set the library builds outside the independent
-oracle (numonoid.oracle) comes through it: factorizations(),
-_factorizations_of, the Betti scan and the few elements the windowed
-catenary and tame sweeps enumerate.
+and serves factorizations(), _factorizations_of, the Betti scan and the
+few elements the windowed catenary and tame sweeps enumerate.  The one
+other caller of the searches, outside the independent oracle
+(numonoid.oracle), is the router's verification of a lifted target
+(shifted._lifted_graph): it runs the length-sliced search one slice at a
+time, memoizes each slice as a length class of the offsets' graded
+monoid, which is the same at every shift, and sorts their union into the
+documented order (_in_order); a one-offset family takes the generic
+search there, in closed form.
 """
 
 from __future__ import annotations
@@ -150,9 +155,13 @@ def _enumerate_sliced(
         for length in range(-(-a // gens[-1]), a // m0 + 1)
         if (a - m0 * length) % d == 0
     )
-    out = _search(offsets, 1, slices, cap, deadline)
-    out.sort(key=lambda z: z[::-1], reverse=True)
-    return out
+    return _in_order(_search(offsets, 1, slices, cap, deadline))
+
+
+def _in_order(zs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """zs sorted in place into the documented order, and returned."""
+    zs.sort(key=lambda z: z[::-1], reverse=True)
+    return zs
 
 
 def _search(

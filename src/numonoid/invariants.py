@@ -633,24 +633,29 @@ def _incomplete(gens: tuple[int, ...], last: int, deadline: float | None) -> int
     mem, bit b set when b is in M, is built by shift-or doubling: for each
     generator m <= last, mem |= mem << k for k = m, 2m, 4m, ... up to
     last; after k = 2^e m it has added 0 to 2^(e+1) - 1 copies of m, so
-    every multiple of m that fits.  Atom i is then a vertex of a where
-    bit a of mem << m_i is set, and i ~ j where bit a of
-    mem << (m_i + m_j) is.  A generator above last is no vertex of any
-    a <= last and is dropped.  The deadline is checked once per shift and
-    once per pair.
+    every multiple of m that fits.  Only the bits that land at or below
+    last are shifted.  Atom i is then a vertex of a where bit a of
+    mem << m_i is set, and i ~ j where bit a of mem << (m_i + m_j) is.
+    Each pair's term is built shifted down by m_i: bit a - m_i is set
+    when a - m_i and a - m_j are in M and a - m_i - m_j is not.  A
+    generator above last is no vertex of any a <= last and is dropped.
+
+    Memory: every step is one operation on mem, the gate and at most two
+    temporaries, so at most five masks of about last + 1 bits are held
+    at once.  The deadline is checked once per shift and once per pair.
     """
     gens = [m for m in gens if m <= last]
-    full = (1 << (last + 1)) - 1
     mem = 1
     for k in (m << e for m in gens for e in range((last // m).bit_length())):
         _check_deadline(deadline)
-        mem |= mem << k & full
+        mem |= (mem & ((1 << (last + 1 - k)) - 1)) << k
     gate = 0
     for mi, mj in combinations(gens, 2):
         _check_deadline(deadline)
-        edge = mem << (mi + mj) if mi + mj <= last else 0
-        gate |= mem << mi & mem << mj & ~edge
-    return gate & full
+        term = mem << (mj - mi) & mem
+        term ^= term & mem << mj
+        gate |= term << mi
+    return gate & ((1 << (last + 1)) - 1)
 
 
 def tame_degree_windowed(
@@ -693,8 +698,8 @@ def tame_degree_windowed(
     max and the first element attaining it are unchanged.
 
     Memory: BudgetExceeded is raised, before any mask is built, when last
-    exceeds 8 DEFAULT_CAP, a mask of 10 MB; the gate holds a few such
-    masks at once.  The deadline is checked before the masks are built and
+    exceeds 8 DEFAULT_CAP, a mask of 10 MB; the gate holds at most five
+    such masks at once (_incomplete).  The deadline is checked before the masks are built and
     before each element is enumerated.
     """
     w = _window(M, window)

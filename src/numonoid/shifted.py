@@ -23,8 +23,8 @@ may lift reads it.  It memoizes each lifted M once its verification has
 passed, as the direct scan memoizes each scanned M, so a survey that meets
 the same M_n again verifies it once; both memos keep at most the same
 number of entries and drop the oldest first.  minimal_presentation and
-betti_elements always scan, and never read the lifted memo, so that the two
-paths can be checked against each other.
+betti_elements always scan, and never read the router's memos, so that the
+two paths can be checked against each other.
 
 The lift is verified at the target M, not trusted.  Each base relation is
 moved to M and filed under the value beta of its left side; for each beta
@@ -34,39 +34,52 @@ factorization graph in a spanning tree.  Membership in the enumerated
 Z(beta) is what proves that a moved pair is a relation of M, so the right
 side is never evaluated, and no lifted Presentation is built on the way
 (lift_presentation builds one for callers who want it).
+
+Z(beta) is read off the graded monoid of the offsets,
+T = <(1, 0), (1, r_1), ..., (1, r_k)>: the factorizations of beta of
+length l are those of (l, beta - n l) in T, the same vectors at every
+shift.  So the router enumerates each length class of T once and memoizes
+it, bounded by the vectors it holds (_lifted_graph): a survey over many
+shifts of one family, which meets the same classes again and again,
+enumerates few of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .core import (
+    DEFAULT_CAP,
     NumericalMonoid,
     _check_deadline,
     _natural,
+    _SizedMemo,
     default_window,
     normalize_generators,
 )
 from .errors import (
+    BudgetExceeded,
     InvalidInput,
     NotARelation,
     NotInImage,
     ShiftBelowThreshold,
     VerificationFailed,
 )
+from .factorizations import _enumerate_generic, _in_order, _search
 from .oracle import congruence_closure_check
 from .presentations import (
     FactorizationGraph,
     Presentation,
     Relation,
+    _atom_union,
     _canonical_presentation,
+    _graph,
     _remember,
     _scan,
-    factorization_graph,
     make_presentation,
     make_relation,
-    minimal_presentation,
 )
 
 
@@ -137,8 +150,9 @@ def monoid_at(F: ShiftedFamily, n: int) -> FamilyMember:
     return FamilyMember(monoid, minimal, primitive)
 
 
-def _shift(F: ShiftedFamily, left, right, steps: int):
-    """Move the relation left ~ right of some M_n to M_{n + steps * r_k}.
+def _shift(k: int, left, right, steps: int):
+    """Move the relation left ~ right of some M_n, a family with k
+    offsets, to M_{n + steps * r_k}.
 
     With L the length gap, steps * L is added to coordinate 0 of the longer
     side and to coordinate k of the shorter side, so equal-length relations
@@ -149,8 +163,8 @@ def _shift(F: ShiftedFamily, left, right, steps: int):
     longer, shorter = (left, right) if gap > 0 else (right, left)
     amount = steps * abs(gap)
     longer = (longer[0] + amount, *longer[1:])
-    shorter = (*shorter[: F.k], shorter[F.k] + amount)
-    if longer[0] < 0 or shorter[F.k] < 0:
+    shorter = (*shorter[:k], shorter[k] + amount)
+    if longer[0] < 0 or shorter[k] < 0:
         raise NotInImage(
             f"{left} ~ {right} lacks the coordinate margin to pull back"
         )
@@ -171,7 +185,7 @@ def _shift_relation(F: ShiftedFamily, n: int, rel, steps: int):
             f"{left} ~ {right} is not a relation of M_{source.multiplicity} "
             "in this family"
         )
-    new_left, new_right = _shift(F, left, right, steps)
+    new_left, new_right = _shift(F.k, left, right, steps)
     if new_left == new_right:
         return (new_left, new_right)
     out = make_relation(target, new_left, new_right)
@@ -240,7 +254,7 @@ def lift_presentation(
     return make_presentation(
         target,
         [
-            make_relation(target, *_shift(F, rel.left, rel.right, steps))
+            make_relation(target, *_shift(F.k, rel.left, rel.right, steps))
             for rel in pres.relations
         ],
     )
@@ -252,6 +266,77 @@ def lift_presentation(
 # clear_caches() empties it.
 _lifted_memo: dict[NumericalMonoid, tuple[FactorizationGraph, ...]] = {}
 
+# The length classes of T that _lifted_graph has enumerated, keyed by
+# (offsets, v, b) and shared by every member of every family.  It holds at
+# most 10^5 vectors in all (about 10 MB at four generators) and drops the
+# oldest classes first.  A class is stored only once its search has
+# completed.  The direct scan never reads it.  clear_caches() empties it.
+_class_memo = _SizedMemo(10**5)
+
+
+def _lifted_graph(
+    gens: tuple[int, ...], beta: int, deadline: float | None
+) -> FactorizationGraph:
+    """The factorization graph of beta in M = <gens>, a lifted target,
+    built from the memoized length classes of T (_class_memo).
+
+    Write n = m_1 and r_i = m_{i+1} - n, so that r_1 is the least offset,
+    and T = <(1, 0), (1, r_1), ..., (1, r_k)>.  A factorization of beta of
+    length l is (l - |w|, w) for an offset vector w with
+    sum w_i r_i = v = beta - n l and |w| <= l, so the class of length l is
+    the factorization set of (l, v) in T, the same at every shift.  Since
+    sum w_i r_i >= |w| r_1, every such w already has |w| <= v // r_1, so
+    |w| <= l is the same condition as |w| <= b = min(l, v // r_1), and l
+    enters only through b: the class is memoized under (offsets, v, b),
+    holding the vectors of length b, and the class of length l adds l - b
+    to coordinate 0 of each.  A miss is filled by the one-slice search
+    _search(offsets, 1, [(v, b)]); as in the length-sliced enumeration,
+    the lengths run over [ceil(beta/m_t), floor(beta/m_1)] and skip those
+    where d = gcd of the offsets does not divide v.
+
+    The union is sorted into the documented order, so the graph is the one
+    factorization_graph builds, vertex order included; a single class is
+    in that order already, as the search emits a slice in it and adding
+    to coordinate 0 keeps it.  More than DEFAULT_CAP vectors in all
+    raise BudgetExceeded, and the search reads the deadline, as
+    factorization_graph does.  A one-offset family has no sliced search
+    (_search needs three coordinates), so its Z(beta) comes from the
+    generic search, in closed form.
+    """
+    if len(gens) == 2:
+        zs = _enumerate_generic(gens, beta, DEFAULT_CAP, deadline)
+    else:
+        n = gens[0]
+        offsets = tuple(m - n for m in gens)
+        d = gcd(*offsets)
+        zs = []
+        pieces = 0
+        for length in range(-(-beta // gens[-1]), beta // n + 1):
+            v = beta - n * length
+            if v % d:
+                continue
+            b = min(length, v // offsets[1])
+            part = _class_memo.get((offsets, v, b))
+            if part is None:
+                part = _class_memo.remember(
+                    (offsets, v, b),
+                    _search(offsets, 1, [(v, b)], DEFAULT_CAP, deadline),
+                )
+            if len(zs) + len(part) > DEFAULT_CAP:
+                raise BudgetExceeded(
+                    f"more than {DEFAULT_CAP} factorizations; raise the cap to continue"
+                )
+            if not part:
+                continue
+            pieces += 1
+            if length == b:
+                zs += part
+            else:
+                zs += [(z[0] + length - b, *z[1:]) for z in part]
+        if pieces > 1:
+            _in_order(zs)
+    return _graph(beta, zs, _atom_union(len(gens), zs))
+
 
 def _betti_graphs(
     M: NumericalMonoid, deadline: float | None
@@ -261,9 +346,13 @@ def _betti_graphs(
     base shift n0, the smallest integer above r_k^2 congruent to n mod r_k,
     and each of its relations is moved (n - n0)/r_k steps by _shift; the
     moved pairs are grouped by the value beta of their left side at M, the
-    graph of each beta is built at M, and the pairs must join its
-    components in a spanning tree (the structural verification).
+    graph of each beta is built at M (_lifted_graph, from the memoized
+    length classes of the offsets' graded monoid T), and the pairs must
+    join its components in a spanning tree (the structural verification).
     Otherwise the graphs come from the memoized direct scan.
+
+    n and r_k are read off M's generators, and a memoized lift is returned
+    before anything else is built.
 
     Only the left side of a pair is evaluated, to file it, and no
     Presentation is built: both sides lying in the enumerated Z(beta) is
@@ -276,26 +365,29 @@ def _betti_graphs(
     and a memoized lift, like a memoized scan, is returned whatever the
     deadline.  A lift not yet verified checks the deadline before each
     beta, so a memoized base scan cannot carry it past the deadline.
-    minimal_presentation and betti_elements never read this memo: they
-    scan at M, so the two paths still check each other."""
-    F, n = family_from_generators(M.generators)
-    if F is None or n <= F.threshold + F.step:
-        return _scan(M, deadline)[0]
+    minimal_presentation and betti_elements never read the router's memos
+    (_lifted_memo and _class_memo): they scan at M, so the two paths still
+    check each other."""
     verified = _lifted_memo.get(M)
     if verified is not None:
         return verified
+    gens = M.generators
+    n, rk = gens[0], gens[-1] - gens[0]
+    if len(gens) < 2 or n <= rk * (rk + 1):
+        return _scan(M, deadline)[0]
     # n0 has the same gcd(n, d), so the scan there raises NotPrimitive for M
-    n0 = F.threshold + 1 + (n - F.threshold - 1) % F.step
-    steps = (n - n0) // F.step
-    base = minimal_presentation(monoid_at(F, n0).monoid, deadline=deadline)
+    n0 = rk * rk + 1 + (n - rk * rk - 1) % rk
+    steps = (n - n0) // rk
+    base = _scan(NumericalMonoid([m - n + n0 for m in gens]), deadline)[1]
+    k = len(gens) - 1
     moved: dict[int, list] = {}
     for rel in base.relations:
-        left, right = _shift(F, rel.left, rel.right, steps)
-        moved.setdefault(M.evaluate(left), []).append((left, right))
+        left, right = _shift(k, rel.left, rel.right, steps)
+        moved.setdefault(sum(map(mul, left, gens)), []).append((left, right))
     graphs = []
     for beta, pairs in sorted(moved.items()):
         _check_deadline(deadline)
-        graph = factorization_graph(M, beta, deadline=deadline)
+        graph = _lifted_graph(gens, beta, deadline)
         comp_of = {z: ci for ci, comp in enumerate(graph.components) for z in comp}
         # label[ci]: the class of component ci under the pairs so far
         label = list(range(len(graph.components)))

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from numonoid import presentations
+from numonoid import core, presentations
 from numonoid import (
     BudgetExceeded,
     InvalidGenerators,
@@ -175,6 +175,23 @@ def test_apery_honours_the_deadline_and_caches_nothing_refused():
     clear_caches()
     with pytest.raises(BudgetExceeded):
         apery(M, deadline=time.monotonic() - 1)
+
+
+def test_the_apery_memo_is_bounded_by_the_entries_it_holds(monkeypatch):
+    # with room for 30 entries, tables of 10, 12 and 14 entries drop the
+    # oldest; a table longer than the bound is returned and not stored
+    clear_caches()
+    monkeypatch.setattr(core._apery_memo, "limit", 30)
+    small = [NumericalMonoid((m, m + 1)) for m in (10, 12, 14)]
+    for M in small:
+        apery(M)
+    assert list(core._apery_memo) == small[1:]
+    assert core._apery_memo.held == 26
+    big = NumericalMonoid((31, 32))
+    assert len(apery(big)) == 31
+    assert list(core._apery_memo) == small[1:]
+    clear_caches()
+    assert not core._apery_memo and core._apery_memo.held == 0
 
 
 def test_direct_scan_stops_in_the_apery_stage(monkeypatch):

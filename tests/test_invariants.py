@@ -303,6 +303,25 @@ def test_tame_sweep_refuses_masks_past_its_bound(monkeypatch):
     assert peak < 2**20
 
 
+def test_tame_sweep_holds_at_most_five_masks(monkeypatch):
+    # <893, 894> stops at F + 2 m_t = 798343, at the bound 8 DEFAULT_CAP
+    # with the cap patched to 99793; the gate holds at most five masks of
+    # last + 1 bits (CPython stores 30 bits in every 4 bytes), where it
+    # held seven and a half
+    monkeypatch.setattr(invariants, "DEFAULT_CAP", 99793)
+    B = NumericalMonoid((893, 894))
+    last = frobenius(B) + 2 * 894
+    assert last == 8 * 99793 - 1
+    tracemalloc.start()
+    try:
+        report = tame_degree_windowed(B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == TameReport(894, 798342, default_window(B))
+    assert peak < 5.5 * (last + 1) * 4 / 30
+
+
 def test_generators_above_the_window_add_nothing():
     # a shift by 10^16 + 1 would take petabytes; the sweeps drop the
     # generator, and each even element up to 10 has one factorization.

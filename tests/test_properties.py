@@ -19,6 +19,7 @@ from numonoid import (
     all_minimal_presentations,
     apery,
     betti_elements,
+    clear_caches,
     congruence_closure_check,
     contains,
     default_window,
@@ -456,17 +457,27 @@ def test_betti_scan_returns_the_factorization_graphs(M):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    F=st.lists(st.integers(1, 9), min_size=2, max_size=3, unique=True).map(
-        lambda xs: ShiftedFamily(tuple(sorted(xs)))
-    ),
+    r=st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),
+    scale=st.sampled_from([1, 1, 2, 3]),
     data=st.data(),
 )
-def test_lifted_betti_graphs_match_the_scan(F, data):
+def test_lifted_betti_graphs_match_the_scan(r, scale, data):
     # past r_k^2 + r_k the router lifts from the base shift; its graphs are
-    # the ones the direct scan finds at the target
-    n = data.draw(st.integers(F.threshold + F.step + 1, F.threshold + 6 * F.step))
-    member = monoid_at(F, n)
+    # the ones the direct scan finds at the target, also when other members
+    # of the family, in any residue class, have filled the memo of T's
+    # length classes first.  scale > 1 gives the offsets a shared factor d,
+    # and a single offset takes the generic search
+    F = ShiftedFamily(tuple(scale * x for x in sorted(r)))
+    lo = F.threshold + F.step + 1
+    shifts = st.integers(lo, lo + 8 * F.step)
+    clear_caches()
+    for n in data.draw(st.lists(shifts, max_size=6)):
+        member = monoid_at(F, n)
+        if member.primitive:
+            shifted._betti_graphs(member.monoid, None)
+    member = monoid_at(F, data.draw(shifts))
     assume(member.primitive)
+    shifted._lifted_memo.pop(member.monoid, None)
     graphs = shifted._betti_graphs(member.monoid, None)
     assert graphs == presentations._betti_impl(member.monoid, None)
 

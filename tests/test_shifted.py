@@ -4,6 +4,7 @@ import pytest
 
 from numonoid import presentations, shifted
 from numonoid import (
+    BudgetExceeded,
     ClosureReport,
     FactorizationGraph,
     InvalidInput,
@@ -33,7 +34,10 @@ from numonoid import (
     minimal_presentation,
     monoid_at,
 )
-from numonoid.shifted import _betti_graphs
+from numonoid.core import DEFAULT_CAP
+from numonoid.factorizations import _search
+from numonoid.presentations import factorization_graph
+from numonoid.shifted import _betti_graphs, _lifted_graph
 
 F = ShiftedFamily((6, 9, 20))
 
@@ -322,10 +326,10 @@ def _tamper_span(monkeypatch):
     # one lifted relation there leaves a component unjoined
     import numonoid.shifted as shifted_mod
 
-    real = shifted_mod.factorization_graph
+    real = shifted_mod._lifted_graph
 
-    def split(M, a, **kwargs):
-        g = real(M, a, **kwargs)
+    def split(gens, a, deadline):
+        g = real(gens, a, deadline)
         if a != 11280:
             return g
         comps = []
@@ -334,7 +338,7 @@ def _tamper_span(monkeypatch):
         assert len(comps) == len(g.components) + 1
         return FactorizationGraph(a, g.vertices, tuple(sorted(comps)))
 
-    monkeypatch.setattr(shifted_mod, "factorization_graph", split)
+    monkeypatch.setattr(shifted_mod, "_lifted_graph", split)
 
 
 @pytest.mark.parametrize(
@@ -358,13 +362,13 @@ def test_tampered_lift_is_caught(monkeypatch, tamper, message):
 def _count_graphs(monkeypatch):
     # every Z(beta) the router enumerates at a lifted target, by element
     built = []
-    real = shifted.factorization_graph
+    real = shifted._lifted_graph
 
-    def counted(M, a, **kwargs):
+    def counted(gens, a, deadline):
         built.append(a)
-        return real(M, a, **kwargs)
+        return real(gens, a, deadline)
 
-    monkeypatch.setattr(shifted, "factorization_graph", counted)
+    monkeypatch.setattr(shifted, "_lifted_graph", counted)
     return built
 
 
@@ -429,3 +433,48 @@ def test_the_memos_drop_their_oldest_entry(monkeypatch):
     assert list(shifted._lifted_memo) == [monoids[2], monoids[0]]
     assert list(presentations._minpres_memo) == [bases[2], bases[0]]
     assert built == betti_elements(monoids[0])
+
+
+def test_a_class_past_v_over_r1_is_its_memoized_class_moved():
+    # 11060 = 11 * 1000 + 60 has the one length 11 in M_1000, and
+    # 60 // r_1 = 10 < 11: the class is memoized under b = 10, and the
+    # class of length 11 adds one to coordinate 0 of each vector
+    clear_caches()
+    M = monoid_at(F, 1000).monoid
+    offsets = (0, 6, 9, 20)
+    graph = _lifted_graph(M.generators, 11060, None)
+    assert graph == factorization_graph(M, 11060)
+    stored = shifted._class_memo[(offsets, 60, 10)]
+    assert {sum(z) for z in stored} == {10}
+    fresh = _search(offsets, 1, [(60, 11)], DEFAULT_CAP, None)
+    assert fresh == [(z[0] + 1, *z[1:]) for z in stored]
+    assert sorted(graph.vertices) == sorted(fresh)
+
+
+def test_the_class_memo_is_bounded_by_the_vectors_it_holds(monkeypatch):
+    # with room for 6 vectors the memo drops its oldest classes, and the
+    # lifted graphs stay those of the scan; clear_caches() empties it
+    clear_caches()
+    monkeypatch.setattr(shifted._class_memo, "limit", 6)
+    for n in range(1000, 1010):
+        M = monoid_at(F, n).monoid
+        assert _betti_graphs(M, None) == presentations._betti_impl(M, None)
+        memo = shifted._class_memo
+        assert memo.held == sum(map(len, memo.values())) <= 6
+    assert shifted._class_memo
+    clear_caches()
+    assert not shifted._class_memo and shifted._class_memo.held == 0
+
+
+def test_the_class_memo_keeps_the_cap(monkeypatch):
+    # a warm class counts toward the cap as a fresh one does: Z(11280) at
+    # M_450 has 3 vectors, refused under a cap of 2 whether memoized or not
+    clear_caches()
+    gens = monoid_at(F, 450).monoid.generators
+    assert len(_lifted_graph(gens, 11280, None).vertices) == 3
+    monkeypatch.setattr(shifted, "DEFAULT_CAP", 2)
+    with pytest.raises(BudgetExceeded):
+        _lifted_graph(gens, 11280, None)
+    clear_caches()
+    with pytest.raises(BudgetExceeded):
+        _lifted_graph(gens, 11280, None)

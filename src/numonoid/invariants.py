@@ -52,17 +52,21 @@ pass enumerates no factorization.
   against the running maxes (_monotone_equal), which skips every class
   and pair of classes too short to raise them (d(u, v) <= max(|u|, |v|))
   and stops a closest-pair scan at the first pair within them.
-- Tame degree: only an element up to min(window, F + 2 m_t) whose atom
-  graph is not complete can raise the running max (proof in
-  tame_degree_windowed).  One packed membership mask of that range
-  decides the atom graphs of all its elements at once (_incomplete), and
-  only the elements it flags are enumerated, in increasing order.  Each
-  takes O(|Z(a)|^2) distances per atom at most, cut short for a
-  factorization as soon as one user of the atom lies within the running
-  max.
+- Tame degree: only an element a up to min(window, F + 2 m_t) with a
+  vertex i of its atom graph such that a is generated by the vertices not
+  adjacent to i can raise the running max (proof in
+  tame_degree_windowed); its atom graph is then not complete.  One
+  packed membership mask of that range decides the atom graphs of all
+  its elements at once (_incomplete), and the elements it flags are
+  decided on that mask and on the masks of the monoids their non-adjacent
+  atoms generate (_witnesses), with no factorization enumerated.  Only
+  the elements kept are enumerated, in increasing order.  Each takes
+  O(|Z(a)|^2) distances per atom at most, cut short for a factorization
+  as soon as one user of the atom lies within the running max.
 
-Both catenary and tame sweeps walk their flagged elements through one
-loop (_factorized), which reads each Z(a) from factorizations._enumerate.
+Both catenary and tame sweeps walk their elements through one loop
+(_factorized), which reads each Z(a) from factorizations._enumerate; a
+mask's set bits are walked in one pass over its bytes (_bits).
 """
 
 from __future__ import annotations
@@ -425,12 +429,33 @@ def _flagged(gens: tuple[int, ...], w: int, deadline: float | None) -> int:
     return flagged
 
 
-def _factorized(gens: tuple[int, ...], mask: int, deadline: float | None):
-    """Yield (a, Z(a)) for each set bit a of mask, in increasing order,
-    each Z(a) from _enumerate; the deadline is checked before each."""
-    while mask:
-        a = (mask & -mask).bit_length() - 1
-        mask ^= 1 << a
+_NONZERO = bytes([0] + [1] * 255)  # translate table: 1 where a byte is not 0
+
+
+def _bits(mask: int):
+    """Yield the set bits of mask in increasing order, in one pass over a
+    byte copy of it: each next nonzero byte is found by bytes.find on a
+    copy translated to 0/1, at C speed, and its bits are peeled off it.
+    Peeling the lowest bit off the int instead copies it once per bit.
+    Two byte copies are held, and the reference to the int is dropped
+    once it is copied."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    del mask
+    flags = data.translate(_NONZERO)
+    k = flags.find(1)
+    while k >= 0:
+        byte, base = data[k], k << 3
+        while byte:
+            low = byte & -byte
+            yield base + low.bit_length() - 1
+            byte ^= low
+        k = flags.find(1, k + 1)
+
+
+def _factorized(gens: tuple[int, ...], elements, deadline: float | None):
+    """Yield (a, Z(a)) for each a of elements, in their order, each Z(a)
+    from _enumerate; the deadline is checked before each."""
+    for a in elements:
         _check_deadline(deadline)
         yield a, _enumerate(gens, a, deadline=deadline)
 
@@ -476,7 +501,7 @@ def _catenary_sweep(
     a <= w of the monoid gens generate.  gens need not be minimal: nothing
     here uses minimality."""
     monotone = equal = 0
-    for _, zs in _factorized(gens, _flagged(gens, w, deadline), deadline):
+    for _, zs in _factorized(gens, _bits(_flagged(gens, w, deadline)), deadline):
         monotone, equal = _monotone_equal(zs, monotone, equal, deadline)
     return monotone, equal
 
@@ -625,37 +650,131 @@ def _tame(
     return best
 
 
-def _incomplete(gens: tuple[int, ...], last: int, deadline: float | None) -> int:
+def _members(gens: tuple[int, ...], last: int, deadline: float | None) -> int:
+    """The membership mask of the monoid gens generate up to last: bit b
+    set when b <= last is in it.
+
+    Built by shift-or doubling: for each generator m <= last,
+    mem |= mem << k for k = m, 2m, 4m, ... up to last; after k = 2^e m it
+    has added 0 to 2^(e+1) - 1 copies of m, so every multiple of m that
+    fits.  Only the bits that land at or below last are shifted, cut from
+    mem by xor with its bits above them, so at most three masks of about
+    last + 1 bits are held at once.  The deadline is checked once per
+    shift.
+    """
+    mem = 1
+    for m in gens:
+        for e in range((last // m).bit_length()):
+            _check_deadline(deadline)
+            k = m << e
+            low = last + 1 - k  # the bits of mem that land at or below last
+            mem |= (mem ^ mem >> low << low) << k
+    return mem
+
+
+def _incomplete(
+    gens: tuple[int, ...], mem: int, last: int, deadline: float | None
+) -> int:
     """The mask of the elements a <= last whose atom graph is not
     complete: some atoms i != j with a - m_i and a - m_j in M and
-    a - m_i - m_j not in M.
+    a - m_i - m_j not in M, read off mem, the membership mask of M up to
+    last (_members).
 
-    mem, bit b set when b is in M, is built by shift-or doubling: for each
-    generator m <= last, mem |= mem << k for k = m, 2m, 4m, ... up to
-    last; after k = 2^e m it has added 0 to 2^(e+1) - 1 copies of m, so
-    every multiple of m that fits.  Only the bits that land at or below
-    last are shifted.  Atom i is then a vertex of a where bit a of
-    mem << m_i is set, and i ~ j where bit a of mem << (m_i + m_j) is.
-    Each pair's term is built shifted down by m_i: bit a - m_i is set
-    when a - m_i and a - m_j are in M and a - m_i - m_j is not.  A
-    generator above last is no vertex of any a <= last and is dropped.
+    Atom i is a vertex of a where bit a of mem << m_i is set, and i ~ j
+    where bit a of mem << (m_i + m_j) is.  Each pair's term is built
+    shifted down by m_i: bit a - m_i is set when a - m_i and a - m_j are
+    in M and a - m_i - m_j is not.  A generator above last is no vertex
+    of any a <= last and is dropped.
 
     Memory: every step is one operation on mem, the gate and at most two
     temporaries, so at most five masks of about last + 1 bits are held
-    at once.  The deadline is checked once per shift and once per pair.
+    at once.  The deadline is checked once per pair.
     """
-    gens = [m for m in gens if m <= last]
-    mem = 1
-    for k in (m << e for m in gens for e in range((last // m).bit_length())):
-        _check_deadline(deadline)
-        mem |= (mem & ((1 << (last + 1 - k)) - 1)) << k
     gate = 0
-    for mi, mj in combinations(gens, 2):
+    for mi, mj in combinations([m for m in gens if m <= last], 2):
         _check_deadline(deadline)
         term = mem << (mj - mi) & mem
         term ^= term & mem << mj
         gate |= term << mi
-    return gate & ((1 << (last + 1)) - 1)
+    return gate ^ gate >> (last + 1) << (last + 1)
+
+
+def _witnesses(gens: tuple[int, ...], last: int, deadline: float | None):
+    """The elements a <= last, in increasing order, with a vertex i of
+    their atom graph such that a is in the monoid generated by the
+    vertices not adjacent to i: the only elements where the tame sweep's
+    running max can rise (proof in tame_degree_windowed).  Every such a
+    has an atom graph that is not complete, so only the elements that
+    _incomplete flags are read.
+
+    For each flagged a, its vertices and, for each vertex i, the set J of
+    the vertices j != i with a - m_i - m_j not in M are read off a byte
+    copy of the membership mask, one read per atom and per pair of
+    vertices, into int bitmasks: J is row i of a t x t bit matrix packed
+    into one int.  A non-vertex j would change nothing: no factorization
+    of a uses it.  A J of one atom is decided by divisibility.  The other
+    elements are grouped by J, and each group is decided on the
+    membership mask of the monoid J generates, built up to the group's
+    largest undecided element and dropped before the next.  So at most
+    min(2^t - 1, t f) masks are built, t generators and f flagged
+    elements, and no subset of the atoms is enumerated.  Past one list per
+    group, the element loop builds no container.
+
+    Memory: _members and _incomplete hold at most five masks of about
+    last + 1 bits at once; past them, the byte copies of the membership
+    mask and of _incomplete's mask, and then the one mask of a group with
+    its temporaries, stay within five.  The deadline is checked once per
+    shift and pair of the masks, once per element and once per group.
+    """
+    gens = [m for m in gens if m <= last]
+    mem = _members(gens, last, deadline)
+    flagged = _bits(_incomplete(gens, mem, last, deadline))
+    member = mem.to_bytes(last // 8 + 1, "little")
+    del mem
+    t, kept, groups = len(gens), set(), {}
+    full = (1 << t) - 1
+    # each pair i < j of atoms: its two bits, m_i + m_j, and its cells
+    # (i, j) and (j, i) of the matrix
+    pairs = [
+        (1 << i | 1 << j, gens[i] + gens[j], 1 << (i * t + j) | 1 << (j * t + i))
+        for i, j in combinations(range(t), 2)
+    ]
+    for a in flagged:
+        _check_deadline(deadline)
+        vertices = 0
+        for i in range(t):
+            b = a - gens[i]
+            if b >= 0 and member[b >> 3] >> (b & 7) & 1:
+                vertices |= 1 << i
+        apart = 0  # the matrix: row i holds J of the vertex i
+        for both, m, cells in pairs:
+            b = a - m
+            if vertices & both == both and (
+                b < 0 or not member[b >> 3] >> (b & 7) & 1
+            ):
+                apart |= cells
+        for i in range(t):
+            row = apart >> i * t & full
+            if row & (row - 1):
+                group = groups.get(row)
+                if group is None:
+                    groups[row] = [a]
+                elif group[-1] != a:
+                    group.append(a)
+            elif row and a % gens[row.bit_length() - 1] == 0:
+                kept.add(a)
+                break
+    del member
+    for row, group in groups.items():
+        _check_deadline(deadline)
+        group = [a for a in group if a not in kept]
+        if not group:
+            continue
+        top = group[-1]
+        sub = [m for j, m in enumerate(gens) if row >> j & 1]
+        inside = _members(sub, top, deadline).to_bytes(top // 8 + 1, "little")
+        kept.update(a for a in group if inside[a >> 3] >> (a & 7) & 1)
+    return sorted(kept)
 
 
 def tame_degree_windowed(
@@ -687,20 +806,27 @@ def tame_degree_windowed(
     pi(z0) <= F + m_i + m_j <= F + 2 m_t.  Minimal generation is not used.
 
     Gate.  When T > 0, z uses no atom i (else it would be its own user at
-    distance 0), so z0_i = 0.  With b = pi(z0) and j in the support of
-    z0, the atoms i and j are both vertices of b's atom graph (b - m_i in
-    M by the choice of z0, b - m_j in M as z0 uses j), they differ
-    (z0_i = 0), and they are not adjacent (b - m_i - m_j not in M by
-    minimality).  Take a the first element attaining a positive max:
-    b <= a attains it too, so b = a, and a's atom graph is not complete.
-    So only the elements _incomplete flags are enumerated, in increasing
-    order, from the value 0 at the element 0, which is never flagged; the
-    max and the first element attaining it are unchanged.
+    distance 0), so z0_i = 0.  Let b = pi(z0).  Minimality gives
+    b - m_i - m_j not in M for every j in the support of z0, not for one
+    only (else z0 - e_j would do).  So i is a vertex of b's atom graph
+    (b - m_i in M by the choice of z0), and z0 is a factorization of b
+    that avoids i and uses only vertices j != i (b - m_j in M as z0 uses
+    j) not adjacent to i.  Take a the first element attaining a positive
+    max: b <= a attains it too, so b = a, and z0 <= z with pi(z0) = pi(z)
+    forces z0 = z.  So a has a vertex i with a in the monoid generated by
+    the vertices not adjacent to i, and a's atom graph is not complete,
+    as z0 uses some such vertex.  Only the elements with such a vertex
+    are enumerated (_witnesses, which reads them off _incomplete's mask
+    with no factorization enumerated), in increasing order, from the
+    value 0 at the element 0, which has no vertex; the max and the first
+    element attaining it are unchanged.
 
     Memory: BudgetExceeded is raised, before any mask is built, when last
-    exceeds 8 DEFAULT_CAP, a mask of 10 MB; the gate holds at most five
-    such masks at once (_incomplete).  The deadline is checked before the masks are built and
-    before each element is enumerated.
+    exceeds 8 DEFAULT_CAP, a mask of 10 MB; the gates hold at most five
+    such masks at once (_incomplete, _witnesses).  The deadline is checked
+    before the masks are built, once per shift and pair while they are
+    built, once per flagged element and per mask of _witnesses, and before
+    each element is enumerated.
     """
     w = _window(M, window)
     last = min(w, frobenius(M) + 2 * M.generators[-1])
@@ -711,8 +837,8 @@ def tame_degree_windowed(
         )
     _check_deadline(deadline)
     value, attained = 0, 0
-    gate = _incomplete(M.generators, last, deadline)
-    for a, zs in _factorized(M.generators, gate, deadline):
+    witnesses = _witnesses(M.generators, last, deadline)
+    for a, zs in _factorized(M.generators, witnesses, deadline):
         ta = _tame(zs, M.t, value, deadline)
         if ta > value:
             value, attained = ta, a

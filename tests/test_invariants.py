@@ -322,6 +322,66 @@ def test_tame_sweep_holds_at_most_five_masks(monkeypatch):
     assert peak < 5.5 * (last + 1) * 4 / 30
 
 
+def _count(monkeypatch, name):
+    """Record the second argument of every call to invariants.<name>."""
+    seen, real = [], getattr(invariants, name)
+
+    def counted(gens, a, *args, **kwargs):
+        seen.append(a)
+        return real(gens, a, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, name, counted)
+    return seen
+
+
+def test_tame_sweep_enumerates_only_the_witnesses(monkeypatch):
+    # of the elements whose atom graph is not complete, only those with a
+    # vertex i such that the vertices not adjacent to i generate them are
+    # enumerated, one Z(a) each; the reports are those of the full sweep
+    enumerated = _count(monkeypatch, "_enumerate")
+    for gens, window, flagged, kept, report in (
+        ((60, 66, 69, 80), 1200, 79, 10, TameReport(10, 654, 1200)),
+        ((11, 17, 20, 23), 260, 29, 11, TameReport(7, 77, 260)),
+        ((6, 9, 20), 310, 7, 3, TameReport(10, 60, 310)),
+    ):
+        S = NumericalMonoid(gens)
+        last = min(window, frobenius(S) + 2 * gens[-1])
+        mem = invariants._members(gens, last, None)
+        gate = invariants._incomplete(gens, mem, last, None)
+        assert gate.bit_count() == flagged
+        witnesses = invariants._witnesses(gens, last, None)
+        assert len(witnesses) == kept
+        enumerated.clear()
+        assert tame_degree_windowed(S, window=window) == report
+        assert enumerated == witnesses
+
+
+def test_tame_sweep_builds_few_masks_on_many_generators(monkeypatch):
+    # <20, ..., 39> has 20 atoms: the witnesses are decided on one mask of
+    # the monoid of each set J of non-adjacent atoms that occurs, at most
+    # min(2^t - 1, t f) of them for f flagged elements, and no subset of
+    # the atoms is enumerated
+    S = NumericalMonoid(tuple(range(20, 40)))
+    last = frobenius(S) + 2 * 39
+    mem = invariants._members(S.generators, last, None)
+    flagged = invariants._incomplete(S.generators, mem, last, None).bit_count()
+    built = _count(monkeypatch, "_members")
+    assert tame_degree_windowed(S) == TameReport(3, 60, 1560)
+    assert built[0] == last and 1 < len(built) <= 1 + 20 * flagged
+
+
+def test_tame_sweep_over_a_wide_mask():
+    # F + 2 m_t = 336004 here, and 669 elements have an incomplete atom
+    # graph, read in one pass over the bytes of the mask (_bits); none
+    # of them needs a mask of its non-adjacent atoms
+    S = NumericalMonoid((1000, 1001, 1003))
+    assert tame_degree_windowed(S) == TameReport(335, 335000, 1006009)
+    assert list(invariants._bits(0)) == []
+    assert list(invariants._bits(1 << 100003 | 1 << 9 | 1)) == [0, 9, 100003]
+    mask = sum(1 << a for a in range(5, 3000, 7))
+    assert list(invariants._bits(mask)) == list(range(5, 3000, 7))
+
+
 def test_generators_above_the_window_add_nothing():
     # a shift by 10^16 + 1 would take petabytes; the sweeps drop the
     # generator, and each even element up to 10 has one factorization.

@@ -43,7 +43,13 @@ from numonoid.factorizations import (
     _enumerate_sliced,
     distance,
 )
-from numonoid.invariants import _family_equal_catenary, _flagged, _incomplete
+from numonoid.invariants import (
+    _family_equal_catenary,
+    _flagged,
+    _incomplete,
+    _members,
+    _witnesses,
+)
 from numonoid.oracle import (
     ClosureReport,
     factorization_buckets,
@@ -880,23 +886,31 @@ def test_windowed_tame_degree_matches_the_definition(M, data):
 @settings(deadline=None, max_examples=40)
 @given(M=redundant_monoids(), data=st.data())
 def test_incomplete_atom_graphs_carry_the_tame_sweep(M, data):
-    # the gate's induction, element by element: the tame degree of every
+    # the gates' induction, element by element: the tame degree of every
     # member up to last is at most the largest at a flagged element not
-    # above it.  The mask is also read against membership: a member is
-    # flagged when two of its atoms are vertices and not adjacent
+    # above it, and at a kept element not above it.  The masks are also
+    # read against membership and factorizations: a member is flagged
+    # when two of its atoms are vertices and not adjacent, and kept when
+    # some factorization avoids a vertex i and uses only atoms j with
+    # a - m_i - m_j not in M, every one of them
     gens = M.generators
     stop = _oracle_window(gens, frobenius(M) + 2 * gens[-1])
     most = _quadratic_window(gens, stop, 40000)
     last = data.draw(st.just(most) | st.integers(0, most))
-    gate = _incomplete(gens, last, None)
+    gate = _incomplete(gens, _members(gens, last, None), last, None)
+    witnesses = _witnesses(gens, last, None)
+    kept = set(witnesses)
     event("some element flagged" if gate else "no element flagged")
+    event("some flagged element cut" if len(kept) < gate.bit_count() else "none cut")
+    assert witnesses == sorted(kept)
 
     def member(b):
         return b >= 0 and contains(M, b)
 
-    best = 0
+    best = best_kept = 0
     for a in range(last + 1):
         flagged = bool(gate >> a & 1)
+        assert flagged or a not in kept
         if not member(a):
             assert not flagged
             continue
@@ -904,10 +918,19 @@ def test_incomplete_atom_graphs_carry_the_tame_sweep(M, data):
             member(a - mi) and member(a - mj) and not member(a - mi - mj)
             for mi, mj in itertools.combinations(gens, 2)
         )
+        assert (a in kept) == any(
+            member(a - mi)
+            and all(not member(a - mi - gens[j]) for j, c in enumerate(z) if c)
+            for z in factorizations(M, a)
+            for i, mi in enumerate(gens)
+            if z[i] == 0
+        )
         degree = tame_degree(M, a)
         if flagged:
             best = max(best, degree)
-        assert degree <= best
+        if a in kept:
+            best_kept = max(best_kept, degree)
+        assert degree <= best_kept <= best
     assert gate >> (last + 1) == 0
 
 

@@ -213,6 +213,15 @@ class _SizedMemo(dict):
 _apery_memo: _SizedMemo = _SizedMemo(DEFAULT_CAP)
 
 
+def _require_primitive(M: NumericalMonoid) -> None:
+    """Raise NotPrimitive, naming gcd(M) and m_1, unless M is primitive."""
+    if not M.is_primitive:
+        raise NotPrimitive(
+            f"gcd of generators is {M.gcd}; some residues mod "
+            f"{M.generators[0]} unreachable"
+        )
+
+
 def apery(M: NumericalMonoid, *, deadline: float | None = None) -> tuple[int, ...]:
     """Apery table of M with respect to its multiplicity m_1: entry rho is
     the least element of M congruent to rho mod m_1, so the table has m_1
@@ -254,12 +263,9 @@ def apery(M: NumericalMonoid, *, deadline: float | None = None) -> tuple[int, ..
     table = _apery_memo.get(M)
     if table is not None:
         return table
+    _require_primitive(M)
     gens = M.generators
     m1 = gens[0]
-    if M.gcd != 1:
-        raise NotPrimitive(
-            f"gcd of generators is {M.gcd}; some residues mod {m1} unreachable"
-        )
     if m1 > DEFAULT_CAP:
         raise BudgetExceeded(
             f"an Apery table of {m1} entries exceeds the cap of {DEFAULT_CAP}"

@@ -15,10 +15,11 @@ paths are exact, on these grounds:
 - Delta set: the singleton {gcd of the offsets}, proven in delta_set and
   checked against the Betti elements' delta sets before it is returned.
 - Equal catenary: the catenary degree c(T) of the graded monoid of the
-  offsets, the same at every member of the family, computed by a windowed
-  sweep of one fixed member at a window that a cited bound makes
-  conclusive (proof in _family_equal_catenary).  The window grows as
-  about (r_k/d)^3 bits and is refused (BudgetExceeded) past 8 DEFAULT_CAP.
+  offsets, the same at every member of the family.  Above the threshold
+  every Betti element of T is a Betti element of M with a single length,
+  so c(T) is the largest bottleneck of a length class over M's Betti
+  graphs, the ones the ordinary degree reads (proof in
+  monoid_catenary_report).
 - Monotone catenary: reported equal to the ordinary degree.  This is
   measured, not proven: no counterexample is known and monotone >=
   ordinary always holds, but no proof or citation stands behind the
@@ -79,10 +80,11 @@ from .core import (
     NumericalMonoid,
     _check_deadline,
     _natural,
+    _require_primitive,
     default_window,
     frobenius,
 )
-from .errors import BudgetExceeded, NotPrimitive, VerificationFailed
+from .errors import BudgetExceeded, VerificationFailed
 from .factorizations import (
     _distance,
     _enumerate,
@@ -106,8 +108,7 @@ def _window(M: NumericalMonoid, window: int | None) -> int:
     over numerical monoids, so M must be primitive."""
     if window is not None:
         window = _natural(window, "window")
-    if not M.is_primitive:
-        raise NotPrimitive(f"gcd of generators is {M.gcd}; the sweep needs 1")
+    _require_primitive(M)
     return default_window(M) if window is None else window
 
 
@@ -116,17 +117,17 @@ class CatenaryReport:
     """Ordinary/monotone/equal catenary values with exactness metadata.
 
     exact=True is the family path: ordinary is exact, equal is c(T) by a
-    proof (_family_equal_catenary), or None when it was not asked for, and
-    monotone is the ordinary degree on a measured claim that is not proven
-    here.  exact=False means monotone and equal are sups over elements up
-    to window and are only lower bounds.  element is always None: every
-    report is monoid-level, and the field stays only because the
-    benchmark's sweep digests hash the report's fields.
+    proof (monoid_catenary_report), and monotone is the ordinary degree on
+    a measured claim that is not proven here.  exact=False means monotone
+    and equal are sups over elements up to window and are only lower
+    bounds.  equal is always an int.  element is always None: every report
+    is monoid-level, and the field stays only because the benchmark's
+    sweep digests hash the report's fields.
     """
 
     ordinary: int
     monotone: int
-    equal: int | None
+    equal: int
     exact: bool
     window: int | None
     element: int | None = None
@@ -465,28 +466,55 @@ def monoid_catenary_report(
     *,
     window: int | None = None,
     deadline: float | None = None,
-    equal: bool = True,
 ) -> CatenaryReport:
     """Monoid-level catenary report.
 
     Ordinary is always exact.  With no window and M above its family's
-    threshold the report is the family path's and flagged exact: equal is
-    the proven c(T) of _family_equal_catenary, and monotone is the ordinary
-    degree, a measured claim that is not proven here (monotone >= ordinary
-    always holds).  The equal degree's sweep grows as about (r_k/d)^3 bits
-    and is refused past 8 DEFAULT_CAP (BudgetExceeded), before the
-    ordinary degree is computed; with equal=False it is skipped and the
-    report's equal is None.  Otherwise monotone and equal are sups over elements up
-    to window (default default_window) and flagged as lower bounds.  The
-    sweep enumerates Z(a) only at the elements _flagged finds able to raise
-    either degree, in increasing order, and scans each against the running
-    maxes (_monotone_equal); the deadline is checked once per row of the
-    length pass and once per element enumerated.
+    threshold (m_1 > r_k^2) the report is the family path's and flagged
+    exact: monotone is the ordinary degree, a measured claim that is not
+    proven here (monotone >= ordinary always holds), and equal is c(T),
+    read off the same Betti graphs as the ordinary degree
+    (shifted._betti_graphs) as the largest bottleneck of a length class.
+
+    Proof.  Let T = <(1, 0), (1, r_1), ..., (1, r_k)> in N^2, d the gcd of
+    the offsets and n = m_1.
+    1. A factorization z of a in M with |z| = l has
+       sum_{i>=1} z_i r_i = a - n l, so the length-l class of a is the
+       factorization set of (l, a - n l) in T, with the same vectors and
+       distances.  So each class's bottleneck is the catenary degree of an
+       element of T, and the equal degree of M is c(T).
+    2. c(T) is attained at a Betti element of T (Chapman, Garcia-Sanchez,
+       Llena, Ponomarenko and Rosales, Manuscripta Math. 2006).
+    3. For k >= 2, k[T] is the coordinate ring of a projective monomial
+       curve of degree r_k/d in P^k (dividing the offsets by d changes no
+       class), whose ideal is generated in degrees at most
+       L = r_k/d - k + 2 (Gruson, Lazarsfeld and Peskine, Invent. Math. 72,
+       1983).  So every Betti element (l, s) of T has l <= L <= r_k and
+       s <= l r_k.
+    4. As n > r_k^2, the element b = n l + s of M has no length but l.
+       Another factorization of length l' has offset sum s' <= l' r_k with
+       n (l - l') = s' - s.  If l' < l, then n <= s' <= (l - 1) r_k < r_k^2.
+       If l' > l, then s >= n, yet s <= l r_k <= r_k^2 < n.  So Z(b) is T's
+       class of (l, s), disconnected, and b is a Betti element of M whose
+       graph shifted._betti_graphs returns.
+    Hence c(T) <= max over the Betti elements b of M of the largest
+    bottleneck of a length class of b <= the equal degree of M = c(T).  For
+    k = 1, T is free: every class has one factorization, and both sides
+    are 0.  The value reads the same router output as the ordinary degree,
+    so it is exactly as trustworthy.
+
+    Otherwise monotone and equal are sups over elements up to window
+    (default default_window) and flagged as lower bounds.  The sweep
+    enumerates Z(a) only at the elements _flagged finds able to raise
+    either degree, in increasing order, and scans each against the
+    running maxes (_monotone_equal); the deadline is checked once per row
+    of the length pass and once per element enumerated.
     """
-    family = _regime_family(M) if window is None else None
-    if family is not None:
-        value = _family_equal_catenary(family, deadline) if equal else None
+    if window is None and _regime_family(M) is not None:
         ordinary = catenary_of_monoid(M, deadline=deadline)
+        value = 0
+        for graph in _betti_graphs(M, deadline):
+            value = _monotone_equal(graph.vertices, 0, value, deadline)[1]
         return CatenaryReport(ordinary, ordinary, value, True, None)
     w = _window(M, window)
     ordinary = catenary_of_monoid(M, deadline=deadline)
@@ -504,56 +532,6 @@ def _catenary_sweep(
     for _, zs in _factorized(gens, _bits(_flagged(gens, w, deadline)), deadline):
         monotone, equal = _monotone_equal(zs, monotone, equal, deadline)
     return monotone, equal
-
-
-def _family_equal_catenary(family, deadline: float | None) -> int:
-    """The equal catenary degree of every member M_n, n >= 1, of the
-    family with offsets r_1 < ... < r_k and d = gcd of the offsets: the
-    windowed sweep of M_N at window L (N + r_k), with L = r_k/d - k + 2
-    and N = L r_k + 1, whatever the member asked about.
-
-    Proof.  Let T = <(1, 0), (1, r_1), ..., (1, r_k)> in N^2.
-    1. A factorization z of a in M_n with |z| = l has
-       sum_{i>=1} z_i r_i = a - n l, so the length-l class of a in M_n is
-       the factorization set of (l, a - n l) in T, with the same vectors
-       and distances, for every n >= 1.  So the equal catenary degree of
-       every M_n is c(T), the catenary degree of T.
-    2. c(T) is attained at a Betti element of T (Chapman, Garcia-Sanchez,
-       Llena, Ponomarenko and Rosales, Manuscripta Math. 2006).
-    3. k[T] is the coordinate ring of a projective monomial curve of degree
-       r_k/d in P^k (dividing the offsets by d changes no class), whose
-       ideal is generated in degrees at most r_k/d - k + 2 (Gruson,
-       Lazarsfeld and Peskine, Invent. Math. 72, 1983).  So every Betti
-       element (l, s) of T has l <= L, and s <= l r_k; in M_n it is the
-       class of length l of a = n l + s <= L (n + r_k).
-    So the sweep of any M_n up to L (n + r_k) meets every Betti element of
-    T, meets only length classes of T, and its equal degree is c(T).
-
-    Why N.  An element a <= L (N + r_k) < (L + 1) N has its lengths in
-    [a / (N + r_k), a / N], an interval shorter than L r_k / N < 1: each
-    element of the window is one length class of T, and the sweep
-    enumerates only the classes it flags.  At n = 1 the window's elements
-    hold up to L (1 + r_k) lengths each, and offsets such as (6,16,33,34)
-    took seconds where N takes milliseconds.  The window, and so the cost,
-    does not depend on the shift asked about.
-
-    Cost.  The window L (N + r_k) is about (r_k/d)^3 bits, and the sweep
-    holds a few ints of that size for each of its L length rows.  So
-    BudgetExceeded is raised, before any of them is built, when the window
-    exceeds 8 DEFAULT_CAP, the tame sweep's bound: offsets (1, 300) have a
-    window of 2.7 * 10^7 and take about 5 s, and (1, 1000) would need
-    10^9 bits a row.
-    """
-    rk = family.r[-1]
-    bound = rk // family.d - family.k + 2
-    n = bound * rk + 1
-    window = bound * (n + rk)
-    if window > 8 * DEFAULT_CAP:
-        raise BudgetExceeded(
-            f"the equal catenary sweep of the offsets {family.r} spans "
-            f"{window + 1} bits, over 8 * {DEFAULT_CAP}"
-        )
-    return _catenary_sweep(family.generators_at(n), window, deadline)[1]
 
 
 def delta_set_of_element(

@@ -55,6 +55,7 @@ from .core import (
     NumericalMonoid,
     _check_deadline,
     _natural,
+    _require_primitive,
     _SizedMemo,
     default_window,
     normalize_generators,
@@ -352,7 +353,8 @@ def _betti_graphs(
     Otherwise the graphs come from the memoized direct scan.
 
     n and r_k are read off M's generators, and a memoized lift is returned
-    before anything else is built.
+    before anything else is built.  A non-primitive M is refused
+    (NotPrimitive, naming gcd(M) and m_1) before any scan or lift.
 
     Only the left side of a pair is evaluated, to file it, and no
     Presentation is built: both sides lying in the enumerated Z(beta) is
@@ -375,7 +377,9 @@ def _betti_graphs(
     n, rk = gens[0], gens[-1] - gens[0]
     if len(gens) < 2 or n <= rk * (rk + 1):
         return _scan(M, deadline)[0]
-    # n0 has the same gcd(n, d), so the scan there raises NotPrimitive for M
+    # refused here, naming M: n0 has the same gcd(n, d), so the base scan
+    # would refuse it too, but naming the base shift
+    _require_primitive(M)
     n0 = rk * rk + 1 + (n - rk * rk - 1) % rk
     steps = (n - n0) // rk
     base = _scan(NumericalMonoid([m - n + n0 for m in gens]), deadline)[1]

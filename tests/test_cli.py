@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -679,16 +680,38 @@ def test_invariant_generator_above_the_window(cli):
         assert code == 0 and json.loads(out)["window"] == 10
 
 
-def test_invariant_family_equal_catenary_past_its_bound(cli):
-    # offsets (1, 1000): the equal degree's sweep would span about 10^9
-    # bits and is refused with exit 2; the monotone value skips it
-    gens = "1000001,1000002,1001001"
-    assert cli("invariant", "--gens", gens, "--which", "eq-catenary") == (2, "")
-    code, out = cli("invariant", "--gens", gens, "--which", "mon-catenary")
-    assert (code, json.loads(out)) == (
-        0,
-        {"which": "mon-catenary", "value": 1002, "exact": True, "window": None},
-    )
+def test_invariant_family_equal_catenary_of_wide_offsets(cli):
+    # offsets (1, 1000) and (1, 430): the equal degree is read off the Betti
+    # graphs, as the ordinary degree is, with no window to refuse
+    for gens, which, value in (
+        ("1000001,1000002,1001001", "eq-catenary", 1000),
+        ("1000001,1000002,1001001", "mon-catenary", 1002),
+        ("184901,184902,185331", "eq-catenary", 430),
+    ):
+        t0 = time.perf_counter()
+        code, out = cli("invariant", "--gens", gens, "--which", which)
+        assert time.perf_counter() - t0 < 10.0
+        assert (code, json.loads(out)) == (
+            0,
+            {"which": which, "value": value, "exact": True, "window": None},
+        )
+
+
+def test_non_primitive_monoid_is_refused_naming_it(cli, capsys):
+    # above the lift's threshold the router refuses M itself, before the
+    # base shift is scanned or a sweep starts: the message names gcd(M)
+    # and m_1
+    for gens, argv in (
+        ("1000,1002,1004", ("minpres",)),
+        ("400000,400002,400600", ("invariant", "--which", "eq-catenary")),
+        ("1000000,1000002,1000860", ("invariant", "--which", "eq-catenary")),
+    ):
+        t0 = time.perf_counter()
+        assert cli(*argv, "--gens", gens) == (1, "")
+        assert time.perf_counter() - t0 < 2.0
+        m1 = gens.split(",")[0]
+        err = capsys.readouterr().err
+        assert f"gcd of generators is 2; some residues mod {m1} " in err
 
 
 def test_invariant_timeout_is_exit_2(cli):

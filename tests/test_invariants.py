@@ -175,6 +175,10 @@ def test_monoid_catenary_report_family_exact():
         ((5, 6), 0),
         # the offsets (6,9,20) give 8 at every shift
         ((1000000001, 1000000007, 1000000010, 1000000021), 8),
+        # offsets (1, 430) at n = 430^2 + 1, and (1, 1000) at 10^6 + 1: read
+        # off the Betti graphs, with no window of about (r_k/d)^3 bits
+        ((184901, 184902, 185331), 430),
+        ((10**6 + 1, 10**6 + 2, 10**6 + 1001), 1000),
     ],
 )
 def test_family_equal_catenary_is_that_of_the_offsets(gens, equal):
@@ -186,34 +190,6 @@ def test_family_equal_catenary_is_that_of_the_offsets(gens, equal):
     if gens[0] < 100:
         # the windowed sweep at a wide window agrees, as a lower bound
         assert monoid_catenary_report(M, window=2000).equal == equal
-
-
-def test_family_equal_catenary_refuses_a_window_past_its_bound(monkeypatch):
-    # the offsets (6,9,20) are swept at M_381 up to 7619, under the bound
-    # 8 DEFAULT_CAP when the cap is 953 and over it when the cap is 952
-    M450 = monoid_at(F, 450).monoid
-    with monkeypatch.context() as patched:
-        patched.setattr(invariants, "DEFAULT_CAP", 953)
-        assert monoid_catenary_report(M450).equal == 8
-        patched.setattr(invariants, "DEFAULT_CAP", 952)
-        with pytest.raises(BudgetExceeded, match="equal catenary"):
-            monoid_catenary_report(M450)
-        # the monotone value does not pay for the equal degree
-        assert monoid_catenary_report(M450, equal=False) == CatenaryReport(
-            26, 26, None, True, None
-        )
-    # offsets (1, 1000) at n = 10^6 + 1: a window of about 10^9 bits,
-    # refused before any row or the lift is built
-    big = NumericalMonoid((10**6 + 1, 10**6 + 2, 10**6 + 1001))
-    t0 = time.perf_counter()
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceeded, match="equal catenary"):
-            monoid_catenary_report(big)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert time.perf_counter() - t0 < 1.0 and peak < 2**20
 
 
 def test_delta_set_of_element():

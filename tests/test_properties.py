@@ -44,7 +44,6 @@ from numonoid.factorizations import (
     distance,
 )
 from numonoid.invariants import (
-    _family_equal_catenary,
     _flagged,
     _incomplete,
     _members,
@@ -775,14 +774,40 @@ wider_monoids = (
 @settings(deadline=None, max_examples=40)
 @given(M=wider_monoids)
 def test_family_equal_catenary_matches_the_sweep_of_the_monoid(M):
-    # M is the member n = m_1 of its family, so its equal degree is the one
-    # read off the offsets, and its own sweep is conclusive at the same
-    # length bound: a Betti element (l, s) of T is the class of
-    # m_1 l + s <= l m_t
+    # M is the member n = m_1 of its family, and every member's equal
+    # degree is c(T), the offsets' own.  The family report of the member
+    # r_k^2 + 1, primitive as d divides r_k, reads it off that member's
+    # Betti graphs; M's own sweep is conclusive at window L m_t, as a Betti
+    # element (l, s) of T, l <= L, is the class of m_1 l + s <= l m_t
     family, _ = shifted.family_from_generators(M.generators)
     bound = family.r[-1] // family.d - family.k + 2
+    member = NumericalMonoid(family.generators_at(family.threshold + 1))
     report = monoid_catenary_report(M, window=bound * M.generators[-1])
-    assert _family_equal_catenary(family, None) == report.equal
+    assert monoid_catenary_report(member).equal == report.equal
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    r=st.lists(st.integers(1, 20), min_size=1, max_size=3, unique=True),
+    above=st.integers(1, 40),
+    data=st.data(),
+)
+def test_family_equal_catenary_bounds_every_windowed_sweep(r, above, data):
+    # above the threshold the family report is exact, so no window's sup
+    # may exceed it; at window L m_t the sweep meets every Betti element
+    # of T and reaches it
+    family = ShiftedFamily(tuple(sorted(r)))
+    n = family.threshold + above
+    assume(math.gcd(n, family.d) == 1)
+    M = NumericalMonoid(family.generators_at(n))
+    report = monoid_catenary_report(M)
+    assert report.exact and report.window is None
+    conclusive = (family.r[-1] // family.d - family.k + 2) * M.generators[-1]
+    w = data.draw(st.integers(0, 2 * conclusive))
+    swept = monoid_catenary_report(M, window=w).equal
+    assert swept <= report.equal
+    if w >= conclusive:
+        assert swept == report.equal
 
 
 def _split(supports: list[set]) -> bool:

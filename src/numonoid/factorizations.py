@@ -25,15 +25,15 @@ are emitted in closed form, cut at the atom count.  Two slicings drive it:
 
 _enumerate is the entry for Z(a): it picks the slicing from an O(t)
 estimate of each one's work, computed from the generators and a alone,
-and serves factorizations(), _factorizations_of, the Betti scan and the
-few elements the windowed catenary and tame sweeps enumerate.  The one
-other caller of the searches, outside the independent oracle
-(numonoid.oracle), is the router's verification of a lifted target
-(shifted._lifted_graph): it runs the length-sliced search one slice at a
-time, memoizes each slice as a length class of the offsets' graded
-monoid, which is the same at every shift, and sorts their union into the
-documented order (_in_order); a one-offset family takes the generic
-search there, in closed form.
+and serves factorizations(), _factorizations_of, the Betti scan, the
+router's verification of a lifted target and the few elements the
+windowed catenary and tame sweeps enumerate; outside the independent
+oracle (numonoid.oracle) nothing else calls the searches.  It takes an
+optional memo of the length classes of T = <(1, 0), (1, r_1), ...,
+(1, r_k)>, the graded monoid of the offsets, whose classes are the same at
+every shift: the router passes its own (shifted._class_memo), and with a
+memo the length-sliced search always runs, since the estimate does not
+price a class that costs no search.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import DEFAULT_CAP, NumericalMonoid, _check_deadline, _natural
+from .core import DEFAULT_CAP, NumericalMonoid, _check_deadline, _natural, _SizedMemo
 from .errors import BudgetExceeded, DimensionMismatch, NotAnElement
 
 # deadline checks are amortized: one clock read per this many inner steps
@@ -114,13 +114,16 @@ def _enumerate(
     a: int,
     cap: int = DEFAULT_CAP,
     deadline: float | None = None,
+    memo: _SizedMemo | None = None,
 ) -> list[tuple[int, ...]]:
     """Z(a) in the documented order, by whichever slicing is estimated
-    cheaper; both are exact and honour cap and deadline alike."""
-    search = (
-        _enumerate_sliced if _sliced_is_cheaper(gens, a) else _enumerate_generic
-    )
-    return search(gens, a, cap, deadline)
+    cheaper; both are exact and honour cap and deadline alike.  Given a
+    memo of T's length classes and t >= 3, the length-sliced search runs
+    and reads it: a memoized class costs no search, which the estimate does
+    not price."""
+    if memo is not None and len(gens) >= 3 or _sliced_is_cheaper(gens, a):
+        return _enumerate_sliced(gens, a, cap, deadline, memo)
+    return _enumerate_generic(gens, a, cap, deadline)
 
 
 def _enumerate_generic(
@@ -142,20 +145,66 @@ def _enumerate_sliced(
     a: int,
     cap: int = DEFAULT_CAP,
     deadline: float | None = None,
+    memo: _SizedMemo | None = None,
 ) -> list[tuple[int, ...]]:
     """Z(a) by one slice per length l over the basis (0, r_1, ..., r_k),
     r_i = m_{i+1} - m_1, then sorted; needs t >= 3.  A factorization of
     length l has sum w_i r_i = a - m_1 l, a multiple of d = gcd of the
-    offsets, so a slice where d does not divide it is empty and skipped."""
+    offsets, so a slice where d does not divide it is empty: the lengths
+    run over [ceil(a/m_t), floor(a/m_1)] in the one residue class where it
+    does, stepping by d / gcd(m_1, d).
+
+    The slice of length l is a length class of
+    T = <(1, 0), (1, r_1), ..., (1, r_k)>: a factorization of length l is
+    (l - |w|, w) for an offset vector w with sum w_i r_i = v = a - m_1 l
+    and |w| <= l, the factorization set of (l, v) in T, the same at every
+    shift.  Since sum w_i r_i >= |w| r_1, every such w already has
+    |w| <= v // r_1, so |w| <= l is the same condition as
+    |w| <= b = min(l, v // r_1), and l enters only through b.  So a memo
+    holds the class under (offsets, v, b), as the vectors of length b, and
+    the class of length l adds l - b to coordinate 0 of each; a miss is
+    searched at (v, b) and stored once that search has completed.  Without
+    a memo each slice is searched at (v, l) directly, so no vector is built
+    twice.
+
+    Without a memo every slice goes through one _search, which reads the
+    deadline once per _TICK tails across them.  With one, each missed class
+    is its own search, so the deadline is also read before each, and a
+    memoized class counts toward the cap as a searched one does.
+    """
     m0 = gens[0]
-    offsets = tuple(m - m0 for m in gens)
+    offsets = tuple([m - m0 for m in gens])
     d = gcd(*offsets)
-    slices = (
-        (a - m0 * length, length)
-        for length in range(-(-a // gens[-1]), a // m0 + 1)
-        if (a - m0 * length) % d == 0
-    )
-    return _in_order(_search(offsets, 1, slices, cap, deadline))
+    # m0 l = a mod d has a solution only when g = gcd(m0, d) divides a, and
+    # its solutions are then the l = (a / g) (m0 / g)^-1 mod d / g
+    g = gcd(m0, d)
+    first = -(-a // gens[-1])
+    first += (a // g * pow(m0 // g, -1, d // g) - first) % (d // g)
+    lengths = range(first, a // m0 + 1 if a % g == 0 else first, d // g)
+    if memo is None:
+        slices = ((a - m0 * length, length) for length in lengths)
+        return _in_order(_search(offsets, 1, slices, cap, deadline))
+    zs: list[tuple[int, ...]] = []
+    pieces = 0
+    for length in lengths:
+        v = a - m0 * length
+        b = min(length, v // offsets[1])
+        part = memo.get((offsets, v, b))
+        if part is None:
+            _check_deadline(deadline)
+            part = memo.remember(
+                (offsets, v, b), _search(offsets, 1, [(v, b)], cap, deadline)
+            )
+        if part:
+            pieces += 1
+            zs += part if length == b else [(z[0] + length - b, *z[1:]) for z in part]
+            if len(zs) > cap:
+                raise BudgetExceeded(
+                    f"more than {cap} factorizations; raise the cap to continue"
+                )
+    # a single class is in order already: the search emits a slice in it,
+    # and adding to coordinate 0 keeps it
+    return _in_order(zs) if pieces > 1 else zs
 
 
 def _in_order(zs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

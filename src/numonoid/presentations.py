@@ -62,9 +62,17 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import and_, rshift
 
-from .core import NumericalMonoid, _check_deadline, _natural, _redundant, apery
-from .errors import NotARelation, NotMinimal
-from .factorizations import _enumerate, _factorizations_of
+from .core import (
+    DEFAULT_CAP,
+    NumericalMonoid,
+    _check_deadline,
+    _natural,
+    _redundant,
+    _SizedMemo,
+    apery,
+)
+from .errors import NotAnElement, NotARelation, NotMinimal
+from .factorizations import _enumerate
 
 
 @dataclass(frozen=True)
@@ -165,21 +173,29 @@ def _atom_union(t: int, zs: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]
     return comps
 
 
-def _graph(
-    a: int, zs: list[tuple[int, ...]], comps: list[list[tuple[int, ...]]]
+def _graph_of(
+    M: NumericalMonoid, a: int, deadline: float | None, memo: _SizedMemo | None = None
 ) -> FactorizationGraph:
-    # components are disjoint, so sorting the sorted components orders them
-    # by their first member
-    comps = sorted(tuple(sorted(comp)) for comp in comps)
+    """Z(a) by _enumerate, with the memo of T's length classes if one is
+    given, and the components of its factorization graph (_atom_union).
+    Components are disjoint, so sorting the sorted components orders them
+    by their first member.  factorization_graph and the Betti scan pass no
+    memo; the router passes its own (shifted._class_memo)."""
+    gens = M.generators
+    zs = _enumerate(gens, a, DEFAULT_CAP, deadline, memo)
+    comps = sorted([tuple(sorted(comp)) for comp in _atom_union(len(gens), zs)])
     return FactorizationGraph(a, tuple(zs), tuple(comps))
 
 
 def factorization_graph(
     M: NumericalMonoid, a: int, *, deadline: float | None = None
 ) -> FactorizationGraph:
-    """Component partition of the factorization graph of a."""
-    zs = _factorizations_of(M, a, deadline)
-    return _graph(a, zs, _atom_union(M.t, zs))
+    """Component partition of the factorization graph of a; NotAnElement
+    when a is not in M."""
+    graph = _graph_of(M, _natural(a, "target element"), deadline)
+    if not graph.vertices:
+        raise NotAnElement(f"{a} is not an element of {M.generators}")
+    return graph
 
 
 def _require_minimal(M: NumericalMonoid) -> None:
@@ -314,12 +330,10 @@ def _betti_impl(
     # clique of the atom graph, and two factorizations sharing an atom have
     # connected supports, so the atoms used in one component of the
     # factorization graph are connected in the atom graph.
-    gens = M.generators
-    out = []
-    for c in sorted(_split_candidates(gens, ap, deadline)):
-        zs = _enumerate(gens, c, deadline=deadline)
-        out.append(_graph(c, zs, _atom_union(M.t, zs)))
-    return tuple(out)
+    return tuple(
+        _graph_of(M, c, deadline)
+        for c in sorted(_split_candidates(M.generators, ap, deadline))
+    )
 
 
 def _canonical_presentation(

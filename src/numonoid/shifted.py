@@ -38,9 +38,11 @@ side is never evaluated, and no lifted Presentation is built on the way
 Z(beta) is read off the graded monoid of the offsets,
 T = <(1, 0), (1, r_1), ..., (1, r_k)>: the factorizations of beta of
 length l are those of (l, beta - n l) in T, the same vectors at every
-shift.  So the router enumerates each length class of T once and memoizes
-it, bounded by the vectors it holds (_lifted_graph): a survey over many
-shifts of one family, which meets the same classes again and again,
+shift.  So the router builds each graph by the one enumeration entry,
+presentations._graph_of over factorizations._enumerate, passing its memo
+of T's length classes (_class_memo), bounded by the vectors it holds; the
+length-sliced search then enumerates each class once, and a survey over
+many shifts of one family, which meets the same classes again and again,
 enumerates few of them.
 """
 
@@ -51,7 +53,6 @@ from math import gcd
 from operator import mul
 
 from .core import (
-    DEFAULT_CAP,
     NumericalMonoid,
     _check_deadline,
     _natural,
@@ -61,22 +62,19 @@ from .core import (
     normalize_generators,
 )
 from .errors import (
-    BudgetExceeded,
     InvalidInput,
     NotARelation,
     NotInImage,
     ShiftBelowThreshold,
     VerificationFailed,
 )
-from .factorizations import _enumerate_generic, _in_order, _search
 from .oracle import congruence_closure_check
 from .presentations import (
     FactorizationGraph,
     Presentation,
     Relation,
-    _atom_union,
     _canonical_presentation,
-    _graph,
+    _graph_of,
     _remember,
     _scan,
     make_presentation,
@@ -267,76 +265,13 @@ def lift_presentation(
 # clear_caches() empties it.
 _lifted_memo: dict[NumericalMonoid, tuple[FactorizationGraph, ...]] = {}
 
-# The length classes of T that _lifted_graph has enumerated, keyed by
-# (offsets, v, b) and shared by every member of every family.  It holds at
-# most 10^5 vectors in all (about 10 MB at four generators) and drops the
-# oldest classes first.  A class is stored only once its search has
-# completed.  The direct scan never reads it.  clear_caches() empties it.
+# The length classes of T that the router's enumerations have searched,
+# keyed by (offsets, v, b) as factorizations._enumerate_sliced reads them,
+# and shared by every member of every family.  It holds at most 10^5
+# vectors in all (about 10 MB at four generators) and drops the oldest
+# classes first.  A class is stored only once its search has completed.
+# The direct scan never reads it.  clear_caches() empties it.
 _class_memo = _SizedMemo(10**5)
-
-
-def _lifted_graph(
-    gens: tuple[int, ...], beta: int, deadline: float | None
-) -> FactorizationGraph:
-    """The factorization graph of beta in M = <gens>, a lifted target,
-    built from the memoized length classes of T (_class_memo).
-
-    Write n = m_1 and r_i = m_{i+1} - n, so that r_1 is the least offset,
-    and T = <(1, 0), (1, r_1), ..., (1, r_k)>.  A factorization of beta of
-    length l is (l - |w|, w) for an offset vector w with
-    sum w_i r_i = v = beta - n l and |w| <= l, so the class of length l is
-    the factorization set of (l, v) in T, the same at every shift.  Since
-    sum w_i r_i >= |w| r_1, every such w already has |w| <= v // r_1, so
-    |w| <= l is the same condition as |w| <= b = min(l, v // r_1), and l
-    enters only through b: the class is memoized under (offsets, v, b),
-    holding the vectors of length b, and the class of length l adds l - b
-    to coordinate 0 of each.  A miss is filled by the one-slice search
-    _search(offsets, 1, [(v, b)]); as in the length-sliced enumeration,
-    the lengths run over [ceil(beta/m_t), floor(beta/m_1)] and skip those
-    where d = gcd of the offsets does not divide v.
-
-    The union is sorted into the documented order, so the graph is the one
-    factorization_graph builds, vertex order included; a single class is
-    in that order already, as the search emits a slice in it and adding
-    to coordinate 0 keeps it.  More than DEFAULT_CAP vectors in all
-    raise BudgetExceeded, and the search reads the deadline, as
-    factorization_graph does.  A one-offset family has no sliced search
-    (_search needs three coordinates), so its Z(beta) comes from the
-    generic search, in closed form.
-    """
-    if len(gens) == 2:
-        zs = _enumerate_generic(gens, beta, DEFAULT_CAP, deadline)
-    else:
-        n = gens[0]
-        offsets = tuple(m - n for m in gens)
-        d = gcd(*offsets)
-        zs = []
-        pieces = 0
-        for length in range(-(-beta // gens[-1]), beta // n + 1):
-            v = beta - n * length
-            if v % d:
-                continue
-            b = min(length, v // offsets[1])
-            part = _class_memo.get((offsets, v, b))
-            if part is None:
-                part = _class_memo.remember(
-                    (offsets, v, b),
-                    _search(offsets, 1, [(v, b)], DEFAULT_CAP, deadline),
-                )
-            if len(zs) + len(part) > DEFAULT_CAP:
-                raise BudgetExceeded(
-                    f"more than {DEFAULT_CAP} factorizations; raise the cap to continue"
-                )
-            if not part:
-                continue
-            pieces += 1
-            if length == b:
-                zs += part
-            else:
-                zs += [(z[0] + length - b, *z[1:]) for z in part]
-        if pieces > 1:
-            _in_order(zs)
-    return _graph(beta, zs, _atom_union(len(gens), zs))
 
 
 def _betti_graphs(
@@ -347,10 +282,13 @@ def _betti_graphs(
     base shift n0, the smallest integer above r_k^2 congruent to n mod r_k,
     and each of its relations is moved (n - n0)/r_k steps by _shift; the
     moved pairs are grouped by the value beta of their left side at M, the
-    graph of each beta is built at M (_lifted_graph, from the memoized
-    length classes of the offsets' graded monoid T), and the pairs must
-    join its components in a spanning tree (the structural verification).
-    Otherwise the graphs come from the memoized direct scan.
+    graph of each beta is built at M (presentations._graph_of, as
+    factorization_graph builds it, with Z(beta) read from the memoized
+    length classes of the offsets' graded monoid T, _class_memo), and the
+    pairs must join its components in a spanning tree (the structural
+    verification); the enumeration honours DEFAULT_CAP and the deadline as
+    factorization_graph's does.  Otherwise the graphs come from the
+    memoized direct scan.
 
     n and r_k are read off M's generators, and a memoized lift is returned
     before anything else is built.  A non-primitive M is refused
@@ -391,7 +329,7 @@ def _betti_graphs(
     graphs = []
     for beta, pairs in sorted(moved.items()):
         _check_deadline(deadline)
-        graph = _lifted_graph(gens, beta, deadline)
+        graph = _graph_of(M, beta, deadline, _class_memo)
         comp_of = {z: ci for ci, comp in enumerate(graph.components) for z in comp}
         # label[ci]: the class of component ci under the pairs so far
         label = list(range(len(graph.components)))

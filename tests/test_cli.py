@@ -491,13 +491,13 @@ def test_bench_verifies_the_lift_on_every_repeat(cli, monkeypatch):
     # each timed run starts from cleared caches, so none of the three reads
     # a lift verified by the one before
     built = []
-    real = shifted._lifted_graph
+    real = shifted._graph_of
 
-    def counted(gens, a, deadline):
+    def counted(M, a, deadline, memo):
         built.append(a)
-        return real(gens, a, deadline)
+        return real(M, a, deadline, memo)
 
-    monkeypatch.setattr(shifted, "_lifted_graph", counted)
+    monkeypatch.setattr(shifted, "_graph_of", counted)
     code, out = cli("bench", "--r", "6,9,20", "--n", "1000", "--repeats", "3")
     assert code == 0 and out.endswith("equal yes\n")
     betti = betti_elements(monoid_at(ShiftedFamily((6, 9, 20)), 1000).monoid)

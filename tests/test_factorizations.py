@@ -14,8 +14,12 @@ from numonoid import (
     factorizations,
     length_profile,
 )
-from numonoid.core import DEFAULT_CAP
-from numonoid.factorizations import _enumerate_generic, _sliced_is_cheaper
+from numonoid.core import DEFAULT_CAP, _SizedMemo
+from numonoid.factorizations import (
+    _enumerate_generic,
+    _enumerate_sliced,
+    _sliced_is_cheaper,
+)
 from numonoid.oracle import factorization_buckets
 
 M6920 = NumericalMonoid((6, 9, 20))
@@ -91,6 +95,22 @@ def test_generic_search_honours_the_deadline():
     assert _enumerate_generic(gens, a) == [(100, 0, 0, 0)]
     with pytest.raises(BudgetExceeded, match="deadline"):
         _enumerate_generic(gens, a, DEFAULT_CAP, time.monotonic() - 1)
+
+
+@pytest.mark.parametrize("memo", [None, 10**5], ids=["no-memo", "memo"])
+def test_the_sliced_search_reads_the_deadline_across_slices(memo):
+    # 59 length slices of under 4096 tails each: a fold that reads the clock
+    # only inside one slice's search never reads it here, and runs on to
+    # the 10^7 cap.  A cap is named as the caller gave it, memoized classes
+    # counted in.
+    gens, a = (100, 101, 102, 103), 2 * 10**5 + 1
+    classes = None if memo is None else _SizedMemo(memo)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="deadline"):
+        _enumerate_sliced(gens, a, DEFAULT_CAP, time.monotonic() - 1, classes)
+    assert time.perf_counter() - t0 < 0.5
+    with pytest.raises(BudgetExceeded, match="more than 5000 "):
+        _enumerate_sliced(gens, a, 5000, None, classes)
 
 
 def test_length_profile_fixtures():

@@ -37,6 +37,7 @@ from numonoid import (
     tame_degree,
     tame_degree_windowed,
 )
+from numonoid.core import DEFAULT_CAP, _SizedMemo
 from numonoid.factorizations import (
     _enumerate,
     _enumerate_generic,
@@ -631,6 +632,18 @@ def test_both_enumerators_agree_with_each_other_and_the_oracle(gens, data):
             else:
                 assert search(gens, a, cap) == zs
     assert _enumerate(gens, a) == generic
+    if t >= 3:
+        # a memo of T's length classes, cold and then warm, and sometimes
+        # too small to hold them all; a memoized class counts toward the cap
+        limit = data.draw(st.sampled_from((3, 10**5)))
+        memo = _SizedMemo(limit)
+        for _ in ("cold", "warm"):
+            assert _enumerate_sliced(gens, a, DEFAULT_CAP, None, memo) == generic
+        for classes in (_SizedMemo(limit), memo):
+            if generic:
+                cap = len(generic) - 1
+                with pytest.raises(BudgetExceeded, match=f"more than {cap} "):
+                    _enumerate_sliced(gens, a, cap, None, classes)
 
 
 # primitive monoids on 2..5 generators in [3, 30]

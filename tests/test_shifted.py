@@ -35,9 +35,9 @@ from numonoid import (
     monoid_at,
 )
 from numonoid.core import DEFAULT_CAP
-from numonoid.factorizations import _search
+from numonoid.factorizations import _enumerate_sliced, _search
 from numonoid.presentations import factorization_graph
-from numonoid.shifted import _betti_graphs, _lifted_graph
+from numonoid.shifted import _betti_graphs
 
 F = ShiftedFamily((6, 9, 20))
 
@@ -326,10 +326,10 @@ def _tamper_span(monkeypatch):
     # one lifted relation there leaves a component unjoined
     import numonoid.shifted as shifted_mod
 
-    real = shifted_mod._lifted_graph
+    real = shifted_mod._graph_of
 
-    def split(gens, a, deadline):
-        g = real(gens, a, deadline)
+    def split(M, a, deadline, memo):
+        g = real(M, a, deadline, memo)
         if a != 11280:
             return g
         comps = []
@@ -338,7 +338,7 @@ def _tamper_span(monkeypatch):
         assert len(comps) == len(g.components) + 1
         return FactorizationGraph(a, g.vertices, tuple(sorted(comps)))
 
-    monkeypatch.setattr(shifted_mod, "_lifted_graph", split)
+    monkeypatch.setattr(shifted_mod, "_graph_of", split)
 
 
 @pytest.mark.parametrize(
@@ -362,13 +362,13 @@ def test_tampered_lift_is_caught(monkeypatch, tamper, message):
 def _count_graphs(monkeypatch):
     # every Z(beta) the router enumerates at a lifted target, by element
     built = []
-    real = shifted._lifted_graph
+    real = shifted._graph_of
 
-    def counted(gens, a, deadline):
+    def counted(M, a, deadline, memo):
         built.append(a)
-        return real(gens, a, deadline)
+        return real(M, a, deadline, memo)
 
-    monkeypatch.setattr(shifted, "_lifted_graph", counted)
+    monkeypatch.setattr(shifted, "_graph_of", counted)
     return built
 
 
@@ -442,13 +442,14 @@ def test_a_class_past_v_over_r1_is_its_memoized_class_moved():
     clear_caches()
     M = monoid_at(F, 1000).monoid
     offsets = (0, 6, 9, 20)
-    graph = _lifted_graph(M.generators, 11060, None)
-    assert graph == factorization_graph(M, 11060)
-    stored = shifted._class_memo[(offsets, 60, 10)]
+    memo = shifted._class_memo
+    zs = _enumerate_sliced(M.generators, 11060, DEFAULT_CAP, None, memo)
+    assert tuple(zs) == factorization_graph(M, 11060).vertices
+    stored = memo[(offsets, 60, 10)]
     assert {sum(z) for z in stored} == {10}
     fresh = _search(offsets, 1, [(60, 11)], DEFAULT_CAP, None)
     assert fresh == [(z[0] + 1, *z[1:]) for z in stored]
-    assert sorted(graph.vertices) == sorted(fresh)
+    assert sorted(zs) == sorted(fresh)
 
 
 def test_the_class_memo_is_bounded_by_the_vectors_it_holds(monkeypatch):
@@ -466,15 +467,15 @@ def test_the_class_memo_is_bounded_by_the_vectors_it_holds(monkeypatch):
     assert not shifted._class_memo and shifted._class_memo.held == 0
 
 
-def test_the_class_memo_keeps_the_cap(monkeypatch):
+def test_the_class_memo_keeps_the_cap():
     # a warm class counts toward the cap as a fresh one does: Z(11280) at
     # M_450 has 3 vectors, refused under a cap of 2 whether memoized or not
     clear_caches()
     gens = monoid_at(F, 450).monoid.generators
-    assert len(_lifted_graph(gens, 11280, None).vertices) == 3
-    monkeypatch.setattr(shifted, "DEFAULT_CAP", 2)
-    with pytest.raises(BudgetExceeded):
-        _lifted_graph(gens, 11280, None)
+    memo = shifted._class_memo
+    assert len(_enumerate_sliced(gens, 11280, DEFAULT_CAP, None, memo)) == 3
+    with pytest.raises(BudgetExceeded, match="more than 2 "):
+        _enumerate_sliced(gens, 11280, 2, None, memo)
     clear_caches()
-    with pytest.raises(BudgetExceeded):
-        _lifted_graph(gens, 11280, None)
+    with pytest.raises(BudgetExceeded, match="more than 2 "):
+        _enumerate_sliced(gens, 11280, 2, None, memo)

@@ -55,7 +55,8 @@ def reachable_up_to(gens: tuple[int, ...], bound: int) -> list[bool]:
 def factorization_buckets(
     gens: tuple[int, ...], bound: int
 ) -> dict[int, list[tuple[int, ...]]]:
-    """Every exponent vector with value <= bound, keyed by value.
+    """Every exponent vector with value <= bound, keyed by value, for the
+    values that have one, in increasing order.
 
     One recursive sweep; total work proportional to the number of vectors.
     Within a value the vectors come ascending in (z_t, ..., z_2).  The sweep
@@ -67,7 +68,8 @@ def factorization_buckets(
     radices = _radices(gens, bound)
     return {
         a: [_decode(code, radices) for code in codes]
-        for a, codes in _buckets(gens, bound).items()
+        for a, codes in enumerate(_buckets(gens, bound))
+        if codes
     }
 
 
@@ -96,16 +98,17 @@ def _decode(code: int, radices: list[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=8)
-def _buckets(gens: tuple[int, ...], bound: int) -> dict[int, list[int]]:
-    """The codes sum z_j w_j of every vector with value <= bound, by value."""
+def _buckets(gens: tuple[int, ...], bound: int) -> list[list[int]]:
+    """The codes sum z_j w_j of every vector with value <= bound: entry a
+    lists those of value a, empty where a has no factorization."""
     weights = _weights(_radices(gens, bound))
-    buckets: dict[int, list[int]] = {}
+    buckets: list[list[int]] = [[] for _ in range(bound + 1)]
 
     def rec(i: int, acc: int, code: int) -> None:
         m, w = gens[i], weights[i]
         if i == 0:
             while acc <= bound:
-                buckets.setdefault(acc, []).append(code)
+                buckets[acc].append(code)
                 acc += m
                 code += w
             return
@@ -191,51 +194,47 @@ def congruence_closure_check(
         rcode = sum(c * w for c, w in zip(right, weights))
         translates.append((lval, lcode, rcode))
 
+    # by value, so the loop below stops at the first one above a
+    translates.sort()
     buckets = _buckets(gens, window)
     failures = []
-    for a in sorted(buckets):
-        zs = buckets[a]
-        if len(zs) < 2:
+    for a, zs in enumerate(buckets):
+        # join in a forest over Z(a) alone, since every translate of value
+        # a joins two members of it.  A join links one root below another,
+        # so the forest spans Z(a) once it holds |Z(a)| - 1 links, and the
+        # joins stop there
+        spanning = len(zs) - 1
+        if spanning < 1:
             continue
-        missing = _unjoined(buckets, translates, a)
-        if missing is not None:
-            pair = (_decode(zs[0], radices), _decode(missing, radices))
-            failures.append((a, pair))
+        parent: dict[int, int] = {}
+        for value, lcode, rcode in translates:
+            if value > a:
+                break
+            for u in buckets[a - value]:
+                x, y = u + lcode, u + rcode
+                while x in parent:
+                    x = parent[x]
+                while y in parent:
+                    y = parent[y]
+                if x != y:
+                    parent[x] = y
+                    if len(parent) == spanning:
+                        break
+            if len(parent) == spanning:
+                break
+        if len(parent) < spanning:
+            # record the first code, in bucket order, not joined to the first
+            first = zs[0]
+            while first in parent:
+                first = parent[first]
+            for z in zs:
+                root = z
+                while root in parent:
+                    root = parent[root]
+                if root != first:
+                    break
+            failures.append((a, (_decode(zs[0], radices), _decode(z, radices))))
     return ClosureReport(window, tuple(failures))
-
-
-def _unjoined(
-    buckets: dict[int, list[int]], translates: list[tuple[int, int, int]], a: int
-) -> int | None:
-    """The first code of Z(a), in bucket order, whose vector the translates
-    landing on a do not join to the first one; None when they join them all.
-
-    The forest is over Z(a) alone, since every translate of value a joins
-    two members of it.  A join links one root below another, so the forest
-    spans Z(a) once it holds |Z(a)| - 1 links, and the joins stop there.
-    """
-    zs = buckets[a]
-    spanning = len(zs) - 1
-    parent: dict[int, int] = {}
-    for value, lcode, rcode in translates:
-        for u in buckets.get(a - value, ()):
-            x, y = u + lcode, u + rcode
-            while x in parent:
-                x = parent[x]
-            while y in parent:
-                y = parent[y]
-            if x != y:
-                parent[x] = y
-                if len(parent) == spanning:
-                    return None
-
-    def root(z):
-        while z in parent:
-            z = parent[z]
-        return z
-
-    first = root(zs[0])
-    return next(z for z in zs if root(z) != first)
 
 
 def naive_betti_scan(M: NumericalMonoid, bound: int) -> list[int]:

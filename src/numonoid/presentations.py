@@ -103,8 +103,15 @@ def make_relation(M: NumericalMonoid, left, right) -> Relation:
         )
     if left == right:
         raise NotARelation("sides of a relation must differ")
-    a, b = sorted((left, right), key=lambda v: (sum(v), v), reverse=True)
-    return Relation(a, b, lval)
+    return _relation(left, right, lval)
+
+
+def _relation(left: tuple, right: tuple, betti: int) -> Relation:
+    """The Relation of two distinct factorizations of betti, sides in the
+    canonical order; nothing is evaluated, so the caller vouches for them."""
+    if (sum(left), left) < (sum(right), right):
+        left, right = right, left
+    return Relation(left, right, betti)
 
 
 @dataclass(frozen=True)
@@ -340,11 +347,12 @@ def _canonical_presentation(
     M: NumericalMonoid, graphs: Iterable[FactorizationGraph]
 ) -> Presentation:
     # one spanning choice per Betti element: join each other component's
-    # first member to the first member of the first component
+    # first member to the first member of the first component; both are
+    # factorizations of the graph's element, so neither side is evaluated
     return make_presentation(
         M,
         [
-            make_relation(M, g.components[0][0], comp[0])
+            _relation(g.components[0][0], comp[0], g.element)
             for g in graphs
             for comp in g.components[1:]
         ],
@@ -359,10 +367,11 @@ def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> _Scan:
     return graphs, _canonical_presentation(M, graphs)
 
 
-# The most entries a result memo keyed by the monoid holds: this one, and
-# shifted's memo of verified lifts.  Past it the oldest entry is dropped
-# (a dict keeps insertion order).  An entry holds Betti graphs and
-# relations, no table of m_1 entries as core's Apery memo does.
+# The most entries a memo of results holds: this one, keyed by the monoid,
+# and shifted's memos of verified lifts and of verified single-length Betti
+# graphs.  Past it the oldest entry is dropped (a dict keeps insertion
+# order).  An entry holds Betti graphs and relations, no table of m_1
+# entries as core's Apery memo does.
 _MEMO_ENTRIES = 128
 
 

@@ -21,8 +21,9 @@ _betti_graphs, the factorization graphs of the Betti elements, is the one
 place that chooses between the lift and the direct scan, and every path that
 may lift reads it.  It memoizes each lifted M once its verification has
 passed, as the direct scan memoizes each scanned M, so a survey that meets
-the same M_n again verifies it once; both memos keep at most the same
-number of entries and drop the oldest first.  minimal_presentation and
+the same M_n again verifies it once; these memos, and the router's memo of
+single-length Betti graphs below, keep at most the same number of entries
+and drop the oldest first.  minimal_presentation and
 betti_elements always scan, and never read the router's memos, so that the
 two paths can be checked against each other.
 
@@ -44,6 +45,15 @@ of T's length classes (_class_memo), bounded by the vectors it holds; the
 length-sliced search then enumerates each class once, and a survey over
 many shifts of one family, which meets the same classes again and again,
 enumerates few of them.
+
+The equal-length relations are the ones the lift leaves unchanged, and past
+the threshold their Betti elements n l + s are the Betti elements (l, s) of
+T, with the single length l (the proof is in _betti_graphs).  So the graph
+of such an element, verified once at one member of a family, is the graph
+at every member.  The router keeps it, with the pairs it was checked
+against, in a third memo (_graph_memo), keyed by (offsets, l, s) and
+bounded like _lifted_memo.  It builds and checks again only the elements
+with a length gap, and any whose pairs differ from the stored ones.
 """
 
 from __future__ import annotations
@@ -273,6 +283,14 @@ _lifted_memo: dict[NumericalMonoid, tuple[FactorizationGraph, ...]] = {}
 # The direct scan never reads it.  clear_caches() empties it.
 _class_memo = _SizedMemo(10**5)
 
+# The router's verified graphs of the Betti elements with a single length,
+# keyed by their length class (offsets, l, s) of T and shared by every
+# member of a family: Z(beta)'s vertices and components, with the moved
+# pairs they were checked against (_betti_graphs).  An entry is stored only
+# once its check has passed, and the memo is bounded like _lifted_memo.
+# The direct scan never reads it.  clear_caches() empties it.
+_graph_memo: dict[tuple, tuple] = {}
+
 
 def _betti_graphs(
     M: NumericalMonoid, deadline: float | None
@@ -301,13 +319,29 @@ def _betti_graphs(
     refused there as not factoring beta.  lift_presentation gives the
     lifted presentation itself, for callers who want it.
 
+    A beta = n l + s, with 0 <= s < n, whose l has l r_k < n is verified
+    once per family.  Every factorization of beta has length l: one of
+    length l' leaves sigma = beta - n l' = s + n (l - l') for its offsets,
+    which must lie in [0, l' r_k], yet l' > l gives sigma <= s - n < 0, and
+    l' < l gives sigma >= n > l r_k > l' r_k.  So Z(beta) is T's length
+    class (l, s), and its graph is the same at every member of the family.
+    The graph verified at one member is kept under (offsets, l, s), with
+    its pairs (_graph_memo); a later beta of that class whose pairs equal
+    the stored ones reads it back and builds and checks nothing, since the
+    check would see the same inputs.  Any other pairs, or a class not yet
+    stored, take the full path above, and the entry is stored once its
+    check has passed.  Both sides of every pair that passes have length l:
+    these are the equal-length relations, which the lift leaves unchanged,
+    so every member meets the same pairs there.  An element with a length
+    gap has l r_k >= n and is always built.
+
     The graphs of a fully verified lift are memoized by M (_lifted_memo),
     and a memoized lift, like a memoized scan, is returned whatever the
     deadline.  A lift not yet verified checks the deadline before each
     beta, so a memoized base scan cannot carry it past the deadline.
     minimal_presentation and betti_elements never read the router's memos
-    (_lifted_memo and _class_memo): they scan at M, so the two paths still
-    check each other."""
+    (_lifted_memo, _graph_memo and _class_memo): they scan at M, so the two
+    paths still check each other."""
     verified = _lifted_memo.get(M)
     if verified is not None:
         return verified
@@ -326,9 +360,18 @@ def _betti_graphs(
     for rel in base.relations:
         left, right = _shift(k, rel.left, rel.right, steps)
         moved.setdefault(sum(map(mul, left, gens)), []).append((left, right))
+    offsets = tuple([m - n for m in gens])
     graphs = []
     for beta, pairs in sorted(moved.items()):
         _check_deadline(deadline)
+        # beta's length class (l, s) of T when l r_k < n; a verified graph
+        # stored there with the same pairs is beta's graph, checked already
+        l, s = divmod(beta, n)
+        key = (offsets, l, s) if l * rk < n else None
+        known = _graph_memo.get(key)
+        if known is not None and known[2] == pairs:
+            graphs.append(FactorizationGraph(beta, known[0], known[1]))
+            continue
         graph = _graph_of(M, beta, deadline, _class_memo)
         comp_of = {z: ci for ci, comp in enumerate(graph.components) for z in comp}
         # label[ci]: the class of component ci under the pairs so far
@@ -347,6 +390,8 @@ def _betti_graphs(
             label = [keep if x == gone else x for x in label]
         if len(set(label)) != 1:
             raise VerificationFailed(f"relations lifted to {beta} do not span")
+        if key is not None:
+            _remember(_graph_memo, key, (graph.vertices, graph.components, pairs))
         graphs.append(graph)
     return _remember(_lifted_memo, M, tuple(graphs))
 

@@ -70,6 +70,13 @@ BLOCK_490 = [
 ]
 
 
+# the length classes (offsets, l, s) of T at the single-length Betti
+# elements n l + s of every member past the threshold, the equal-length
+# relations of the blocks above, in increasing order
+OFFSETS = (0, 6, 9, 20)
+SINGLE_LENGTH_CLASSES = [(OFFSETS, 3, 18), (OFFSETS, 7, 60), (OFFSETS, 8, 72)]
+
+
 def _canonical(n, block):
     M = monoid_at(F, n).monoid
     return make_presentation(M, [make_relation(M, l, r) for l, r in block])
@@ -291,34 +298,34 @@ def test_family_from_generators():
     assert fam is None and n == 7
 
 
-def _swap_pair_at_11280(monkeypatch, make):
-    # the router moves each base relation to M_450 with _shift; the pair it
-    # moves to 11280 is replaced by make(left, right)
-    import numonoid.shifted as shifted_mod
-
-    real = shifted_mod._shift
-    target = monoid_at(F, 450).monoid
+def _swap_pair_at(monkeypatch, n, beta, make):
+    # the router moves each base relation to M_n with _shift; the pair it
+    # moves to beta is replaced by make(left, right)
+    real = shifted._shift
+    target = monoid_at(F, n).monoid
 
     def tampered(F_, left, right, steps):
         left, right = real(F_, left, right, steps)
-        if target.evaluate(left) == 11280:
+        if target.evaluate(left) == beta:
             return make(left, right)
         return left, right
 
-    monkeypatch.setattr(shifted_mod, "_shift", tampered)
+    monkeypatch.setattr(shifted, "_shift", tampered)
 
 
 def _tamper_join(monkeypatch):
     # sides that share support, hence sit in the same component
     assert 20 * 450 + 5 * 456 == 21 * 450 + 2 * 456 + 2 * 459 == 11280
-    _swap_pair_at_11280(monkeypatch, lambda l, r: ((21, 2, 2, 0), (20, 5, 0, 0)))
+    _swap_pair_at(
+        monkeypatch, 450, 11280, lambda l, r: ((21, 2, 2, 0), (20, 5, 0, 0))
+    )
 
 
 def _tamper_factor(monkeypatch):
     # the right side swapped for a factorization of 1368, so the pair is
     # not a relation of M_450: its sides are not both in Z(11280)
     assert 3 * 456 == 450 + 2 * 459 == 1368
-    _swap_pair_at_11280(monkeypatch, lambda l, r: (l, (1, 0, 2, 0)))
+    _swap_pair_at(monkeypatch, 450, 11280, lambda l, r: (l, (1, 0, 2, 0)))
 
 
 def _tamper_span(monkeypatch):
@@ -384,16 +391,20 @@ def _count_graphs(monkeypatch):
     ],
 )
 def test_a_verified_lift_is_memoized(monkeypatch, compute):
-    # the first call verifies every lifted Betti element of M_1000; a
-    # second call on the same monoid reads the memo and builds no graph
+    # the first call verifies every lifted Betti element of M_1000, as the
+    # graph memo starts empty, and stores its three single-length ones
+    # there; a second call on the same monoid reads the lifted memo and
+    # builds no graph, and the graph memo is left as it was
     M = monoid_at(F, 1000).monoid
     clear_caches()
     built = _count_graphs(monkeypatch)
     first = compute(M)
     assert built == betti_elements(M)
+    assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES
     built.clear()
     assert compute(M) == first
     assert built == []
+    assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES
 
 
 def test_the_direct_scan_ignores_the_lifted_memo(monkeypatch):
@@ -417,7 +428,11 @@ def test_the_direct_scan_ignores_the_lifted_memo(monkeypatch):
 
 def test_the_memos_drop_their_oldest_entry(monkeypatch):
     # with room for two entries, a third lift evicts the first, which is
-    # then verified again; the direct scan's memo is bounded the same way
+    # then verified again; the direct scan's memo and the graph memo are
+    # bounded the same way.  Each lift reads the three single-length
+    # classes in increasing order, and the graph memo, with room for two,
+    # has dropped each of them before it is read again, so every graph of
+    # M_1000 is built again too
     monkeypatch.setattr(presentations, "_MEMO_ENTRIES", 2)
     clear_caches()
     shifts = (1000, 1001, 1002)
@@ -428,11 +443,68 @@ def test_the_memos_drop_their_oldest_entry(monkeypatch):
         _betti_graphs(M, None)
     assert list(shifted._lifted_memo) == monoids[1:]
     assert list(presentations._minpres_memo) == bases[1:]
+    assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES[1:]
     built = _count_graphs(monkeypatch)
     _betti_graphs(monoids[0], None)
     assert list(shifted._lifted_memo) == [monoids[2], monoids[0]]
     assert list(presentations._minpres_memo) == [bases[2], bases[0]]
+    assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES[1:]
     assert built == betti_elements(monoids[0])
+
+
+def test_a_family_verifies_each_single_length_betti_element_once(monkeypatch):
+    # M_1000 and M_1001 lift from the bases 420 and 401, in two residue
+    # classes.  The single-length Betti elements of M_1001 are the classes
+    # of T that M_1000 verified, so only those with a length gap are built
+    clear_caches()
+    _betti_graphs(monoid_at(F, 1000).monoid, None)
+    assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES
+    M = monoid_at(F, 1001).monoid
+    built = _count_graphs(monkeypatch)
+    graphs = _betti_graphs(M, None)
+    gapped = [g.element for g in graphs if len({sum(z) for z in g.vertices}) > 1]
+    assert built == gapped and len(gapped) == len(graphs) - 3
+    assert graphs == presentations._betti_impl(M, None)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(
+            lambda l, r: (l, l), "do not join distinct components", id="join"
+        ),
+        # a length-3 right side of 1000 + 1006 + 1009 = 3015
+        pytest.param(
+            lambda l, r: (l, (1, 1, 1, 0)), "does not factor 3018", id="factor"
+        ),
+    ],
+)
+def test_a_tampered_single_length_pair_is_checked(monkeypatch, make, message):
+    # with the graph memo warm from M_1001, the pair moved to
+    # 3018 = 3 * 1000 + 18 at M_1000 differs from the stored one, so its
+    # graph is built and checked, and the stored entry is kept
+    clear_caches()
+    _betti_graphs(monoid_at(F, 1001).monoid, None)
+    stored = shifted._graph_memo[(OFFSETS, 3, 18)]
+    assert stored[2] == [((1, 0, 2, 0), (0, 3, 0, 0))]
+    _swap_pair_at(monkeypatch, 1000, 3018, make)
+    with pytest.raises(VerificationFailed, match=message):
+        _betti_graphs(monoid_at(F, 1000).monoid, None)
+    assert shifted._graph_memo[(OFFSETS, 3, 18)] is stored
+
+
+def test_the_graph_memo_is_bounded_and_cleared(monkeypatch):
+    # with room for two entries the graph memo keeps the two classes read
+    # last, the lifted graphs stay those of the scan, and clear_caches()
+    # empties it
+    monkeypatch.setattr(presentations, "_MEMO_ENTRIES", 2)
+    clear_caches()
+    for n in range(1000, 1006):
+        M = monoid_at(F, n).monoid
+        assert _betti_graphs(M, None) == presentations._betti_impl(M, None)
+        assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES[1:]
+    clear_caches()
+    assert not shifted._graph_memo
 
 
 def test_a_class_past_v_over_r1_is_its_memoized_class_moved():

@@ -84,15 +84,13 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Drop every memo: the Apery tables, the direct scans' Betti graphs and
-    presentations, the router's verified lifts, its verified graphs of the
-    single-length Betti elements of each family and the length classes its
+    presentations, the router's verified lifts and the length classes its
     verification enumerates, and the oracle's factorization tables, so
     that the next call computes from scratch, as `bench` and the
     benchmark's cold runs need."""
     _core._apery_memo.clear()
     _presentations._minpres_memo.clear()
     _shifted._lifted_memo.clear()
-    _shifted._graph_memo.clear()
     _shifted._class_memo.clear()
     _oracle._buckets.cache_clear()
 

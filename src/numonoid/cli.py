@@ -140,8 +140,7 @@ def _cmd_factorizations(args, out) -> int:
 
 def _cmd_betti(args, out) -> int:
     M = NumericalMonoid(_int_list(args.gens))
-    deadline = time.monotonic() + args.timeout_secs
-    for graph in _betti_graphs(M, deadline):
+    for graph in _betti_graphs(M, time.monotonic() + args.timeout_secs):
         out.write(f"{graph.element}\n")
     return 0
 
@@ -169,7 +168,9 @@ def _cmd_minpres(args, out) -> int:
                 out.write("\n")
                 _print_presentation(p, "text", out)
         return 0
-    pres = _canonical_presentation(M, _betti_graphs(M, None))
+    pres = _canonical_presentation(
+        M, _betti_graphs(M, time.monotonic() + args.timeout_secs)
+    )
     if args.paranoid:
         _closure_check(pres.monoid, pres.relations, None, out)
     _print_presentation(pres, args.format, out)
@@ -403,13 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minpres", help="minimal presentation")
     p.add_argument("--gens", required=True)
-    p.add_argument("--all", action="store_true", help="enumerate all of them")
+    p.add_argument(
+        "--all", action="store_true", help="enumerate all of them, with no time limit"
+    )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument(
         "--paranoid",
         action="store_true",
-        help="closure-check the output before printing",
+        help="closure-check the output before printing, with no time limit",
     )
+    _add_timeout(p)
     p.set_defaults(func=_cmd_minpres)
 
     p = sub.add_parser("invariant", help="factorization invariants")

@@ -368,10 +368,9 @@ def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> _Scan:
 
 
 # The most entries a memo of results holds: this one, keyed by the monoid,
-# and shifted's memos of verified lifts and of verified single-length Betti
-# graphs.  Past it the oldest entry is dropped (a dict keeps insertion
-# order).  An entry holds Betti graphs and relations, no table of m_1
-# entries as core's Apery memo does.
+# and shifted's memo of verified lifts.  Past it the oldest entry is
+# dropped (a dict keeps insertion order).  An entry holds Betti graphs and
+# relations, no table of m_1 entries as core's Apery memo does.
 _MEMO_ENTRIES = 128
 
 

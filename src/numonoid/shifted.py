@@ -11,27 +11,28 @@ residue class mod r_k in closed form.  That removes the part of the direct
 algorithm that grows with n: the Apery table has n entries and the
 Betti-element candidate scan decides about k*n candidates from it, so the
 two take about 5 ms at n = 10^4, 60 ms at 10^5 and 0.8 s at 10^6 for
-r = (6,9,20).  The re-verification at the target enumerates each lifted
-Betti element's factorizations by length slices, whose cost hardly depends
-on n, so a verified lift at n = 10^6 or 10^9 takes a few milliseconds.
-That holds when d > 1 too: only the slices where d divides a - n l can
-hold a factorization, and the others are skipped.
+r = (6,9,20).  The re-verification at the target enumerates the
+factorizations of each lifted Betti element with a length gap by length
+slices, whose cost hardly depends on n, so a verified lift at n = 10^6 or
+10^9 takes a few milliseconds.  That holds when d > 1 too: only the slices
+where d divides a - n l can hold a factorization, and the others are
+skipped.
 
 _betti_graphs, the factorization graphs of the Betti elements, is the one
 place that chooses between the lift and the direct scan, and every path that
 may lift reads it.  It memoizes each lifted M once its verification has
 passed, as the direct scan memoizes each scanned M, so a survey that meets
-the same M_n again verifies it once; these memos, and the router's memo of
-single-length Betti graphs below, keep at most the same number of entries
-and drop the oldest first.  minimal_presentation and
+the same M_n again verifies it once; the two memos of results keep at most
+the same number of entries and drop the oldest first.  minimal_presentation and
 betti_elements always scan, and never read the router's memos, so that the
 two paths can be checked against each other.
 
 The lift is verified at the target M, not trusted.  Each base relation is
-moved to M and filed under the value beta of its left side; for each beta
-the factorization set Z(beta) is enumerated at M, both sides of every moved
-pair must be members of it, and the pairs must join the components of its
-factorization graph in a spanning tree.  Membership in the enumerated
+moved to M and, unless its graph is carried over (below), filed under the
+value beta of its left side; for each beta the factorization set Z(beta)
+is enumerated at M, both sides of every moved pair must be members of it,
+and the pairs must join the components of its factorization graph in a
+spanning tree.  Membership in the enumerated
 Z(beta) is what proves that a moved pair is a relation of M, so the right
 side is never evaluated, and no lifted Presentation is built on the way
 (lift_presentation builds one for callers who want it).
@@ -47,20 +48,19 @@ many shifts of one family, which meets the same classes again and again,
 enumerates few of them.
 
 The equal-length relations are the ones the lift leaves unchanged, and past
-the threshold their Betti elements n l + s are the Betti elements (l, s) of
-T, with the single length l (the proof is in _betti_graphs).  So the graph
-of such an element, verified once at one member of a family, is the graph
-at every member.  The router keeps it, with the pairs it was checked
-against, in a third memo (_graph_memo), keyed by (offsets, l, s) and
-bounded like _lifted_memo.  It builds and checks again only the elements
-with a length gap, and any whose pairs differ from the stored ones.
+the threshold their Betti elements n l + s (l r_k < n) have the single
+length l, so Z is T's length class (l, s) at every shift, the base shift
+n0 included.  The router therefore carries each such graph over from the
+base scan it has just run, enumerating and checking nothing, and builds
+and checks at the target only the elements with a length gap (the proof
+is in _betti_graphs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import attrgetter, mul
 
 from .core import (
     NumericalMonoid,
@@ -164,11 +164,14 @@ def _shift(k: int, left, right, steps: int):
     offsets, to M_{n + steps * r_k}.
 
     With L the length gap, steps * L is added to coordinate 0 of the longer
-    side and to coordinate k of the shorter side, so equal-length relations
-    stay put.  A negative steps pulls back, and raises NotInImage when a
-    coordinate would go negative.  Returns the new (left, right).
+    side and to coordinate k of the shorter side, so an equal-length
+    relation stays put and is returned as it is.  A negative steps pulls
+    back, and raises NotInImage when a coordinate would go negative.
+    Returns the new (left, right).
     """
     gap = sum(left) - sum(right)
+    if not gap:
+        return left, right
     longer, shorter = (left, right) if gap > 0 else (right, left)
     amount = steps * abs(gap)
     longer = (longer[0] + amount, *longer[1:])
@@ -283,30 +286,25 @@ _lifted_memo: dict[NumericalMonoid, tuple[FactorizationGraph, ...]] = {}
 # The direct scan never reads it.  clear_caches() empties it.
 _class_memo = _SizedMemo(10**5)
 
-# The router's verified graphs of the Betti elements with a single length,
-# keyed by their length class (offsets, l, s) of T and shared by every
-# member of a family: Z(beta)'s vertices and components, with the moved
-# pairs they were checked against (_betti_graphs).  An entry is stored only
-# once its check has passed, and the memo is bounded like _lifted_memo.
-# The direct scan never reads it.  clear_caches() empties it.
-_graph_memo: dict[tuple, tuple] = {}
-
-
 def _betti_graphs(
     M: NumericalMonoid, deadline: float | None
 ) -> tuple[FactorizationGraph, ...]:
     """The factorization graphs of the Betti elements of M, in increasing
     order.  When M = M_n with n > r_k^2 + r_k, the direct scan runs at the
     base shift n0, the smallest integer above r_k^2 congruent to n mod r_k,
-    and each of its relations is moved (n - n0)/r_k steps by _shift; the
-    moved pairs are grouped by the value beta of their left side at M, the
-    graph of each beta is built at M (presentations._graph_of, as
-    factorization_graph builds it, with Z(beta) read from the memoized
-    length classes of the offsets' graded monoid T, _class_memo), and the
-    pairs must join its components in a spanning tree (the structural
-    verification); the enumeration honours DEFAULT_CAP and the deadline as
-    factorization_graph's does.  Otherwise the graphs come from the
-    memoized direct scan.
+    and each of its relations is moved (n - n0)/r_k steps by _shift.  The
+    scan's graphs are walked together with its relations: the presentation
+    is sorted by (betti, left, right) and holds c - 1 relations for a graph
+    of c components, so each graph's relations are the next c - 1.  A base
+    graph of a single-length element whose moved pairs equal its own is
+    carried to M (below); every other moved pair is grouped by the value
+    beta of its left side at M, the graph of each such beta is built at M
+    (presentations._graph_of, as factorization_graph builds it, with
+    Z(beta) read from the memoized length classes of the offsets' graded
+    monoid T, _class_memo), and the pairs must join its components in a
+    spanning tree (the structural verification); the enumeration honours
+    DEFAULT_CAP and the deadline as factorization_graph's does.  Otherwise
+    the graphs come from the memoized direct scan.
 
     n and r_k are read off M's generators, and a memoized lift is returned
     before anything else is built.  A non-primitive M is refused
@@ -319,29 +317,34 @@ def _betti_graphs(
     refused there as not factoring beta.  lift_presentation gives the
     lifted presentation itself, for callers who want it.
 
-    A beta = n l + s, with 0 <= s < n, whose l has l r_k < n is verified
-    once per family.  Every factorization of beta has length l: one of
-    length l' leaves sigma = beta - n l' = s + n (l - l') for its offsets,
-    which must lie in [0, l' r_k], yet l' > l gives sigma <= s - n < 0, and
-    l' < l gives sigma >= n > l r_k > l' r_k.  So Z(beta) is T's length
-    class (l, s), and its graph is the same at every member of the family.
-    The graph verified at one member is kept under (offsets, l, s), with
-    its pairs (_graph_memo); a later beta of that class whose pairs equal
-    the stored ones reads it back and builds and checks nothing, since the
-    check would see the same inputs.  Any other pairs, or a class not yet
-    stored, take the full path above, and the entry is stored once its
-    check has passed.  Both sides of every pair that passes have length l:
-    these are the equal-length relations, which the lift leaves unchanged,
-    so every member meets the same pairs there.  An element with a length
-    gap has l r_k >= n and is always built.
+    A beta = n l + s, with 0 <= s < n, whose l has l r_k < n has the single
+    length l.  One factorization of length l' leaves sigma = beta - n l' =
+    s + n (l - l') for its offsets, which must lie in [0, l' r_k], yet
+    l' > l gives sigma <= s - n < 0, and l' < l gives sigma >= n > l r_k >
+    l' r_k.  So Z(beta) is T's length class (l, s), the vectors
+    (l - |w|, w) with w over the offsets, sum w_i r_i = s and |w| <= l.
+    Take a base Betti element n0 l + s with l r_k < n0.  It has a
+    factorization, so s <= l r_k < n0 <= n, and the argument holds at n0
+    and at n alike: Z(n0 l + s) and Z(n l + s) are the same vectors, with
+    the same components.  So n l + s is a Betti element of M, and its graph
+    is the base graph's vertices and components, with nothing enumerated
+    or checked.  Its relations have equal lengths, which _shift leaves
+    unchanged, so their moved pairs equal them; pairs that differ are
+    built and checked like the rest.  A pair with a length gap can never
+    lie in such a Z, so no genuine built beta is a carried one; two graphs
+    at one beta are refused as pairs that do not join distinct components.
 
     The graphs of a fully verified lift are memoized by M (_lifted_memo),
     and a memoized lift, like a memoized scan, is returned whatever the
-    deadline.  A lift not yet verified checks the deadline before each
-    beta, so a memoized base scan cannot carry it past the deadline.
-    minimal_presentation and betti_elements never read the router's memos
-    (_lifted_memo, _graph_memo and _class_memo): they scan at M, so the two
-    paths still check each other."""
+    deadline.  A lift not yet verified reads the deadline in the base scan,
+    unless that is memoized, and before each beta it builds, so a memoized
+    base scan cannot carry it past the deadline either: every presentation
+    of M_n has a relation with a length gap, since relations of equal
+    lengths keep the length, yet n + r_k copies of n equal n copies of
+    n + r_k.  minimal_presentation and
+    betti_elements never read the router's memos (_lifted_memo and
+    _class_memo): they scan at M, so the two paths still check each
+    other."""
     verified = _lifted_memo.get(M)
     if verified is not None:
         return verified
@@ -354,24 +357,30 @@ def _betti_graphs(
     _require_primitive(M)
     n0 = rk * rk + 1 + (n - rk * rk - 1) % rk
     steps = (n - n0) // rk
-    base = _scan(NumericalMonoid([m - n + n0 for m in gens]), deadline)[1]
+    scanned, base = _scan(NumericalMonoid([m - n + n0 for m in gens]), deadline)
     k = len(gens) - 1
+    lifted = [_shift(k, rel.left, rel.right, steps) for rel in base.relations]
+    base_pairs = list(map(attrgetter("left", "right"), base.relations))
+    # found: the graphs of M by element; moved: the pairs still to check
+    found: dict[int, FactorizationGraph] = {}
     moved: dict[int, list] = {}
-    for rel in base.relations:
-        left, right = _shift(k, rel.left, rel.right, steps)
-        moved.setdefault(sum(map(mul, left, gens)), []).append((left, right))
-    offsets = tuple([m - n for m in gens])
-    graphs = []
+    j = 0
+    for g in scanned:
+        # g's relations are base.relations[i:j]
+        i, j = j, j + len(g.components) - 1
+        l, s = divmod(g.element, n0)
+        if l * rk < n0 and lifted[i:j] == base_pairs[i:j]:
+            found[n * l + s] = FactorizationGraph(n * l + s, g.vertices, g.components)
+        else:
+            for pair in lifted[i:j]:
+                moved.setdefault(sum(map(mul, pair[0], gens)), []).append(pair)
     for beta, pairs in sorted(moved.items()):
         _check_deadline(deadline)
-        # beta's length class (l, s) of T when l r_k < n; a verified graph
-        # stored there with the same pairs is beta's graph, checked already
-        l, s = divmod(beta, n)
-        key = (offsets, l, s) if l * rk < n else None
-        known = _graph_memo.get(key)
-        if known is not None and known[2] == pairs:
-            graphs.append(FactorizationGraph(beta, known[0], known[1]))
-            continue
+        # a carried graph's own pairs already span it, so any more close a cycle
+        if beta in found:
+            raise VerificationFailed(
+                f"lifted relations at {beta} do not join distinct components"
+            )
         graph = _graph_of(M, beta, deadline, _class_memo)
         comp_of = {z: ci for ci, comp in enumerate(graph.components) for z in comp}
         # label[ci]: the class of component ci under the pairs so far
@@ -390,10 +399,8 @@ def _betti_graphs(
             label = [keep if x == gone else x for x in label]
         if len(set(label)) != 1:
             raise VerificationFailed(f"relations lifted to {beta} do not span")
-        if key is not None:
-            _remember(_graph_memo, key, (graph.vertices, graph.components, pairs))
-        graphs.append(graph)
-    return _remember(_lifted_memo, M, tuple(graphs))
+        found[beta] = graph
+    return _remember(_lifted_memo, M, tuple([found[b] for b in sorted(found)]))
 
 
 def accelerated_minimal_presentation(

@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +21,7 @@ from numonoid import (
     catenary_of_element,
     clear_caches,
     delta_set_of_element,
+    factorization_graph,
     make_presentation,
     minimal_presentation,
     monoid_at,
@@ -489,7 +492,9 @@ def test_bench_agreement(cli):
 
 def test_bench_verifies_the_lift_on_every_repeat(cli, monkeypatch):
     # each timed run starts from cleared caches, so none of the three reads
-    # a lift verified by the one before
+    # a lift verified by the one before; each builds the Betti element of
+    # M_1000 with a length gap, and carries the three single-length ones
+    # over from the base scan
     built = []
     real = shifted._graph_of
 
@@ -500,8 +505,29 @@ def test_bench_verifies_the_lift_on_every_repeat(cli, monkeypatch):
     monkeypatch.setattr(shifted, "_graph_of", counted)
     code, out = cli("bench", "--r", "6,9,20", "--n", "1000", "--repeats", "3")
     assert code == 0 and out.endswith("equal yes\n")
-    betti = betti_elements(monoid_at(ShiftedFamily((6, 9, 20)), 1000).monoid)
-    assert built == 3 * betti
+    M = monoid_at(ShiftedFamily((6, 9, 20)), 1000).monoid
+    gapped = [
+        b
+        for b in betti_elements(M)
+        if len({sum(z) for z in factorization_graph(M, b).vertices}) > 1
+    ]
+    assert gapped == [51000] and built == 3 * gapped
+
+
+def test_minpres_timeout_is_exit_2(cli, monkeypatch):
+    # with the library's clock past every deadline, minpres runs out in the
+    # scan at a small shift and in the base scan of a lift; --all takes no
+    # deadline and answers
+    clear_caches()
+    monkeypatch.setattr(core, "time", SimpleNamespace(monotonic=lambda: math.inf))
+    assert cli("minpres", "--gens", "6,9,20") == (2, "")
+    gens = "1000001,1000007,1000010,1000021"
+    assert cli("minpres", "--gens", gens, "--timeout-secs", "3600") == (2, "")
+    assert cli("minpres", "--gens", gens, "--paranoid") == (2, "")
+    code, out = cli("minpres", "--gens", "6,9,20", "--all", "--format", "text")
+    assert code == 0 and out.startswith("count 4\n")
+    for timeout in ("-5", "nan"):
+        assert cli("minpres", "--gens", gens, "--timeout-secs", timeout) == (1, "")
 
 
 def test_bench_timeout_marker(cli, monkeypatch):

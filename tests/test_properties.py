@@ -4,6 +4,7 @@ import heapq
 import importlib
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -470,10 +471,12 @@ def test_betti_scan_returns_the_factorization_graphs(M):
 def test_lifted_betti_graphs_match_the_scan(r, scale, data):
     # past r_k^2 + r_k the router lifts from the base shift; its graphs are
     # the ones the direct scan finds at the target, also when other members
-    # of the family, in any residue class, have filled the memos of T's
-    # length classes and of the single-length Betti graphs first, and again
-    # once the target itself has filled them.  scale > 1 gives the offsets
-    # a shared factor d, and a single offset takes the generic search
+    # of the family, in any residue class, have filled the memo of T's
+    # length classes first, and again once the target itself has filled it.
+    # From cleared caches too, where the router builds only the elements
+    # with more than one length and carries the others over from the base
+    # scan.  scale > 1 gives the offsets a shared factor d, and a single
+    # offset takes the generic search
     F = ShiftedFamily(tuple(scale * x for x in sorted(r)))
     lo = F.threshold + F.step + 1
     shifts = st.integers(lo, lo + 8 * F.step)
@@ -488,6 +491,11 @@ def test_lifted_betti_graphs_match_the_scan(r, scale, data):
     for _ in range(2):
         shifted._lifted_memo.pop(member.monoid, None)
         assert shifted._betti_graphs(member.monoid, None) == scanned
+    clear_caches()
+    with mock.patch.object(shifted, "_graph_of", wraps=shifted._graph_of) as built:
+        assert shifted._betti_graphs(member.monoid, None) == scanned
+    gapped = [g.element for g in scanned if len({sum(z) for z in g.vertices}) > 1]
+    assert [call.args[1] for call in built.call_args_list] == gapped
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -68,13 +69,6 @@ BLOCK_490 = [
     ((27, 1, 0, 0), (0, 0, 4, 23)),
     ((28, 0, 0, 0), (0, 2, 2, 23)),
 ]
-
-
-# the length classes (offsets, l, s) of T at the single-length Betti
-# elements n l + s of every member past the threshold, the equal-length
-# relations of the blocks above, in increasing order
-OFFSETS = (0, 6, 9, 20)
-SINGLE_LENGTH_CLASSES = [(OFFSETS, 3, 18), (OFFSETS, 7, 60), (OFFSETS, 8, 72)]
 
 
 def _canonical(n, block):
@@ -379,6 +373,15 @@ def _count_graphs(monkeypatch):
     return built
 
 
+def _gapped(M):
+    # the Betti elements of M with more than one factorization length
+    return [
+        g.element
+        for g in presentations._betti_impl(M, None)
+        if len({sum(z) for z in g.vertices}) > 1
+    ]
+
+
 @pytest.mark.parametrize(
     "compute",
     [
@@ -391,20 +394,17 @@ def _count_graphs(monkeypatch):
     ],
 )
 def test_a_verified_lift_is_memoized(monkeypatch, compute):
-    # the first call verifies every lifted Betti element of M_1000, as the
-    # graph memo starts empty, and stores its three single-length ones
-    # there; a second call on the same monoid reads the lifted memo and
-    # builds no graph, and the graph memo is left as it was
+    # the first call builds only the Betti element of M_1000 with a length
+    # gap, carrying its three single-length ones over from the base scan; a
+    # second call on the same monoid reads the lifted memo and builds none
     M = monoid_at(F, 1000).monoid
     clear_caches()
     built = _count_graphs(monkeypatch)
     first = compute(M)
-    assert built == betti_elements(M)
-    assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES
+    assert built == _gapped(M) == [51000]
     built.clear()
     assert compute(M) == first
     assert built == []
-    assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES
 
 
 def test_the_direct_scan_ignores_the_lifted_memo(monkeypatch):
@@ -428,11 +428,8 @@ def test_the_direct_scan_ignores_the_lifted_memo(monkeypatch):
 
 def test_the_memos_drop_their_oldest_entry(monkeypatch):
     # with room for two entries, a third lift evicts the first, which is
-    # then verified again; the direct scan's memo and the graph memo are
-    # bounded the same way.  Each lift reads the three single-length
-    # classes in increasing order, and the graph memo, with room for two,
-    # has dropped each of them before it is read again, so every graph of
-    # M_1000 is built again too
+    # then verified again from a fresh base scan; the direct scan's memo is
+    # bounded the same way
     monkeypatch.setattr(presentations, "_MEMO_ENTRIES", 2)
     clear_caches()
     shifts = (1000, 1001, 1002)
@@ -443,28 +440,25 @@ def test_the_memos_drop_their_oldest_entry(monkeypatch):
         _betti_graphs(M, None)
     assert list(shifted._lifted_memo) == monoids[1:]
     assert list(presentations._minpres_memo) == bases[1:]
-    assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES[1:]
     built = _count_graphs(monkeypatch)
     _betti_graphs(monoids[0], None)
     assert list(shifted._lifted_memo) == [monoids[2], monoids[0]]
     assert list(presentations._minpres_memo) == [bases[2], bases[0]]
-    assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES[1:]
-    assert built == betti_elements(monoids[0])
+    assert built == _gapped(monoids[0])
 
 
-def test_a_family_verifies_each_single_length_betti_element_once(monkeypatch):
-    # M_1000 and M_1001 lift from the bases 420 and 401, in two residue
-    # classes.  The single-length Betti elements of M_1001 are the classes
-    # of T that M_1000 verified, so only those with a length gap are built
+@pytest.mark.parametrize("n", [450, 1000, 1001, 10**4 + 3])
+def test_a_cold_lift_builds_only_the_elements_with_a_length_gap(monkeypatch, n):
+    # from cleared caches, the three single-length Betti elements of M_n
+    # are carried over from the base scan, and only those with a length gap
+    # are built at the target; the graphs are the direct scan's
     clear_caches()
-    _betti_graphs(monoid_at(F, 1000).monoid, None)
-    assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES
-    M = monoid_at(F, 1001).monoid
+    M = monoid_at(F, n).monoid
     built = _count_graphs(monkeypatch)
     graphs = _betti_graphs(M, None)
-    gapped = [g.element for g in graphs if len({sum(z) for z in g.vertices}) > 1]
-    assert built == gapped and len(gapped) == len(graphs) - 3
     assert graphs == presentations._betti_impl(M, None)
+    gapped = _gapped(M)
+    assert built == gapped and len(gapped) == len(graphs) - 3
 
 
 @pytest.mark.parametrize(
@@ -480,31 +474,41 @@ def test_a_family_verifies_each_single_length_betti_element_once(monkeypatch):
     ],
 )
 def test_a_tampered_single_length_pair_is_checked(monkeypatch, make, message):
-    # with the graph memo warm from M_1001, the pair moved to
-    # 3018 = 3 * 1000 + 18 at M_1000 differs from the stored one, so its
-    # graph is built and checked, and the stored entry is kept
+    # from cleared caches, the pair moved to 3018 = 3 * 1000 + 18 at M_1000
+    # differs from the base pair of 3 * 420 + 18, so 3018 is not carried
+    # over: its graph is built and checked, and the lift is not memoized
     clear_caches()
-    _betti_graphs(monoid_at(F, 1001).monoid, None)
-    stored = shifted._graph_memo[(OFFSETS, 3, 18)]
-    assert stored[2] == [((1, 0, 2, 0), (0, 3, 0, 0))]
     _swap_pair_at(monkeypatch, 1000, 3018, make)
+    M = monoid_at(F, 1000).monoid
     with pytest.raises(VerificationFailed, match=message):
+        _betti_graphs(M, None)
+    assert M not in shifted._lifted_memo
+
+
+def test_an_unmoved_pair_with_a_length_gap_is_checked(monkeypatch):
+    # with a _shift that moves nothing, the gap pair of 9240 = 22 * 420 at
+    # the base M_420 equals its base pair too, yet 22 * 20 >= 420, so it is
+    # not carried to 22 * 1000: it is built and checked, and fails there
+    clear_caches()
+    monkeypatch.setattr(shifted, "_shift", lambda k, left, right, steps: (left, right))
+    message = "lifted side of (22, 0, 0, 0) ~ (0, 0, 0, 21) does not factor 22000"
+    with pytest.raises(VerificationFailed, match=f"^{re.escape(message)}$"):
         _betti_graphs(monoid_at(F, 1000).monoid, None)
-    assert shifted._graph_memo[(OFFSETS, 3, 18)] is stored
 
 
-def test_the_graph_memo_is_bounded_and_cleared(monkeypatch):
-    # with room for two entries the graph memo keeps the two classes read
-    # last, the lifted graphs stay those of the scan, and clear_caches()
-    # empties it
-    monkeypatch.setattr(presentations, "_MEMO_ENTRIES", 2)
+def test_a_pair_moved_onto_a_carried_element_is_refused(monkeypatch):
+    # the one pair of 51000 at M_1000, moved onto the pair of the carried
+    # element 3018, would span Z(3018) on its own: the two graphs at 3018
+    # are refused, as the two pairs filed there would be
     clear_caches()
-    for n in range(1000, 1006):
-        M = monoid_at(F, n).monoid
-        assert _betti_graphs(M, None) == presentations._betti_impl(M, None)
-        assert list(shifted._graph_memo) == SINGLE_LENGTH_CLASSES[1:]
-    clear_caches()
-    assert not shifted._graph_memo
+    _swap_pair_at(
+        monkeypatch, 1000, 51000, lambda l, r: ((1, 0, 2, 0), (0, 3, 0, 0))
+    )
+    with pytest.raises(
+        VerificationFailed,
+        match="^lifted relations at 3018 do not join distinct components$",
+    ):
+        _betti_graphs(monoid_at(F, 1000).monoid, None)
 
 
 def test_a_class_past_v_over_r1_is_its_memoized_class_moved():

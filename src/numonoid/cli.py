@@ -69,10 +69,10 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise InvalidInput(f"expected comma-separated integers, got {text!r}")
 
 
-def _non_negative(text: str) -> int:
+def _positive(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -262,10 +262,6 @@ def _survey_rows(family, n: int, which: str) -> list[tuple[int, str, int]]:
 
 def _cmd_survey(args, out) -> int:
     family = ShiftedFamily(_int_list(args.r))
-    if args.n_from < 1:
-        raise InvalidInput("--n-from must be positive")
-    if args.jobs < 1:
-        raise InvalidInput("--jobs must be positive")
     # the output is opened before any row is computed, so a path that
     # cannot be written is refused at once
     if args.out == "-":
@@ -288,8 +284,6 @@ def _cmd_survey(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     family = ShiftedFamily(_int_list(args.r))
-    if args.repeats < 1:
-        raise InvalidInput("--repeats must be positive")
     member = monoid_at(family, args.n)
 
     def timed(compute):
@@ -394,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--gens", required=True)
     p.add_argument("--element", type=int, required=True)
-    p.add_argument("--cap", type=_non_negative, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_factorizations)
 
     p = sub.add_parser("betti", help="Betti elements")
@@ -424,13 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--element", type=int, default=None)
-    p.add_argument("--window", type=_non_negative, default=None)
+    p.add_argument("--window", type=int, default=None)
     _add_timeout(p)
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("survey", help="family survey CSV")
     p.add_argument("--r", required=True)
-    p.add_argument("--n-from", type=int, required=True)
+    p.add_argument("--n-from", type=_positive, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument(
         "--which",
@@ -438,20 +432,22 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--out", required=True, help="output path, - for stdout")
-    p.add_argument("--jobs", type=int, default=1, help="rows are computed in order")
+    p.add_argument(
+        "--jobs", type=_positive, default=1, help="rows are computed in order"
+    )
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("bench", help="direct vs accelerated timing")
     p.add_argument("--r", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_positive, default=3)
     _add_timeout(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="closure-check a presentation file")
     p.add_argument("--gens", required=True)
     p.add_argument("--presentation", required=True)
-    p.add_argument("--bound", type=_non_negative, default=None)
+    p.add_argument("--bound", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -178,26 +178,29 @@ def _redundant(M: NumericalMonoid) -> list[int]:
 
 
 class _SizedMemo(dict):
-    """A memo bounded by what it holds rather than by how many entries:
-    the values' lengths sum to at most limit.  remember stores a value and
-    then drops the oldest entries (a dict keeps insertion order) until the
-    sum fits again; a value longer than limit on its own is returned and
-    not stored.  Callers remember only keys they did not find.  clear()
-    empties it."""
+    """A memo bounded by the summed sizes of its values: at most limit.
+    size gives a value's size, len by default, so a memo of tables is
+    bounded by the entries it holds; a memo bounded by how many values it
+    holds passes a size of 1 each.  remember stores a value and then drops
+    the oldest entries (a dict keeps insertion order) until the sum fits
+    again; a value larger than limit on its own is returned and not stored.
+    Callers remember only keys they did not find, and only completed
+    results.  clear() empties it."""
 
-    __slots__ = ("limit", "held")
+    __slots__ = ("limit", "held", "size")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, size=len):
         super().__init__()
         self.limit = limit
         self.held = 0
+        self.size = size
 
     def remember(self, key, value):
-        if len(value) <= self.limit:
+        if self.size(value) <= self.limit:
             self[key] = value
-            self.held += len(value)
+            self.held += self.size(value)
             while self.held > self.limit:
-                self.held -= len(self.pop(next(iter(self))))
+                self.held -= self.size(self.pop(next(iter(self))))
         return value
 
     def clear(self):

@@ -368,33 +368,25 @@ def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> _Scan:
 
 
 # The most entries a memo of results holds: this one, keyed by the monoid,
-# and shifted's memo of verified lifts.  Past it the oldest entry is
-# dropped (a dict keeps insertion order).  An entry holds Betti graphs and
-# relations, no table of m_1 entries as core's Apery memo does.
+# and shifted's memo of verified lifts.  Both are core._SizedMemos that
+# count each entry as size 1, so past this many the oldest entry is
+# dropped.  An entry holds Betti graphs and relations, no table of m_1
+# entries as core's Apery memo does.
 _MEMO_ENTRIES = 128
-
-
-def _remember(memo: dict, key, value):
-    """Store value under key in one of the bounded memos and return it."""
-    memo[key] = value
-    if len(memo) > _MEMO_ENTRIES:
-        del memo[next(iter(memo))]
-    return value
-
 
 # One memo keyed by the monoid alone, holding the scan's Betti graphs next
 # to the canonical presentation built from them.  An exact result is exact
 # whatever budget it was computed under, so calls with and without a
 # deadline share it.  Only completed computations are stored.
 # clear_caches() empties it.
-_minpres_memo: dict[NumericalMonoid, _Scan] = {}
+_minpres_memo = _SizedMemo(_MEMO_ENTRIES, lambda scan: 1)
 
 
 def _scan(M: NumericalMonoid, deadline: float | None) -> _Scan:
     """The memoized direct scan of M: its Betti graphs and presentation."""
     scan = _minpres_memo.get(M)
     if scan is None:
-        scan = _remember(_minpres_memo, M, _minpres_impl(M, deadline))
+        scan = _minpres_memo.remember(M, _minpres_impl(M, deadline))
     return scan
 
 

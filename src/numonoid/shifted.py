@@ -22,10 +22,11 @@ _betti_graphs, the factorization graphs of the Betti elements, is the one
 place that chooses between the lift and the direct scan, and every path that
 may lift reads it.  It memoizes each lifted M once its verification has
 passed, as the direct scan memoizes each scanned M, so a survey that meets
-the same M_n again verifies it once; the two memos of results keep at most
-the same number of entries and drop the oldest first.  minimal_presentation and
-betti_elements always scan, and never read the router's memos, so that the
-two paths can be checked against each other.
+the same M_n again verifies it once; the two memos of results are
+core._SizedMemos of at most presentations._MEMO_ENTRIES entries each, and
+drop the oldest first.  minimal_presentation and betti_elements always
+scan, and never read the router's memos, so that the two paths can be
+checked against each other.
 
 The lift is verified at the target M, not trusted.  Each base relation is
 moved to M and, unless its graph is carried over (below), filed under the
@@ -85,7 +86,7 @@ from .presentations import (
     Relation,
     _canonical_presentation,
     _graph_of,
-    _remember,
+    _MEMO_ENTRIES,
     _scan,
     make_presentation,
     make_relation,
@@ -273,10 +274,10 @@ def lift_presentation(
 
 
 # The router's verified graphs of each lifted M, kept beside the direct
-# scan's memo and bounded the same way (presentations._remember).  An entry
-# is stored only once every Betti element's check has passed.
-# clear_caches() empties it.
-_lifted_memo: dict[NumericalMonoid, tuple[FactorizationGraph, ...]] = {}
+# scan's memo and bounded the same way: at most _MEMO_ENTRIES entries, the
+# oldest dropped first.  An entry is stored only once every Betti
+# element's check has passed.  clear_caches() empties it.
+_lifted_memo = _SizedMemo(_MEMO_ENTRIES, lambda graphs: 1)
 
 # The length classes of T that the router's enumerations have searched,
 # keyed by (offsets, v, b) as factorizations._enumerate_sliced reads them,
@@ -400,7 +401,7 @@ def _betti_graphs(
         if len(set(label)) != 1:
             raise VerificationFailed(f"relations lifted to {beta} do not span")
         found[beta] = graph
-    return _remember(_lifted_memo, M, tuple([found[b] for b in sorted(found)]))
+    return _lifted_memo.remember(M, tuple([found[b] for b in sorted(found)]))
 
 
 def accelerated_minimal_presentation(

@@ -659,23 +659,30 @@ def test_verify_accepts_a_file_without_tags(cli, tmp_path):
     assert code == 0 and out.startswith("ok window=")
 
 
-def test_bad_usage_is_exit_1(cli, tmp_path):
+def test_bad_usage_is_exit_1(cli, tmp_path, capsys):
     assert cli("betti", "--gens", "6,x")[0] == 1
     assert cli("betti", "--gens", "6,9,20", "--bogus")[0] == 1
     assert cli("frobnicate")[0] == 1
     assert cli("survey", "--r", "6,9,20", "--n-from", "0", "--n-to", "4",
                "--which", "betti", "--out", "-")[0] == 1
+    assert "--n-from: must be positive, got 0" in capsys.readouterr().err
     # an output path that cannot be written is refused, not a traceback
     assert cli("survey", "--r", "6,9,20", "--n-from", "401", "--n-to", "402",
                "--which", "betti",
                "--out", str(tmp_path / "missing" / "x.csv")) == (1, "")
-    # negative bounds are refused, not run
+    # negative bounds are refused, not run, by the library's own gates:
+    # the oracle calls verify's bound a window
     path = tmp_path / "pres.json"
     path.write_text(cli("minpres", "--gens", "6,9,20")[1])
+    capsys.readouterr()
     assert cli("verify", "--gens", "6,9,20", "--presentation", str(path),
                "--bound", "-5") == (1, "")
+    err = capsys.readouterr().err
+    assert "window must be a non-negative integer, got -5" in err
     assert cli("invariant", "--gens", "6,9,20", "--which", "tame",
                "--window", "-3") == (1, "")
+    err = capsys.readouterr().err
+    assert "window must be a non-negative integer, got -3" in err
     # a window bounds the monoid-level sweeps only; with --element it is
     # refused rather than ignored
     assert cli("invariant", "--gens", "6,9,20", "--which", "tame",
@@ -683,11 +690,15 @@ def test_bad_usage_is_exit_1(cli, tmp_path):
     # the monoid-level catenary degree is exact and has no sweep to bound
     assert cli("invariant", "--gens", "6,9,20", "--which", "catenary",
                "--window", "5") == (1, "")
+    capsys.readouterr()
     assert cli("factorizations", "--gens", "6,9,20", "--element", "60",
                "--cap", "-1") == (1, "")
+    assert "cap must be a non-negative integer, got -1" in capsys.readouterr().err
     assert cli("survey", "--r", "6,9,20", "--n-from", "401", "--n-to", "402",
                "--which", "betti", "--out", "-", "--jobs", "0") == (1, "")
+    assert "--jobs: must be positive, got 0" in capsys.readouterr().err
     assert cli("bench", "--r", "6,9,20", "--n", "401", "--repeats", "0") == (1, "")
+    assert "--repeats: must be positive, got 0" in capsys.readouterr().err
     for timeout in ("-5", "nan"):
         assert cli("bench", "--r", "6,9,20", "--n", "401",
                    "--timeout-secs", timeout) == (1, "")

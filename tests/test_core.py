@@ -194,6 +194,17 @@ def test_the_apery_memo_is_bounded_by_the_entries_it_holds(monkeypatch):
     assert not core._apery_memo and core._apery_memo.held == 0
 
 
+def test_a_sized_memo_with_a_constant_size_counts_entries():
+    # the scan and lift memos count each entry as 1: three entries fit, a
+    # fourth drops the oldest, and clear() resets what it holds
+    memo = core._SizedMemo(3, lambda value: 1)
+    for key in "abcd":
+        assert memo.remember(key, [key] * 5) == [key] * 5
+    assert list(memo) == ["b", "c", "d"] and memo.held == 3
+    memo.clear()
+    assert not memo and memo.held == 0
+
+
 def test_direct_scan_stops_in_the_apery_stage(monkeypatch):
     # a past deadline stops the scan before the candidate kernel runs
     def kernel(*args):

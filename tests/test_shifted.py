@@ -430,7 +430,8 @@ def test_the_memos_drop_their_oldest_entry(monkeypatch):
     # with room for two entries, a third lift evicts the first, which is
     # then verified again from a fresh base scan; the direct scan's memo is
     # bounded the same way
-    monkeypatch.setattr(presentations, "_MEMO_ENTRIES", 2)
+    monkeypatch.setattr(presentations._minpres_memo, "limit", 2)
+    monkeypatch.setattr(shifted._lifted_memo, "limit", 2)
     clear_caches()
     shifts = (1000, 1001, 1002)
     monoids = [monoid_at(F, n).monoid for n in shifts]

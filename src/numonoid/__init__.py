@@ -84,12 +84,14 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Drop every memo: the Apery tables, the direct scans' Betti graphs and
-    presentations, the router's verified lifts and the length classes its
-    verification enumerates, and the oracle's factorization tables, so
-    that the next call computes from scratch, as `bench` and the
-    benchmark's cold runs need."""
+    presentations, the offset monoids' least-length prefixes that the
+    router's closed-form scans read, the router's verified lifts and the
+    length classes its verification enumerates, and the oracle's
+    factorization tables, so that the next call computes from scratch, as
+    `bench` and the benchmark's cold runs need."""
     _core._apery_memo.clear()
     _presentations._minpres_memo.clear()
+    _presentations._least_memo.clear()
     _shifted._lifted_memo.clear()
     _shifted._class_memo.clear()
     _oracle._buckets.cache_clear()

@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import clear_caches
-from .core import DEFAULT_CAP, NumericalMonoid, apery, contains, frobenius
+from .core import DEFAULT_CAP, NumericalMonoid, _natural, apery, contains, frobenius
 from .errors import (
     BudgetExceeded,
     InvalidInput,
@@ -321,6 +321,9 @@ def _cmd_bench(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    # refused before the presentation file is opened
+    if args.bound is not None:
+        _natural(args.bound, "bound")
     gens = _int_list(args.gens)
     M = NumericalMonoid(gens)
     try:

@@ -50,6 +50,12 @@ A bitwise Floyd-Warshall over the t atoms (_reach) then closes every
 candidate's edge relation in t rounds, and the candidates with a vertex
 that m_i does not reach are read off the set guard bits.  That is a few
 hundred big-int operations for the whole scan, each linear in m_1.
+
+The packed table is apery's round robin, packed by _pack, except in the
+router's scans of M_n = <n, n + r_1, ..., n + r_k> past n > r_k^2, which
+build it packed from its closed form (_closed_apery) and hold no table of
+n ints.  minimal_presentation and betti_elements keep the round robin, so
+the two constructions check each other.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ import itertools
 import math
 import sys
 from array import array
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import and_, rshift
 
@@ -68,10 +74,11 @@ from .core import (
     _check_deadline,
     _natural,
     _redundant,
+    _require_primitive,
     _SizedMemo,
     apery,
 )
-from .errors import NotAnElement, NotARelation, NotMinimal
+from .errors import BudgetExceeded, NotAnElement, NotARelation, NotMinimal
 from .factorizations import _enumerate
 
 
@@ -235,6 +242,161 @@ def _pack(values: tuple[int, ...], size: int) -> int:
     return int.from_bytes(out, "little")
 
 
+# The least lengths of the offset monoids' prefixes (_least_lengths), keyed
+# by the offsets, so that a survey builds each family's prefix once and not
+# once per residue class.  It holds at most DEFAULT_CAP entries in all and
+# drops the oldest prefixes first.  clear_caches() empties it.
+_least_memo = _SizedMemo(DEFAULT_CAP)
+
+# a prefix's entry at an s outside S: above every sum of a least length and
+# a step count that _closed_apery reads, each below 4 DEFAULT_CAP there
+_FAR = 1 << 62
+
+
+def _least_lengths(r: tuple[int, ...], deadline: float | None) -> tuple[int, ...]:
+    """l(s), the least length of a factorization of s in S = <r>, for
+    0 <= s < (r_k - 1) r_{k-1} + r_k (with r_0 = 0), and _FAR at each s
+    outside S.  One pass per atom g in increasing s keeps, at every s, the
+    least length over the factorizations by the atoms passed so far, g
+    with any multiplicity: the change-making recurrence.  The deadline is
+    checked before each pass, as apery checks it."""
+    ell = [_FAR] * ((r[-1] - 1) * (r[-2] if len(r) > 1 else 0) + r[-1])
+    ell[0] = 0
+    for g in r:
+        _check_deadline(deadline)
+        for s in range(g, len(ell)):
+            v = ell[s - g] + 1
+            if v < ell[s]:
+                ell[s] = v
+    return tuple(ell)
+
+
+def _progression(first: int, stride: int, count: int, width: int) -> tuple[int, int]:
+    """count blocks of stride fields of width bits, block i being the block
+    first plus i in every field, packed one after another, and the count *
+    stride fields that each hold 1.  Built by doubling along the bits of
+    count, so no sequence of fields is ever held; every field must fit."""
+    one = ((1 << stride * width) - 1) // ((1 << width) - 1)
+    out = ones = m = 0  # the first m blocks and their ones
+    for bit in bin(count)[2:]:
+        shift = m * stride * width
+        out |= (out + m * ones) << shift
+        ones |= ones << shift
+        m *= 2
+        if bit == "1":
+            out |= (first + m * one) << 2 * shift
+            ones |= one << 2 * shift
+            m += 1
+    return out, ones
+
+
+def _closed_apery(
+    M: NumericalMonoid, deadline: float | None
+) -> tuple[int, int, Callable[[int], int]]:
+    """Ap(M, n) packed as _split_candidates reads it, for M = M_n =
+    <n, n + r_1, ..., n + r_k> with n > r_k^2: the packed table, its field
+    size in bytes, and a reader of single entries.  No table of n ints is
+    built, and the table is not memoized; the least lengths of S =
+    <r_1, ..., r_k> below (r_k - 1) r_{k-1} + r_k are, per offset tuple
+    (_least_memo).  Raises NotPrimitive as apery does, then BudgetExceeded,
+    before allocating anything, when n exceeds the kernel's budget of
+    DEFAULT_CAP residues, and once deadline has passed.  n > r_k makes the
+    tuple minimal (monoid_at), so nothing is checked for that.
+
+    With d = gcd(r) and l(s) the least length in S (infinite off S), entry
+    rho of the table is n c(rho) + rho, c(rho) = min over j in [0, d] of
+    l(rho + j n) + j.  Proof.
+    1. An element of M_n is n l + s with s in S and l(s) <= l: a
+       factorization of length l leaves s = sum of its offsets, whose
+       length is at most l, and a least one of s padded with l - l(s)
+       copies of n gives back n l + s.  So the least element congruent to
+       rho is min over j >= 0 of n (l(rho + j n) + j) + rho.
+    2. A least-length factorization has at most r_k - 1 atoms other than
+       r_k: of r_k of them, two partial sums would agree mod r_k, and the
+       c atoms between them, each below r_k, sum to fewer than c copies of
+       r_k, which would be shorter.  So s / r_k <= l(s) <= s / r_k + r_k -
+       1 on S.  Past (r_k - 1) r_{k-1} the other atoms sum to less than s,
+       so a least-length factorization uses r_k, and l(s) = l(s - r_k) + 1,
+       non-members included (s - r_k in S puts s in S).
+    3. Take j > d with s = rho + j n in S.  s - d n >= n > r_k^2 is a
+       multiple of d, and the largest multiple of d outside S is d F(S/d)
+       < r_1 r_k / d <= r_k^2 (F < m_1 m_t, by the bound in core.apery's
+       proof), so s - d n is in S.  By step 2, l(s - d n) <= l(s) - d n /
+       r_k + r_k - 1, which is below l(s) - d as d n > d r_k^2 >= r_k (r_k
+       - 1 + d).  So j - d does strictly better, and j <= d suffices.
+    Step 3 needs n > r_k^2, and gcd(n, d) = 1 makes every c(rho) finite
+    (the fields, below).
+
+    The fields.  For each rho one j0 in [0, d) has rho + j0 n a multiple
+    of d.  If j0 > 0, or rho is in S, c(rho) <= (d n - 1) // r_k + r_k - 1
+    + j0 by step 2; otherwise rho < r_k^2, as above, and j = d gives
+    c(rho) <= (r_k^2 + d n) / r_k + r_k - 1 + d.  So c <= bc = d n // r_k +
+    2 r_k + d, and max Ap + 2 m_t <= n (bc + 1) + 2 m_t.  Every finite
+    l(s) + j read below, and every count of r_k steps plus j, is at most v
+    = (d + 1) n // r_k + r_k + d.  The field holds top = n (bc + 1) + 2 m_t
+    + 2 v below its guard bit, so inf = 2^(width - 2) is above every finite
+    value, inf + v stays below the guard bit, and min keeps the finite
+    values apart from inf plus anything.
+
+    The build: the prefix packed, inf at the non-members; its last r_k
+    fields repeated, one higher at each step (_progression), up to (d + 1) n
+    fields; c as the packed min of the d + 1 slices of n fields, slice j
+    raised by j, each min read off the guard bits of one subtraction; and
+    the table n c + (0, 1, ..., n - 1), the ramp built by _progression."""
+    _require_primitive(M)
+    gens = M.generators
+    n = gens[0]
+    if n > DEFAULT_CAP:
+        raise BudgetExceeded(
+            f"a packed scan of {n} residues exceeds the kernel's budget of "
+            f"{DEFAULT_CAP}"
+        )
+    _check_deadline(deadline)
+    r = tuple(g - n for g in gens[1:])
+    rk, d = r[-1], math.gcd(*r)
+    pre = _least_memo.get(r)
+    if pre is None:
+        pre = _least_memo.remember(r, _least_lengths(r, deadline))
+    p = len(pre)
+
+    def entry(rho: int) -> int:
+        best = _FAR
+        s = rho
+        for j in range(d + 1):
+            if s < p:
+                x = pre[s] + j
+            else:
+                # step 2 past the prefix: l(s) = l(s - q r_k) + q
+                q = (s - p) // rk + 1
+                x = pre[s - q * rk] + q + j
+            if x < best:
+                best = x
+            s += n
+        return n * best + rho
+
+    v = (d + 1) * n // rk + rk + d
+    top = n * (d * n // rk + 2 * rk + d + 1) + 2 * gens[-1] + 2 * v
+    size = top.bit_length() // 8 + 1
+    width = 8 * size
+    inf = 1 << (width - 2)
+    low = _pack(tuple(map(min, pre, itertools.repeat(inf))), size)
+    # l on [p - r_k, (d + 1) n): the prefix's last r_k fields, then step 2
+    head = (p - rk) * width
+    ell, _ = _progression(low >> head, rk, -(-((d + 1) * n - p) // rk) + 1, width)
+    ell = low & (1 << head) - 1 | ell << head
+    ramp, ones = _progression(0, 1, n, width)
+    guard = ones << (width - 1)
+    mask = (1 << n * width) - 1
+    c = ell & mask
+    for j in range(1, d + 1):
+        _check_deadline(deadline)
+        b = (ell >> j * n * width & mask) + j * ones
+        # the guard bit of a field survives exactly where c >= b
+        ge = ((c | guard) - b) & guard
+        c ^= (c ^ b) & ge - (ge >> (width - 1))
+    return n * c + ramp, size, entry
+
+
 def _reach(t: int, edge) -> list[list[int]]:
     """reach[j][l], for j != l: the bits at which atoms j and l are joined
     by a path, in a family of graphs on the t atoms packed one graph per
@@ -258,25 +420,30 @@ def _reach(t: int, edge) -> list[list[int]]:
 
 
 def _split_candidates(
-    gens: tuple[int, ...], ap: tuple[int, ...], deadline: float | None
+    gens: tuple[int, ...],
+    packed: int,
+    size: int,
+    entry: Callable[[int], int],
+    deadline: float | None,
 ) -> set[int]:
     """The candidates m_i + w (i >= 2, w in Ap(M, m_1), w != 0) whose atom
     graph is disconnected, decided on packed vectors (module docstring).
 
-    ap is the Apery table of M = <gens> with respect to m_1 = len(ap).
+    packed is the Apery table of M = <gens> with respect to m_1 = gens[0],
+    field rho of size bytes holding entry rho, as _pack lays it out; a
+    field must hold max Ap + 2 m_t, so every l_s compared below (s <=
+    m_{t-1} + m_t), with one guard bit above it.  entry(rho) reads entry
+    rho, once per split candidate.  _betti_impl passes the round-robin
+    table packed, or the closed form past the threshold (_closed_apery).
     Minimal generation is not used, so this holds for any primitive tuple.
     """
-    m1, t = len(ap), len(gens)
+    m1, t = gens[0], len(gens)
     _check_deadline(deadline)
-    # a field holds every l_s compared below (s <= m_{t-1} + m_t) and one
-    # guard bit above it, rounded up to whole bytes
-    size = (max(ap) + 2 * gens[-1]).bit_length() // 8 + 1
     width = 8 * size
     span = width * m1
     full = (1 << span) - 1
     ones = full // ((1 << width) - 1)
     guard = ones << (width - 1)
-    packed = _pack(ap, size)
 
     def least(s: int) -> int:
         # field rho holds l_s(rho): the table rotated up by s fields, plus s
@@ -305,18 +472,26 @@ def _split_candidates(
             apart ^= 1 << bit
             rho = bit // width
             if rho != mi % m1:  # w = 0 there
-                split.add(ap[(rho - mi) % m1] + mi)
+                split.add(entry((rho - mi) % m1) + mi)
     return split
 
 
 def _betti_impl(
-    M: NumericalMonoid, deadline: float | None
+    M: NumericalMonoid, deadline: float | None, closed: bool = False
 ) -> tuple[FactorizationGraph, ...]:
-    # the factorization graphs of the Betti elements, in increasing order;
-    # apery raises NotPrimitive, and its deadline is checked before the
-    # minimality test reads the table
-    ap = apery(M, deadline=deadline)
-    _require_minimal(M)
+    # the factorization graphs of the Betti elements, in increasing order.
+    # closed: M is M_n past the threshold, and the packed table is the
+    # closed form (_closed_apery), which is minimal there; otherwise it is
+    # apery's round robin, whose deadline is checked before the minimality
+    # test reads the table.  Both raise NotPrimitive first.
+    gens = M.generators
+    if closed:
+        packed, size, entry = _closed_apery(M, deadline)
+    else:
+        ap = apery(M, deadline=deadline)
+        _require_minimal(M)
+        size = (max(ap) + 2 * gens[-1]).bit_length() // 8 + 1
+        packed, entry = _pack(ap, size), ap.__getitem__
     # Candidate set {m_i + w : i >= 2, w in Ap(M, m_1), w != 0}.  Every Betti
     # element b lies in it: the factorizations of b using the atom m_1
     # pairwise share it, so they occupy a single component of the graph, and
@@ -339,7 +514,7 @@ def _betti_impl(
     # factorization graph are connected in the atom graph.
     return tuple(
         _graph_of(M, c, deadline)
-        for c in sorted(_split_candidates(M.generators, ap, deadline))
+        for c in sorted(_split_candidates(gens, packed, size, entry, deadline))
     )
 
 
@@ -362,8 +537,10 @@ def _canonical_presentation(
 _Scan = tuple[tuple[FactorizationGraph, ...], Presentation]
 
 
-def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> _Scan:
-    graphs = _betti_impl(M, deadline)
+def _minpres_impl(
+    M: NumericalMonoid, deadline: float | None, closed: bool = False
+) -> _Scan:
+    graphs = _betti_impl(M, deadline, closed)
     return graphs, _canonical_presentation(M, graphs)
 
 
@@ -375,18 +552,22 @@ def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> _Scan:
 _MEMO_ENTRIES = 128
 
 # One memo keyed by the monoid alone, holding the scan's Betti graphs next
-# to the canonical presentation built from them.  An exact result is exact
-# whatever budget it was computed under, so calls with and without a
-# deadline share it.  Only completed computations are stored.
-# clear_caches() empties it.
+# to the canonical presentation built from them, whether the scan read the
+# round-robin table or, as the router's scans past the threshold do, the
+# closed form.  An exact result is exact whatever budget it was computed
+# under, so calls with and without a deadline share it.  Only completed
+# computations are stored.  clear_caches() empties it.
 _minpres_memo = _SizedMemo(_MEMO_ENTRIES, lambda scan: 1)
 
 
-def _scan(M: NumericalMonoid, deadline: float | None) -> _Scan:
-    """The memoized direct scan of M: its Betti graphs and presentation."""
+def _scan(M: NumericalMonoid, deadline: float | None, closed: bool = False) -> _Scan:
+    """The memoized direct scan of M: its Betti graphs and presentation.
+    closed reads the table in closed form (_closed_apery), as the router's
+    scans past the threshold do; both fill and read the one memo, since
+    they give the same result."""
     scan = _minpres_memo.get(M)
     if scan is None:
-        scan = _minpres_memo.remember(M, _minpres_impl(M, deadline))
+        scan = _minpres_memo.remember(M, _minpres_impl(M, deadline, closed))
     return scan
 
 

@@ -11,7 +11,13 @@ residue class mod r_k in closed form.  That removes the part of the direct
 algorithm that grows with n: the Apery table has n entries and the
 Betti-element candidate scan decides about k*n candidates from it, so the
 two take about 5 ms at n = 10^4, 60 ms at 10^5 and 0.8 s at 10^6 for
-r = (6,9,20).  The re-verification at the target enumerates the
+r = (6,9,20).  Past the threshold the table itself has a closed form,
+Ap(M_n, n)[rho] = n c(rho) + rho with c read off the least lengths of the
+offset monoid S = <r_1, ..., r_k> (presentations._closed_apery), so every
+scan the router runs, at the base shift or in the base band it scans in
+place, builds its packed table from a prefix of those lengths, memoized
+per offset tuple, and holds no table of n ints.  The re-verification at
+the target enumerates the
 factorizations of each lifted Betti element with a length gap by length
 slices, whose cost hardly depends on n, so a verified lift at n = 10^6 or
 10^9 takes a few milliseconds.  That holds when d > 1 too: only the slices
@@ -24,9 +30,11 @@ may lift reads it.  It memoizes each lifted M once its verification has
 passed, as the direct scan memoizes each scanned M, so a survey that meets
 the same M_n again verifies it once; the two memos of results are
 core._SizedMemos of at most presentations._MEMO_ENTRIES entries each, and
-drop the oldest first.  minimal_presentation and betti_elements always
-scan, and never read the router's memos, so that the two paths can be
-checked against each other.
+drop the oldest first.  The router's closed-form scans fill the direct
+scan's memo too, since they give the same graphs.  minimal_presentation
+and betti_elements always scan by the round-robin table, and never read
+the router's memos, so that the two paths can be checked against each
+other.
 
 The lift is verified at the target M, not trusted.  Each base relation is
 moved to M and, unless its graph is carried over (below), filed under the
@@ -305,7 +313,13 @@ def _betti_graphs(
     monoid T, _class_memo), and the pairs must join its components in a
     spanning tree (the structural verification); the enumeration honours
     DEFAULT_CAP and the deadline as factorization_graph's does.  Otherwise
-    the graphs come from the memoized direct scan.
+    the graphs come from the memoized direct scan.  Every scan run here on
+    an M with m_1 > r_k^2, the base shift or a target in the base band
+    (r_k^2, r_k^2 + r_k], reads its packed table in closed form
+    (presentations._closed_apery): no table of m_1 ints is built, none is
+    left in core's Apery memo, and an m_1 above DEFAULT_CAP is refused by
+    the kernel's budget before anything is allocated.  The scan still
+    fills presentations._minpres_memo, which minimal_presentation reads.
 
     n and r_k are read off M's generators, and a memoized lift is returned
     before anything else is built.  A non-primitive M is refused
@@ -352,13 +366,13 @@ def _betti_graphs(
     gens = M.generators
     n, rk = gens[0], gens[-1] - gens[0]
     if len(gens) < 2 or n <= rk * (rk + 1):
-        return _scan(M, deadline)[0]
+        return _scan(M, deadline, len(gens) > 1 and n > rk * rk)[0]
     # refused here, naming M: n0 has the same gcd(n, d), so the base scan
     # would refuse it too, but naming the base shift
     _require_primitive(M)
     n0 = rk * rk + 1 + (n - rk * rk - 1) % rk
     steps = (n - n0) // rk
-    scanned, base = _scan(NumericalMonoid([m - n + n0 for m in gens]), deadline)
+    scanned, base = _scan(NumericalMonoid([m - n + n0 for m in gens]), deadline, True)
     k = len(gens) - 1
     lifted = [_shift(k, rel.left, rel.right, steps) for rel in base.relations]
     base_pairs = list(map(attrgetter("left", "right"), base.relations))

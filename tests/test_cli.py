@@ -77,15 +77,29 @@ def test_apery_refuses_an_oversized_table(cli, monkeypatch):
     assert peak < 10**6
 
 
+def test_a_lift_past_the_kernels_budget_is_refused_at_once(cli, capsys):
+    # offsets (1,4000) at n = 10^9 + 1 have the base shift 16000001, whose
+    # packed scan exceeds DEFAULT_CAP residues: exit 2 before any table
+    tracemalloc.start()
+    try:
+        result = cli("betti", "--gens", "1000000001,1000000002,1000004001")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "")
+    assert "exceeds the kernel's budget" in capsys.readouterr().err
+    assert peak < 10**6
+
+
 def test_betti_and_all_presentations_take_the_lift(cli, monkeypatch):
     # at n = 10^6 + 1 the direct scan takes seconds; both commands scan only
     # the base shift 401 and lift from there
     scanned = []
     real = presentations._betti_impl
 
-    def counting(M, deadline):
+    def counting(M, deadline, *rest):
         scanned.append(M.generators[0])
-        return real(M, deadline)
+        return real(M, deadline, *rest)
 
     monkeypatch.setattr(presentations, "_betti_impl", counting)
     gens = "1000001,1000007,1000010,1000021"
@@ -362,9 +376,9 @@ def test_survey_rows_past_the_lift_threshold_match_the_scan(
     scanned = []
     real = presentations._betti_impl
 
-    def counting(M, deadline):
+    def counting(M, deadline, *rest):
         scanned.append(M.generators[0])
-        return real(M, deadline)
+        return real(M, deadline, *rest)
 
     rows = {}
     clear_caches()
@@ -659,6 +673,16 @@ def test_verify_accepts_a_file_without_tags(cli, tmp_path):
     assert code == 0 and out.startswith("ok window=")
 
 
+def test_verify_refuses_a_negative_bound_before_reading_the_file(cli, tmp_path, capsys):
+    # the bound is checked first, so a missing file is never opened
+    missing = tmp_path / "missing.json"
+    assert cli("verify", "--gens", "6,9,20", "--presentation", str(missing),
+               "--bound", "-5") == (1, "")
+    err = capsys.readouterr().err
+    assert "bound must be a non-negative integer, got -5" in err
+    assert "cannot read" not in err
+
+
 def test_bad_usage_is_exit_1(cli, tmp_path, capsys):
     assert cli("betti", "--gens", "6,x")[0] == 1
     assert cli("betti", "--gens", "6,9,20", "--bogus")[0] == 1
@@ -670,15 +694,14 @@ def test_bad_usage_is_exit_1(cli, tmp_path, capsys):
     assert cli("survey", "--r", "6,9,20", "--n-from", "401", "--n-to", "402",
                "--which", "betti",
                "--out", str(tmp_path / "missing" / "x.csv")) == (1, "")
-    # negative bounds are refused, not run, by the library's own gates:
-    # the oracle calls verify's bound a window
+    # negative bounds are refused, not run, by the library's own gates
     path = tmp_path / "pres.json"
     path.write_text(cli("minpres", "--gens", "6,9,20")[1])
     capsys.readouterr()
     assert cli("verify", "--gens", "6,9,20", "--presentation", str(path),
                "--bound", "-5") == (1, "")
     err = capsys.readouterr().err
-    assert "window must be a non-negative integer, got -5" in err
+    assert "bound must be a non-negative integer, got -5" in err
     assert cli("invariant", "--gens", "6,9,20", "--which", "tame",
                "--window", "-3") == (1, "")
     err = capsys.readouterr().err

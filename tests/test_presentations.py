@@ -4,15 +4,18 @@ import time
 
 import pytest
 
-from numonoid import presentations
+from numonoid import core, presentations
 from numonoid import (
+    BudgetExceeded,
     InvalidInput,
     NotAnElement,
     NotARelation,
     NotMinimal,
     NotPrimitive,
     NumericalMonoid,
+    ShiftedFamily,
     all_minimal_presentations,
+    apery,
     betti_elements,
     clear_caches,
     congruence_closure_check,
@@ -20,9 +23,11 @@ from numonoid import (
     make_presentation,
     make_relation,
     minimal_presentation,
+    monoid_at,
     naive_betti_scan,
 )
 from numonoid.presentations import _labeled_trees, _spanning_tree_count
+from numonoid.shifted import _betti_graphs
 
 M6920 = NumericalMonoid((6, 9, 20))
 
@@ -260,9 +265,9 @@ def test_deadline_calls_share_the_memo(monkeypatch):
     for name in ("_betti_impl", "_minpres_impl"):
         real = getattr(presentations, name)
 
-        def logged(M, deadline, real=real, name=name):
+        def logged(M, deadline, *rest, real=real, name=name):
             runs.append(name)
-            return real(M, deadline)
+            return real(M, deadline, *rest)
 
         monkeypatch.setattr(presentations, name, logged)
     M = NumericalMonoid((7, 11, 13))
@@ -297,3 +302,83 @@ def test_all_minimal_presentations_builds_each_graph_once(monkeypatch):
     enumerated.clear()
     assert all_minimal_presentations(M)[0] == 4
     assert enumerated == []
+
+
+@pytest.mark.parametrize("r", [(6, 9, 20), (4, 7, 11, 13), (2, 4, 14, 16)])
+def test_the_closed_form_is_the_round_robin_at_every_base_shift(r):
+    # every primitive base shift n0 in (r_k^2, r_k^2 + r_k]: the packed
+    # closed form is the round-robin table packed at its field size, every
+    # entry it reads is the table's, the field holds max Ap + 2 m_t under
+    # its guard bit, and the scan over it finds the same Betti graphs
+    family = ShiftedFamily(r)
+    clear_caches()
+    members = [
+        monoid_at(family, n0)
+        for n0 in range(family.threshold + 1, family.threshold + family.step + 1)
+    ]
+    for member in members:
+        if not member.primitive:
+            continue
+        M = member.monoid
+        n0 = M.multiplicity
+        packed, size, entry = presentations._closed_apery(M, None)
+        ap = apery(M)
+        assert packed == presentations._pack(ap, size), n0
+        assert [entry(rho) for rho in range(n0)] == list(ap), n0
+        assert max(ap) + 2 * M.generators[-1] < 2 ** (8 * size - 1), n0
+        closed = presentations._betti_impl(M, None, True)
+        assert closed == presentations._betti_impl(M, None), n0
+    assert list(presentations._least_memo) == [r]
+
+
+def test_the_closed_form_refuses_past_the_kernels_budget(monkeypatch):
+    # NotPrimitive first, as apery; then the budget, before anything is
+    # built, even the prefix of least lengths; a past deadline stops the
+    # prefix's passes too, and stores no prefix
+    M = NumericalMonoid((402, 404, 406, 416, 418))
+    with pytest.raises(NotPrimitive):
+        presentations._closed_apery(M, None)
+    clear_caches()
+    with pytest.raises(BudgetExceeded):
+        presentations._closed_apery(
+            NumericalMonoid((401, 407, 410, 421)), time.monotonic() - 1
+        )
+    with pytest.raises(BudgetExceeded):
+        presentations._least_lengths((6, 9, 20), time.monotonic() - 1)
+    assert not presentations._least_memo
+    monkeypatch.setattr(presentations, "DEFAULT_CAP", 400)
+    clear_caches()
+    with pytest.raises(BudgetExceeded, match="kernel's budget of 400"):
+        presentations._closed_apery(NumericalMonoid((401, 407, 410, 421)), None)
+    assert not presentations._least_memo
+
+
+def test_the_router_builds_no_apery_table_past_the_threshold(monkeypatch):
+    # the router's base scan at M_10003 of (6,9,20), and its scan in place
+    # of M_403 in the base band (400, 420], read the closed form, so no
+    # round-robin table is built or memoized; minimal_presentation of a
+    # member past the threshold still builds it by the round robin, and
+    # never from the least lengths
+    clear_caches()
+    M = NumericalMonoid((10003, 10009, 10012, 10023))
+    assert _betti_graphs(M, None) == presentations._betti_impl(M, None)
+    for target in (M, NumericalMonoid((403, 409, 412, 423))):
+        clear_caches()
+        _betti_graphs(target, None)
+        assert not core._apery_memo
+        assert list(presentations._least_memo) == [(6, 9, 20)]
+    built = []
+    real = presentations.apery
+
+    def logged(M, **kwargs):
+        built.append(M.multiplicity)
+        return real(M, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("minimal_presentation read the closed form")
+
+    monkeypatch.setattr(presentations, "apery", logged)
+    monkeypatch.setattr(presentations, "_closed_apery", refused)
+    clear_caches()
+    minimal_presentation(M)
+    assert built == [10003]

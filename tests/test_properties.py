@@ -309,6 +309,14 @@ def _atom_components_by_flood(
     return comps
 
 
+def _split_by_kernel(gens: tuple[int, ...], ap: tuple[int, ...]) -> set[int]:
+    """The packed kernel's split candidates over the round-robin table,
+    packed as _betti_impl packs it."""
+    size = (max(ap) + 2 * gens[-1]).bit_length() // 8 + 1
+    packed = presentations._pack(ap, size)
+    return presentations._split_candidates(gens, packed, size, ap.__getitem__, None)
+
+
 def _split_by_flood(gens: tuple[int, ...], ap: tuple[int, ...]) -> set[int]:
     """The candidates m_i + w (i >= 2, w != 0 in the Apery set) whose atom
     graph the flood finds disconnected."""
@@ -332,9 +340,33 @@ def test_atom_graph_counts_the_factorization_graph_components(M):
     for c in sorted({m + w for m in gens[1:] for w in ap if w}):
         expected = len(factorization_graph(M, c).components)
         assert _atom_components_by_flood(gens, ap, c) == expected, c
-    assert presentations._split_candidates(gens, ap, None) == _split_by_flood(gens, ap)
+    assert _split_by_kernel(gens, ap) == _split_by_flood(gens, ap)
     bound = frobenius(M) + gens[0] + gens[-1]
     assert betti_elements(M) == naive_betti_scan(M, bound)
+
+
+@st.composite
+def members_past_the_threshold(draw):
+    # M_n for k = 1-4 offsets up to 30, each a multiple of d in {1, 2, 3},
+    # at a primitive n in (r_k^2, r_k^2 + 3 r_k]
+    d = draw(st.integers(1, 3))
+    r = draw(st.lists(st.integers(1, 30 // d), min_size=1, max_size=4, unique=True))
+    r = sorted(d * x for x in r)
+    n = draw(st.integers(r[-1] ** 2 + 1, r[-1] ** 2 + 3 * r[-1]))
+    assume(math.gcd(n, *r) == 1)
+    return NumericalMonoid((n, *(n + x for x in r)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(M=members_past_the_threshold())
+def test_the_closed_form_packs_the_round_robin_table(M):
+    # the packed closed form of Ap(M_n, n) is the round-robin table packed
+    # at the same field size, and its entry reader reads the table
+    packed, size, entry = presentations._closed_apery(M, None)
+    ap = apery(M)
+    event(f"d = {math.gcd(*(m - M.multiplicity for m in M.generators[1:]))}")
+    assert packed == presentations._pack(ap, size)
+    assert [entry(rho) for rho in range(M.multiplicity)] == list(ap)
 
 
 # primitive increasing tuples on 2..6 generators up to 60, minimal or not
@@ -372,7 +404,7 @@ def test_packed_kernel_matches_the_flood(gens):
         presentations._require_minimal(M)
     ap = apery(M)
     event(f"t = {len(gens)}, Apery entries past 2^64: {max(ap) >= 2**64}")
-    assert presentations._split_candidates(gens, ap, None) == _split_by_flood(gens, ap)
+    assert _split_by_kernel(gens, ap) == _split_by_flood(gens, ap)
 
 
 def _components_by_flood(zs):

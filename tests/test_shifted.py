@@ -417,9 +417,9 @@ def test_the_direct_scan_ignores_the_lifted_memo(monkeypatch):
     scanned = []
     real = presentations._betti_impl
 
-    def logged(M, deadline):
+    def logged(M, deadline, *rest):
         scanned.append(M.generators)
-        return real(M, deadline)
+        return real(M, deadline, *rest)
 
     monkeypatch.setattr(presentations, "_betti_impl", logged)
     assert minimal_presentation(M).relations == lifted.relations

@@ -51,11 +51,11 @@ candidate's edge relation in t rounds, and the candidates with a vertex
 that m_i does not reach are read off the set guard bits.  That is a few
 hundred big-int operations for the whole scan, each linear in m_1.
 
-The packed table is apery's round robin, packed by _pack, except in the
-router's scans of M_n = <n, n + r_1, ..., n + r_k> past n > r_k^2, which
-build it packed from its closed form (_closed_apery) and hold no table of
-n ints.  minimal_presentation and betti_elements keep the round robin, so
-the two constructions check each other.
+Every M is the member n = m_1 of the family M_n = <n, n + r_1, ..., n +
+r_k> of its offsets r_i = m_{i+1} - m_1.  Past n > r_k^2 the scan builds
+the packed table from its closed form (_closed_apery) and holds no table of
+n ints; otherwise it packs apery's round robin (_pack).  The tests check
+the closed form against apery.
 """
 
 from __future__ import annotations
@@ -433,8 +433,8 @@ def _split_candidates(
     field rho of size bytes holding entry rho, as _pack lays it out; a
     field must hold max Ap + 2 m_t, so every l_s compared below (s <=
     m_{t-1} + m_t), with one guard bit above it.  entry(rho) reads entry
-    rho, once per split candidate.  _betti_impl passes the round-robin
-    table packed, or the closed form past the threshold (_closed_apery).
+    rho, once per split candidate.  _betti_impl passes the closed form past
+    M's threshold (_closed_apery), and the round-robin table packed below it.
     Minimal generation is not used, so this holds for any primitive tuple.
     """
     m1, t = gens[0], len(gens)
@@ -477,15 +477,16 @@ def _split_candidates(
 
 
 def _betti_impl(
-    M: NumericalMonoid, deadline: float | None, closed: bool = False
+    M: NumericalMonoid, deadline: float | None
 ) -> tuple[FactorizationGraph, ...]:
     # the factorization graphs of the Betti elements, in increasing order.
-    # closed: M is M_n past the threshold, and the packed table is the
-    # closed form (_closed_apery), which is minimal there; otherwise it is
+    # M is the member n = m_1 of the family of offsets m_i - m_1, so past
+    # its threshold m_1 > (m_t - m_1)^2 the packed table is the closed form
+    # (_closed_apery), and M is minimal (m_1 > m_t - m_1); otherwise it is
     # apery's round robin, whose deadline is checked before the minimality
     # test reads the table.  Both raise NotPrimitive first.
     gens = M.generators
-    if closed:
+    if len(gens) > 1 and gens[0] > (gens[-1] - gens[0]) ** 2:
         packed, size, entry = _closed_apery(M, deadline)
     else:
         ap = apery(M, deadline=deadline)
@@ -537,10 +538,8 @@ def _canonical_presentation(
 _Scan = tuple[tuple[FactorizationGraph, ...], Presentation]
 
 
-def _minpres_impl(
-    M: NumericalMonoid, deadline: float | None, closed: bool = False
-) -> _Scan:
-    graphs = _betti_impl(M, deadline, closed)
+def _minpres_impl(M: NumericalMonoid, deadline: float | None) -> _Scan:
+    graphs = _betti_impl(M, deadline)
     return graphs, _canonical_presentation(M, graphs)
 
 
@@ -552,22 +551,19 @@ def _minpres_impl(
 _MEMO_ENTRIES = 128
 
 # One memo keyed by the monoid alone, holding the scan's Betti graphs next
-# to the canonical presentation built from them, whether the scan read the
-# round-robin table or, as the router's scans past the threshold do, the
-# closed form.  An exact result is exact whatever budget it was computed
-# under, so calls with and without a deadline share it.  Only completed
-# computations are stored.  clear_caches() empties it.
+# to the canonical presentation built from them; the router's scans and
+# minimal_presentation share it.  An exact result is exact whatever budget
+# it was computed under, so calls with and without a deadline share it.
+# Only completed computations are stored.  clear_caches() empties it.
 _minpres_memo = _SizedMemo(_MEMO_ENTRIES, lambda scan: 1)
 
 
-def _scan(M: NumericalMonoid, deadline: float | None, closed: bool = False) -> _Scan:
-    """The memoized direct scan of M: its Betti graphs and presentation.
-    closed reads the table in closed form (_closed_apery), as the router's
-    scans past the threshold do; both fill and read the one memo, since
-    they give the same result."""
+def _scan(M: NumericalMonoid, deadline: float | None) -> _Scan:
+    """The memoized direct scan of M: its Betti graphs and presentation,
+    from the closed-form table past M's threshold (_betti_impl)."""
     scan = _minpres_memo.get(M)
     if scan is None:
-        scan = _minpres_memo.remember(M, _minpres_impl(M, deadline, closed))
+        scan = _minpres_memo.remember(M, _minpres_impl(M, deadline))
     return scan
 
 

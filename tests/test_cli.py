@@ -97,9 +97,9 @@ def test_betti_and_all_presentations_take_the_lift(cli, monkeypatch):
     scanned = []
     real = presentations._betti_impl
 
-    def counting(M, deadline, *rest):
+    def counting(M, deadline):
         scanned.append(M.generators[0])
-        return real(M, deadline, *rest)
+        return real(M, deadline)
 
     monkeypatch.setattr(presentations, "_betti_impl", counting)
     gens = "1000001,1000007,1000010,1000021"
@@ -376,9 +376,9 @@ def test_survey_rows_past_the_lift_threshold_match_the_scan(
     scanned = []
     real = presentations._betti_impl
 
-    def counting(M, deadline, *rest):
+    def counting(M, deadline):
         scanned.append(M.generators[0])
-        return real(M, deadline, *rest)
+        return real(M, deadline)
 
     rows = {}
     clear_caches()

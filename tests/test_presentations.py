@@ -265,9 +265,9 @@ def test_deadline_calls_share_the_memo(monkeypatch):
     for name in ("_betti_impl", "_minpres_impl"):
         real = getattr(presentations, name)
 
-        def logged(M, deadline, *rest, real=real, name=name):
+        def logged(M, deadline, real=real, name=name):
             runs.append(name)
-            return real(M, deadline, *rest)
+            return real(M, deadline)
 
         monkeypatch.setattr(presentations, name, logged)
     M = NumericalMonoid((7, 11, 13))
@@ -309,13 +309,15 @@ def test_the_closed_form_is_the_round_robin_at_every_base_shift(r):
     # every primitive base shift n0 in (r_k^2, r_k^2 + r_k]: the packed
     # closed form is the round-robin table packed at its field size, every
     # entry it reads is the table's, the field holds max Ap + 2 m_t under
-    # its guard bit, and the scan over it finds the same Betti graphs
+    # its guard bit, and the kernel over it splits the candidates that it
+    # splits over the round-robin table, which stays the reference
     family = ShiftedFamily(r)
     clear_caches()
     members = [
         monoid_at(family, n0)
         for n0 in range(family.threshold + 1, family.threshold + family.step + 1)
     ]
+    split = presentations._split_candidates
     for member in members:
         if not member.primitive:
             continue
@@ -323,18 +325,22 @@ def test_the_closed_form_is_the_round_robin_at_every_base_shift(r):
         n0 = M.multiplicity
         packed, size, entry = presentations._closed_apery(M, None)
         ap = apery(M)
-        assert packed == presentations._pack(ap, size), n0
+        robin = presentations._pack(ap, size)
+        assert packed == robin, n0
         assert [entry(rho) for rho in range(n0)] == list(ap), n0
         assert max(ap) + 2 * M.generators[-1] < 2 ** (8 * size - 1), n0
-        closed = presentations._betti_impl(M, None, True)
-        assert closed == presentations._betti_impl(M, None), n0
+        gens = M.generators
+        closed = split(gens, packed, size, entry, None)
+        assert closed == split(gens, robin, size, ap.__getitem__, None), n0
     assert list(presentations._least_memo) == [r]
 
 
 def test_the_closed_form_refuses_past_the_kernels_budget(monkeypatch):
     # NotPrimitive first, as apery; then the budget, before anything is
-    # built, even the prefix of least lengths; a past deadline stops the
-    # prefix's passes too, and stores no prefix
+    # built, even the prefix of least lengths, in _closed_apery and through
+    # minimal_presentation, which reads the closed form past the threshold
+    # and so no Apery table; a past deadline stops the prefix's passes too,
+    # and stores no prefix
     M = NumericalMonoid((402, 404, 406, 416, 418))
     with pytest.raises(NotPrimitive):
         presentations._closed_apery(M, None)
@@ -348,17 +354,21 @@ def test_the_closed_form_refuses_past_the_kernels_budget(monkeypatch):
     assert not presentations._least_memo
     monkeypatch.setattr(presentations, "DEFAULT_CAP", 400)
     clear_caches()
+    M = NumericalMonoid((401, 407, 410, 421))
     with pytest.raises(BudgetExceeded, match="kernel's budget of 400"):
-        presentations._closed_apery(NumericalMonoid((401, 407, 410, 421)), None)
+        presentations._closed_apery(M, None)
     assert not presentations._least_memo
+    with pytest.raises(BudgetExceeded, match="kernel's budget of 400"):
+        minimal_presentation(M)
+    assert not presentations._least_memo and not core._apery_memo
 
 
 def test_the_router_builds_no_apery_table_past_the_threshold(monkeypatch):
     # the router's base scan at M_10003 of (6,9,20), and its scan in place
     # of M_403 in the base band (400, 420], read the closed form, so no
-    # round-robin table is built or memoized; minimal_presentation of a
-    # member past the threshold still builds it by the round robin, and
-    # never from the least lengths
+    # round-robin table is built or memoized; so does minimal_presentation
+    # of a member past the threshold, while one at or below it (307 <= 400)
+    # builds the round-robin table and never reads the least lengths
     clear_caches()
     M = NumericalMonoid((10003, 10009, 10012, 10023))
     assert _betti_graphs(M, None) == presentations._betti_impl(M, None)
@@ -367,18 +377,23 @@ def test_the_router_builds_no_apery_table_past_the_threshold(monkeypatch):
         _betti_graphs(target, None)
         assert not core._apery_memo
         assert list(presentations._least_memo) == [(6, 9, 20)]
-    built = []
-    real = presentations.apery
+    built, closed = [], []
+    real_apery, real_closed = presentations.apery, presentations._closed_apery
 
     def logged(M, **kwargs):
         built.append(M.multiplicity)
-        return real(M, **kwargs)
+        return real_apery(M, **kwargs)
 
-    def refused(*args):
-        raise AssertionError("minimal_presentation read the closed form")
+    def counted(M, deadline):
+        closed.append(M.multiplicity)
+        return real_closed(M, deadline)
 
     monkeypatch.setattr(presentations, "apery", logged)
-    monkeypatch.setattr(presentations, "_closed_apery", refused)
+    monkeypatch.setattr(presentations, "_closed_apery", counted)
     clear_caches()
     minimal_presentation(M)
-    assert built == [10003]
+    assert (built, closed) == ([], [10003])
+    assert not core._apery_memo
+    clear_caches()
+    minimal_presentation(NumericalMonoid((307, 313, 316, 327)))
+    assert (built, closed) == ([307], [10003])

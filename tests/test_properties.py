@@ -361,12 +361,16 @@ def members_past_the_threshold(draw):
 @given(M=members_past_the_threshold())
 def test_the_closed_form_packs_the_round_robin_table(M):
     # the packed closed form of Ap(M_n, n) is the round-robin table packed
-    # at the same field size, and its entry reader reads the table
+    # at the same field size, its entry reader reads the table, and the
+    # kernel over it splits the candidates it splits over the table
     packed, size, entry = presentations._closed_apery(M, None)
     ap = apery(M)
-    event(f"d = {math.gcd(*(m - M.multiplicity for m in M.generators[1:]))}")
+    gens = M.generators
+    event(f"d = {math.gcd(*(m - M.multiplicity for m in gens[1:]))}")
     assert packed == presentations._pack(ap, size)
     assert [entry(rho) for rho in range(M.multiplicity)] == list(ap)
+    split = presentations._split_candidates(gens, packed, size, entry, None)
+    assert split == _split_by_kernel(gens, ap)
 
 
 # primitive increasing tuples on 2..6 generators up to 60, minimal or not

@@ -242,8 +242,8 @@ def _pack(values: tuple[int, ...], size: int) -> int:
     return int.from_bytes(out, "little")
 
 
-# The least lengths of the offset monoids' prefixes (_least_lengths), keyed
-# by the offsets, so that a survey builds each family's prefix once and not
+# The least lengths of the offset monoids' prefixes (_least_lengths), the
+# offsets divided by their gcd, keyed by the offsets, so that a survey builds each family's prefix once and not
 # once per residue class.  It holds at most DEFAULT_CAP entries in all and
 # drops the oldest prefixes first.  clear_caches() empties it.
 _least_memo = _SizedMemo(DEFAULT_CAP)
@@ -296,16 +296,17 @@ def _closed_apery(
     """Ap(M, n) packed as _split_candidates reads it, for M = M_n =
     <n, n + r_1, ..., n + r_k> with n > r_k^2: the packed table, its field
     size in bytes, and a reader of single entries.  No table of n ints is
-    built, and the table is not memoized; the least lengths of S =
-    <r_1, ..., r_k> below (r_k - 1) r_{k-1} + r_k are, per offset tuple
-    (_least_memo).  Raises NotPrimitive as apery does, then BudgetExceeded,
-    before allocating anything, when n exceeds the kernel's budget of
-    DEFAULT_CAP residues, and once deadline has passed.  n > r_k makes the
-    tuple minimal (monoid_at), so nothing is checked for that.
+    built, no packed vector holds more than n + n / d + 2 r_k fields, and
+    the table is not memoized; the least lengths of S' = <r_1 / d, ..., r_k / d> below
+    (r_k - 1) r_{k-1} / d^2 + r_k / d are, per offset tuple (_least_memo).
+    Raises NotPrimitive as apery does, then BudgetExceeded, before
+    allocating anything, when n exceeds the kernel's budget of DEFAULT_CAP
+    residues, and once deadline has passed.  n > r_k makes the tuple
+    minimal (monoid_at), so nothing is checked for that.
 
-    With d = gcd(r) and l(s) the least length in S (infinite off S), entry
-    rho of the table is n c(rho) + rho, c(rho) = min over j in [0, d] of
-    l(rho + j n) + j.  Proof.
+    With d = gcd(r) and l(s) the least length in S = <r> (infinite off S),
+    entry rho of the table is n c(rho) + rho, c(rho) = min over j in [0, d]
+    of l(rho + j n) + j.  Proof.
     1. An element of M_n is n l + s with s in S and l(s) <= l: a
        factorization of length l leaves s = sum of its offsets, whose
        length is at most l, and a least one of s padded with l - l(s)
@@ -327,22 +328,32 @@ def _closed_apery(
     Step 3 needs n > r_k^2, and gcd(n, d) = 1 makes every c(rho) finite
     (the fields, below).
 
-    The fields.  For each rho one j0 in [0, d) has rho + j0 n a multiple
-    of d.  If j0 > 0, or rho is in S, c(rho) <= (d n - 1) // r_k + r_k - 1
-    + j0 by step 2; otherwise rho < r_k^2, as above, and j = d gives
-    c(rho) <= (r_k^2 + d n) / r_k + r_k - 1 + d.  So c <= bc = d n // r_k +
-    2 r_k + d, and max Ap + 2 m_t <= n (bc + 1) + 2 m_t.  Every finite
-    l(s) + j read below, and every count of r_k steps plus j, is at most v
-    = (d + 1) n // r_k + r_k + d.  The field holds top = n (bc + 1) + 2 m_t
-    + 2 v below its guard bit, so inf = 2^(width - 2) is above every finite
-    value, inf + v stays below the guard bit, and min keeps the finite
-    values apart from inf plus anything.
+    Only one j of the d + 1 is read, or two.  S lies in d Z, and gcd(n, d)
+    = 1, so exactly one j0 in [0, d) has rho + j0 n = d u a multiple of d,
+    and j = d as well when j0 = 0.  As l(d u) is the least length l'(u) in
+    S' (a factorization in S is d times one in S'), entry rho is
+    n l'(u) + d u, or the least of that and n l'(u + n) + d (u + n) when
+    d u < n.  The map rho -> u = rho / d mod n is a bijection of [0, n),
+    and the u with k n <= d u < (k + 1) n form one run, sent to the rho =
+    d u - k n, every d-th field from d u_0 - k n.
 
-    The build: the prefix packed, inf at the non-members; its last r_k
-    fields repeated, one higher at each step (_progression), up to (d + 1) n
-    fields; c as the packed min of the d + 1 slices of n fields, slice j
-    raised by j, each min read off the guard bits of one subtraction; and
-    the table n c + (0, 1, ..., n - 1), the ramp built by _progression."""
+    The fields.  If j0 > 0, or rho is in S, c(rho) <= (d n - 1) // r_k +
+    r_k - 1 + j0 by step 2; otherwise rho < r_k^2, as above, and j = d
+    gives c(rho) <= (r_k^2 + d n) / r_k + r_k - 1 + d.  So c <= bc = d n //
+    r_k + 2 r_k + d, and max Ap + 2 m_t <= n (bc + 1) + 2 m_t.  Every
+    finite l(s) + j read below, and every count of r_k steps plus j, is at
+    most v = (d + 1) n // r_k + r_k + d.  The field holds top = n (bc + 1)
+    + 2 m_t + 2 v below its guard bit, so inf = 2^(width - 2) is above
+    every finite value, inf + v stays below the guard bit, and min keeps
+    the finite values apart from inf plus anything.
+
+    The build: the prefix of l' packed, inf at the non-members; its last
+    r_k / d fields repeated, one higher at each step (_progression), up to
+    the n + w fields u < n + w, w = ceil(n / d); the packed min of the first
+    w fields with fields n .. n + w - 1 raised by d, read off the guard bits
+    of one subtraction; the table n l' + d (0, 1, ..., n - 1) in u order,
+    the ramp built by _progression; and its bytes sent run by run to rho
+    order by d size strided copies."""
     _require_primitive(M)
     gens = M.generators
     n = gens[0]
@@ -356,45 +367,53 @@ def _closed_apery(
     rk, d = r[-1], math.gcd(*r)
     pre = _least_memo.get(r)
     if pre is None:
-        pre = _least_memo.remember(r, _least_lengths(r, deadline))
-    p = len(pre)
+        pre = _least_memo.remember(
+            r, _least_lengths(tuple(x // d for x in r), deadline)
+        )
+    p, step, w, inv = len(pre), rk // d, (n - 1) // d + 1, pow(d, -1, n)
+
+    def least(u: int) -> int:
+        # l'(u); step 2 past the prefix: l'(u) = l'(u - q r_k / d) + q
+        q = (u - p) // step + 1 if u >= p else 0
+        return pre[u - q * step] + q
 
     def entry(rho: int) -> int:
-        best = _FAR
-        s = rho
-        for j in range(d + 1):
-            if s < p:
-                x = pre[s] + j
-            else:
-                # step 2 past the prefix: l(s) = l(s - q r_k) + q
-                q = (s - p) // rk + 1
-                x = pre[s - q * rk] + q + j
-            if x < best:
-                best = x
-            s += n
-        return n * best + rho
+        u = rho * inv % n
+        # d u < n: j0 = 0, and j = d reads l'(u + n) + d
+        return n * (min(least(u), least(u + n) + d) if u < w else least(u)) + d * u
 
     v = (d + 1) * n // rk + rk + d
     top = n * (d * n // rk + 2 * rk + d + 1) + 2 * gens[-1] + 2 * v
     size = top.bit_length() // 8 + 1
     width = 8 * size
-    inf = 1 << (width - 2)
-    low = _pack(tuple(map(min, pre, itertools.repeat(inf))), size)
-    # l on [p - r_k, (d + 1) n): the prefix's last r_k fields, then step 2
-    head = (p - rk) * width
-    ell, _ = _progression(low >> head, rk, -(-((d + 1) * n - p) // rk) + 1, width)
+    # the prefix, inf = 2^(width - 2) at the non-members
+    low = _pack(tuple(map(min, pre, itertools.repeat(1 << width - 2))), size)
+    # l' on [p - r_k / d, n + w): the prefix's last fields, then step 2
+    head = (p - step) * width
+    ell, _ = _progression(low >> head, step, -(-(n + w - p) // step) + 1, width)
     ell = low & (1 << head) - 1 | ell << head
     ramp, ones = _progression(0, 1, n, width)
     guard = ones << (width - 1)
-    mask = (1 << n * width) - 1
-    c = ell & mask
-    for j in range(1, d + 1):
-        _check_deadline(deadline)
-        b = (ell >> j * n * width & mask) + j * ones
-        # the guard bit of a field survives exactly where c >= b
-        ge = ((c | guard) - b) & guard
-        c ^= (c ^ b) & ge - (ge >> (width - 1))
-    return n * c + ramp, size, entry
+    c = ell & (1 << n * width) - 1
+    # d u < n: j0 = 0, and j = d reads l'(u + n) + d
+    first = (1 << w * width) - 1
+    b = (ell >> n * width & first) + d * (ones & first)
+    # the guard bit of a field survives exactly where c >= b
+    ge = ((c | guard) - b) & guard & first
+    c ^= (c ^ b) & ge - (ge >> (width - 1))
+    table = n * c + d * ramp
+    if d == 1:  # u = rho
+        return table, size, entry
+    raw = table.to_bytes(n * size, "little")
+    out = bytearray(len(raw))
+    for k in range(d):
+        # the run k n <= d u < (k + 1) n, to every d-th rho from d u0 - k n
+        u0, u1 = -(-k * n // d), -(-(k + 1) * n // d)
+        for i in range(size):
+            out[(d * u0 - k * n) * size + i :: d * size] = raw[
+                u0 * size + i : u1 * size : size
+            ]
+    return int.from_bytes(out, "little"), size, entry
 
 
 def _reach(t: int, edge) -> list[list[int]]:

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
@@ -361,6 +362,26 @@ def test_the_closed_form_refuses_past_the_kernels_budget(monkeypatch):
     with pytest.raises(BudgetExceeded, match="kernel's budget of 400"):
         minimal_presentation(M)
     assert not presentations._least_memo and not core._apery_memo
+
+
+def test_the_closed_form_of_a_wide_gcd_holds_a_few_vectors_of_m1_fields():
+    # <40001, 40201> is past its threshold 200^2 with d = 200: the closed
+    # form reads one j of the d + 1 per residue, so it holds a few packed
+    # vectors of m_1 fields, not the 32 MB of (d + 1) m_1 fields, and its
+    # table, sent from u = rho / d order to rho order, is the round robin's
+    M = NumericalMonoid((40001, 40201))
+    clear_caches()
+    tracemalloc.start()
+    try:
+        packed, size, entry = presentations._closed_apery(M, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 40001 * size
+    ap = apery(M)
+    assert packed == presentations._pack(ap, size)
+    assert [entry(rho) for rho in range(0, 40001, 7)] == list(ap[::7])
+    assert betti_elements(M) == [40001 * 40201]
 
 
 def test_the_router_builds_no_apery_table_past_the_threshold(monkeypatch):

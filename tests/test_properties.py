@@ -347,12 +347,12 @@ def test_atom_graph_counts_the_factorization_graph_components(M):
 
 @st.composite
 def members_past_the_threshold(draw):
-    # M_n for k = 1-4 offsets up to 30, each a multiple of d in {1, 2, 3},
-    # at a primitive n in (r_k^2, r_k^2 + 3 r_k]
-    d = draw(st.integers(1, 3))
+    # M_n for k = 1-4 offsets up to 30, each a multiple of d in [1, 10], at
+    # a primitive n in (r_k^2, r_k^2 + 9 r_k], past the lift's targets too
+    d = draw(st.integers(1, 10))
     r = draw(st.lists(st.integers(1, 30 // d), min_size=1, max_size=4, unique=True))
     r = sorted(d * x for x in r)
-    n = draw(st.integers(r[-1] ** 2 + 1, r[-1] ** 2 + 3 * r[-1]))
+    n = draw(st.integers(r[-1] ** 2 + 1, r[-1] ** 2 + 9 * r[-1]))
     assume(math.gcd(n, *r) == 1)
     return NumericalMonoid((n, *(n + x for x in r)))
 
@@ -524,6 +524,10 @@ def test_lifted_betti_graphs_match_the_scan(r, scale, data):
     member = monoid_at(F, data.draw(shifts))
     assume(member.primitive)
     scanned = presentations._betti_impl(member.monoid, None)
+    # the scan reads the closed form here; the round robin checks it
+    gens = member.monoid.generators
+    split = _split_by_kernel(gens, apery(member.monoid))
+    assert [g.element for g in scanned] == sorted(split)
     for _ in range(2):
         shifted._lifted_memo.pop(member.monoid, None)
         assert shifted._betti_graphs(member.monoid, None) == scanned
